@@ -9,7 +9,7 @@ squared, and how many features the RBB used; rows that fail are reported
 with their error instead of aborting the table.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,6 +88,14 @@ def _row_seed(base_seed: int, row_index: int) -> int:
     )
 
 
+def _reconstruction_r2(target, scores, network) -> float:
+    """Variance of `target` explained by decoding `scores`: by least squares,
+    or by the network's own decoder when there is one."""
+    if network is None:
+        return variance_explained(target, least_squares_decode(target, scores))
+    return variance_explained(target, network.decode(scores))
+
+
 def run_benchmark(
     pair: OmicsPair,
     config: LearnerConfig | None = None,
@@ -117,111 +125,79 @@ def run_benchmark(
             )
         return cache["pls"]
 
-    def autoencoder(label: str):
-        key = f"nn:{label}:{label}"
-        if key not in cache:
-            cfg = EncoderDecoderConfig(
-                hidden_units=nn_config.hidden_units,
-                epochs=nn_config.epochs,
-                learning_rate=nn_config.learning_rate,
-                seed=nn_config.seed,
-            )
-            cache[key] = encoder_decoder_latent(
-                clr[label], clr[label], cfg, source=label
-            )
-        return cache[key]
-
     def cross_network(src: str, dst: str):
         key = f"nn:{src}:{dst}"
         if key not in cache:
-            cfg = EncoderDecoderConfig(
-                hidden_units=nn_config.hidden_units,
-                epochs=nn_config.epochs,
-                learning_rate=nn_config.learning_rate,
-                seed=nn_config.seed,
-            )
             cache[key] = encoder_decoder_latent(
-                clr[src], clr[dst], cfg, source=src
+                clr[src], clr[dst], nn_config, source=src
             )
         return cache[key]
 
-    # (objective, method, latent label, latent getter, target label,
-    #  rbb source label, decoder)
     def pca_latent(label):
         return lambda: pca(label)[0]
 
     def pls_latent(side):
         return lambda: pls().x_scores if side == "T" else pls().y_scores
 
-    def nn_latent(fit_getter, label):
-        return lambda: fit_getter().encode(clr[label])
+    def nn_latent(src, dst):
+        return lambda: cross_network(src, dst).encode(clr[src])
 
+    def nn_decoder(src, dst):
+        return lambda: cross_network(src, dst)
+
+    # (objective, method, latent label, latent getter, target label,
+    #  rbb source label, decoder)
     rows_spec = [
         ("dimension_reduction", "pca", "PCA1(clr T)", pca_latent("T"), "T", "T", None),
         ("dimension_reduction", "pca", "PCA1(clr U)", pca_latent("U"), "U", "U", None),
         ("dimension_reduction", "pls", "PLS1 t(clr T, clr U)", pls_latent("T"), "T", "T", None),
         ("dimension_reduction", "pls", "PLS1 u(clr T, clr U)", pls_latent("U"), "U", "U", None),
-        ("dimension_reduction", "nn", "NN(T>h>T)", nn_latent(lambda: autoencoder("T"), "T"), "T", "T", lambda: autoencoder("T")),
-        ("dimension_reduction", "nn", "NN(U>h>U)", nn_latent(lambda: autoencoder("U"), "U"), "U", "U", lambda: autoencoder("U")),
+        ("dimension_reduction", "nn", "NN(T>h>T)", nn_latent("T", "T"), "T", "T", nn_decoder("T", "T")),
+        ("dimension_reduction", "nn", "NN(U>h>U)", nn_latent("U", "U"), "U", "U", nn_decoder("U", "U")),
         ("integration", "pca", "PCA1(clr T)", pca_latent("T"), "T", "U", None),
         ("integration", "pca", "PCA1(clr U)", pca_latent("U"), "U", "T", None),
         ("integration", "pls", "PLS1 t(clr T, clr U)", pls_latent("T"), "T", "U", None),
         ("integration", "pls", "PLS1 u(clr T, clr U)", pls_latent("U"), "U", "T", None),
-        ("integration", "nn", "NN(T>h>U)", nn_latent(lambda: cross_network("T", "U"), "T"), "U", "T", lambda: cross_network("T", "U")),
-        ("integration", "nn", "NN(U>h>T)", nn_latent(lambda: cross_network("U", "T"), "U"), "T", "U", lambda: cross_network("U", "T")),
+        ("integration", "nn", "NN(T>h>U)", nn_latent("T", "U"), "U", "T", nn_decoder("T", "U")),
+        ("integration", "nn", "NN(U>h>T)", nn_latent("U", "T"), "T", "U", nn_decoder("U", "T")),
     ]
 
     rows = []
     for i, (objective, method, label, latent_getter, target_label, source_label, decoder_getter) in enumerate(rows_spec):
+        target = clr[target_label]
         try:
             latent = latent_getter()
-            target = clr[target_label]
-            if decoder_getter is None:
-                original = least_squares_decode(target, latent.scores)
-            else:
-                original = decoder_getter().decode(latent.scores)
-            original_r2 = variance_explained(target, original)
-            row_config = LearnerConfig(
-                lam=config.lam,
-                epochs=config.epochs,
-                learning_rate=config.learning_rate,
-                cv_folds=config.cv_folds,
-                seed=_row_seed(config.seed, i),
-            )
+            network = None if decoder_getter is None else decoder_getter()
+            original_r2 = _reconstruction_r2(target, latent.scores, network)
             approx = approximate_latent_with_rbb(
-                latent, matrices[source_label], row_config, mode=mode
+                latent,
+                matrices[source_label],
+                replace(config, seed=_row_seed(config.seed, i)),
+                mode=mode,
             )
-            if decoder_getter is None:
-                rbb_recon = least_squares_decode(target, approx.approx_scores)
-            else:
-                rbb_recon = decoder_getter().decode(approx.approx_scores)
-            rbb_r2 = variance_explained(target, rbb_recon)
-            rows.append(
-                BenchmarkRow(
-                    objective=objective,
-                    method=method,
-                    latent=label,
-                    original_r2=original_r2,
-                    rbb_source=source_label,
-                    active_features=approx.active_features,
-                    total_features=approx.total_features,
-                    rbb_r2=rbb_r2,
-                )
+            result = dict(
+                original_r2=original_r2,
+                active_features=approx.active_features,
+                total_features=approx.total_features,
+                rbb_r2=_reconstruction_r2(target, approx.approx_scores, network),
             )
         except RatiomarkerError as exc:
-            rows.append(
-                BenchmarkRow(
-                    objective=objective,
-                    method=method,
-                    latent=label,
-                    original_r2=float("nan"),
-                    rbb_source=source_label,
-                    active_features=0,
-                    total_features=matrices[source_label].n_features,
-                    rbb_r2=float("nan"),
-                    error=str(exc),
-                )
+            result = dict(
+                original_r2=float("nan"),
+                active_features=0,
+                total_features=matrices[source_label].n_features,
+                rbb_r2=float("nan"),
+                error=str(exc),
             )
+        rows.append(
+            BenchmarkRow(
+                objective=objective,
+                method=method,
+                latent=label,
+                rbb_source=source_label,
+                **result,
+            )
+        )
     return rows
 
 

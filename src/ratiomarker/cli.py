@@ -6,8 +6,10 @@ resolved configuration, sha256 digests of every input file, wall-clock
 seconds, and the list of outputs. Options can come from a key=value config
 file via --config; explicit flags win over the file, which wins over
 defaults. A previously written manifest.json is itself a valid --config,
-so any run can be repeated. Exit codes: 0 success, 2 parse errors,
-3 precondition failures, 4 convergence failures.
+so any run can be repeated. Each option is declared once, as a row of the
+option tables below; the parser, the defaults, the coercion of config-file
+values and their choice checks all come from those rows. Exit codes:
+0 success, 2 parse errors, 3 precondition failures, 4 convergence failures.
 """
 
 import argparse
@@ -15,7 +17,10 @@ import hashlib
 import json
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,135 +82,62 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_CONVERGENCE = 4
 
-_COMMON_DEFAULTS = {
-    "out_dir": "ratiomarker-out",
-    "seed": 0,
-    "max_zero_fraction": 0.5,
-    "zero_replacement": "half_detection_limit",
-}
 
-_DEFAULTS = {
-    "transform": {
-        **_COMMON_DEFAULTS,
-        "matrix": None,
-        "transform": "clr",
-    },
-    "daa": {
-        **_COMMON_DEFAULTS,
-        "matrix": None,
-        "outcome": None,
-        "transform": "clr",
-        "alpha": 0.05,
-        "link": "auto",
-        "outcome_kind": "auto",
-    },
-    "ratios": {
-        **_COMMON_DEFAULTS,
-        "matrix": None,
-        "outcome": None,
-        "alpha": 0.05,
-        "max_features": 2000,
-        "link": "auto",
-        "outcome_kind": "auto",
-    },
-    "learn": {
-        **_COMMON_DEFAULTS,
-        "matrix": None,
-        "outcome": None,
-        "test_matrix": None,
-        "test_outcome": None,
-        "learner": "stepwise",
-        "mode": "balance",
-        "lam": 1.0,
-        "epochs": 1000,
-        "learning_rate": 1.0,
-        "cv_folds": 5,
-        "population": 64,
-        "generations": 100,
-        "mutation_rate": None,
-        "tournament_size": 3,
-        "outcome_kind": "auto",
-    },
-    "simulate": {
-        **_COMMON_DEFAULTS,
-        "preset": "planted",
-        "n_samples": 100,
-        "n_features": 20,
-        "effect": 2.0,
-        "log_sd": 0.5,
-        "theta_sd": 0.5,
-        "depth_sd": 0.5,
-        "noise_sd": 0.1,
-    },
-    "approx": {
-        **_COMMON_DEFAULTS,
-        "matrix": None,
-        "matrix2": None,
-        "latent": "pca",
-        "mode": "balance",
-        "lam": 1.0,
-        "epochs": 1000,
-        "learning_rate": 1.0,
-        "cv_folds": 5,
-        "hidden_units": 32,
-        "nn_epochs": 1000,
-        "nn_learning_rate": 0.01,
-    },
-    "benchmark": {
-        **_COMMON_DEFAULTS,
-        "matrix": None,
-        "matrix2": None,
-        "synthetic": False,
-        "n_samples": 200,
-        "g_t": 50,
-        "g_u": 80,
-        "mode": "balance",
-        "lam": 1.0,
-        "epochs": 1000,
-        "learning_rate": 1.0,
-        "cv_folds": 5,
-        "hidden_units": 32,
-        "nn_epochs": 1000,
-        "nn_learning_rate": 0.01,
-    },
-}
+def _input_file(raw: str) -> str:
+    """Option type of the input files whose digests go into the manifest."""
+    return raw
 
-_CHOICES = {
-    "transform": {
-        "transform": ("clr", "prop", "pairwise"),
-        "zero_replacement": ("half_detection_limit", "none"),
-    },
-    "daa": {
-        "transform": ("clr", "prop"),
-        "link": ("auto", "identity", "logistic"),
-        "outcome_kind": ("auto", "binary", "continuous"),
-        "zero_replacement": ("half_detection_limit", "none"),
-    },
-    "ratios": {
-        "link": ("auto", "identity", "logistic"),
-        "outcome_kind": ("auto", "binary", "continuous"),
-        "zero_replacement": ("half_detection_limit", "none"),
-    },
-    "learn": {
-        "learner": ("stepwise", "relaxed", "evolutionary"),
-        "mode": ("balance", "slr"),
-        "outcome_kind": ("auto", "binary", "continuous"),
-        "zero_replacement": ("half_detection_limit", "none"),
-    },
-    "simulate": {
-        "preset": ("planted", "depth_confounded"),
-        "zero_replacement": ("half_detection_limit", "none"),
-    },
-    "approx": {
-        "latent": ("pca", "pls", "nn"),
-        "mode": ("balance", "slr"),
-        "zero_replacement": ("half_detection_limit", "none"),
-    },
-    "benchmark": {
-        "mode": ("balance", "slr"),
-        "zero_replacement": ("half_detection_limit", "none"),
-    },
-}
+
+class _Option(NamedTuple):
+    """One command-line option; a config file names it by its key."""
+
+    flag: str
+    type: Callable  # str, int, float, _input_file, or bool for a switch
+    default: object = None
+    choices: tuple[str, ...] = ()
+    dest: str = ""
+
+    @property
+    def key(self) -> str:
+        return self.dest or self.flag[2:].replace("-", "_")
+
+
+_COMMON = (
+    _Option("--out-dir", str, "ratiomarker-out"),
+    _Option("--seed", int, 0),
+    _Option("--max-zero-fraction", float, 0.5),
+    _Option(
+        "--zero-replacement",
+        str,
+        "half_detection_limit",
+        ("half_detection_limit", "none"),
+    ),
+)
+# The learner group; every key but "mode" names a LearnerConfig field.
+_LEARNER = (
+    _Option("--mode", str, "balance", ("balance", "slr")),
+    _Option("--lambda", float, 1.0, dest="lam"),
+    _Option("--epochs", int, 1000),
+    _Option("--learning-rate", float, 1.0),
+    _Option("--cv-folds", int, 5),
+)
+# The network group: EncoderDecoderConfig fields, "nn_" prefixed where a
+# learner option has the same name.
+_NN = (
+    _Option("--hidden-units", int, 32),
+    _Option("--nn-epochs", int, 1000),
+    _Option("--nn-learning-rate", float, 0.01),
+)
+_MATRIX = _Option("--matrix", _input_file)
+_MATRIX2 = _Option("--matrix2", _input_file)
+_OUTCOME = _Option("--outcome", _input_file)
+_ALPHA = _Option("--alpha", float, 0.05)
+_LINK = _Option("--link", str, "auto", ("auto", "identity", "logistic"))
+_OUTCOME_KIND = _Option(
+    "--outcome-kind", str, "auto", ("auto", "binary", "continuous")
+)
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -215,116 +147,46 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(cmd, help_text):
-        p = sub.add_parser(cmd, help=help_text, argument_default=argparse.SUPPRESS)
+    for command, (help_text, _, _, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="key=value file or a previous manifest.json")
-        p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--max-zero-fraction", dest="max_zero_fraction", type=float)
-        p.add_argument(
-            "--zero-replacement",
-            dest="zero_replacement",
-            choices=("half_detection_limit", "none"),
-        )
-        return p
-
-    p = add("transform", "write clr / proportion / pairwise log-ratio matrices")
-    p.add_argument("--matrix")
-    p.add_argument("--transform", choices=("clr", "prop", "pairwise"))
-
-    p = add("daa", "per-feature differential abundance under a chosen notion")
-    p.add_argument("--matrix")
-    p.add_argument("--outcome")
-    p.add_argument("--transform", choices=("clr", "prop"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--link", choices=("auto", "identity", "logistic"))
-    p.add_argument("--outcome-kind", dest="outcome_kind", choices=("auto", "binary", "continuous"))
-
-    p = add("ratios", "GLM on every pairwise log-ratio plus feature attribution")
-    p.add_argument("--matrix")
-    p.add_argument("--outcome")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--max-features", dest="max_features", type=int)
-    p.add_argument("--link", choices=("auto", "identity", "logistic"))
-    p.add_argument("--outcome-kind", dest="outcome_kind", choices=("auto", "binary", "continuous"))
-
-    p = add("learn", "fit a sparse ratio biomarker predicting the outcome")
-    p.add_argument("--matrix")
-    p.add_argument("--outcome")
-    p.add_argument("--test-matrix", dest="test_matrix")
-    p.add_argument("--test-outcome", dest="test_outcome")
-    p.add_argument("--learner", choices=("stepwise", "relaxed", "evolutionary"))
-    p.add_argument("--mode", choices=("balance", "slr"))
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--cv-folds", dest="cv_folds", type=int)
-    p.add_argument("--population", type=int)
-    p.add_argument("--generations", type=int)
-    p.add_argument("--mutation-rate", dest="mutation_rate", type=float)
-    p.add_argument("--tournament-size", dest="tournament_size", type=int)
-    p.add_argument("--outcome-kind", dest="outcome_kind", choices=("auto", "binary", "continuous"))
-
-    p = add("simulate", "generate ground truth, biased observations, and a notion report")
-    p.add_argument("--preset", choices=("planted", "depth_confounded"))
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--n-features", dest="n_features", type=int)
-    p.add_argument("--effect", type=float)
-    p.add_argument("--log-sd", dest="log_sd", type=float)
-    p.add_argument("--theta-sd", dest="theta_sd", type=float)
-    p.add_argument("--depth-sd", dest="depth_sd", type=float)
-    p.add_argument("--noise-sd", dest="noise_sd", type=float)
-
-    p = add("approx", "summarize by a latent score and refit it as a ratio biomarker")
-    p.add_argument("--matrix")
-    p.add_argument("--matrix2")
-    p.add_argument("--latent", choices=("pca", "pls", "nn"))
-    p.add_argument("--mode", choices=("balance", "slr"))
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--cv-folds", dest="cv_folds", type=int)
-    p.add_argument("--hidden-units", dest="hidden_units", type=int)
-    p.add_argument("--nn-epochs", dest="nn_epochs", type=int)
-    p.add_argument("--nn-learning-rate", dest="nn_learning_rate", type=float)
-
-    p = add("benchmark", "latent pipelines vs their RBB stand-ins, 12-row table")
-    p.add_argument("--matrix")
-    p.add_argument("--matrix2")
-    p.add_argument("--synthetic", action="store_true")
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--g-t", dest="g_t", type=int)
-    p.add_argument("--g-u", dest="g_u", type=int)
-    p.add_argument("--mode", choices=("balance", "slr"))
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--cv-folds", dest="cv_folds", type=int)
-    p.add_argument("--hidden-units", dest="hidden_units", type=int)
-    p.add_argument("--nn-epochs", dest="nn_epochs", type=int)
-    p.add_argument("--nn-learning-rate", dest="nn_learning_rate", type=float)
-
+        for opt in options:
+            if opt.type is bool:
+                p.add_argument(opt.flag, dest=opt.key, action="store_true")
+            else:
+                p.add_argument(
+                    opt.flag,
+                    dest=opt.key,
+                    type=opt.type,
+                    choices=opt.choices or None,
+                )
     return parser
 
 
-def _coerce(key: str, raw: str, default):
-    if raw == "" or raw.lower() == "none":
+def _coerce(opt: _Option, raw: str, path) -> object:
+    """A config-file value as the option's declared type.
+
+    `none` or an empty value clears only an option whose default is None.
+    """
+    word = raw.lower()
+    if opt.default is None and word in ("", "none"):
         return None
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    if key in ("mutation_rate",):
-        return float(raw)
-    return raw
+    if opt.type is bool and word in _TRUE + _FALSE:
+        return word in _TRUE
+    if raw and opt.type is not bool:
+        try:
+            return opt.type(raw)
+        except ValueError:
+            pass
+    raise ParseError(
+        f"config value {opt.key}={raw!r} is not a valid {opt.type.__name__}",
+        path=path,
+    )
 
 
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
-    resolved = dict(_DEFAULTS[command])
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    options = {opt.key: opt for opt in _COMMANDS[command][3]}
+    resolved = {key: opt.default for key, opt in options.items()}
     config_path = getattr(args, "config", None)
     if config_path is not None:
         if not Path(config_path).is_file():
@@ -332,16 +194,18 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         file_values = read_config(config_path)
         file_values.pop("command", None)
         for key, raw in file_values.items():
-            if key not in resolved:
+            if key not in options:
                 raise ValidationError(
                     f"config key {key!r} is not an option of {command!r}"
                 )
-            resolved[key] = _coerce(key, raw, _DEFAULTS[command][key])
-    resolved.update(flags)
-    for key, allowed in _CHOICES.get(command, {}).items():
-        if resolved.get(key) is not None and resolved[key] not in allowed:
+            resolved[key] = _coerce(options[key], raw, config_path)
+    resolved.update(
+        (k, v) for k, v in vars(args).items() if k not in ("command", "config")
+    )
+    for key, opt in options.items():
+        if opt.choices and resolved[key] not in opt.choices:
             raise ValidationError(
-                f"{key} must be one of {', '.join(allowed)}"
+                f"{key} must be one of {', '.join(opt.choices)}"
             )
     return resolved
 
@@ -379,12 +243,27 @@ def _json_ready(value):
     return value
 
 
-def _write_json(out_dir: Path, name: str, payload: dict, outputs: list[str]):
+def _write_json(path: Path, payload: dict):
     atomic_write_text(
-        out_dir / name,
-        json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n",
+        path, json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
     )
-    outputs.append(name)
+
+
+def _write_rows(path: Path, header: str, rows):
+    """A tab-separated table; floats are written with full repr precision."""
+    lines = [header] + [
+        "\t".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row)
+        for row in rows
+    ]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _side_features(model) -> dict:
+    ids = model.feature_ids
+    return {
+        "numerator_features": [ids[i] for i in model.biomarker.numerator],
+        "denominator_features": [ids[i] for i in model.biomarker.denominator],
+    }
 
 
 def _load_positive_matrix(config: dict, key: str = "matrix"):
@@ -398,92 +277,73 @@ def _load_positive_matrix(config: dict, key: str = "matrix"):
 
 def _load_outcome(config: dict, matrix, key: str = "outcome") -> Outcome:
     ids, values = read_outcome_pairs(config[key])
-    kind = config.get("outcome_kind", "auto")
+    kind = config["outcome_kind"]
     return outcome_for_matrix(
         matrix, ids, values, kind=None if kind == "auto" else kind
     )
 
 
-def _model_spec(config: dict, outcome: Outcome) -> ModelSpec:
-    link = config.get("link", "auto")
-    if link == "auto":
-        link = "logistic" if outcome.kind == "binary" else "identity"
-    return ModelSpec(link=link)
+def _from_config(cls, config: dict, prefix: str = ""):
+    """A `cls` dataclass from the resolved options named like its fields.
+
+    The key `prefix + field` wins over `field`; a field no key names keeps
+    its dataclass default.
+    """
+    kwargs = {}
+    for f in fields(cls):
+        key = prefix + f.name if prefix + f.name in config else f.name
+        if key in config:
+            kwargs[f.name] = config[key]
+    return cls(**kwargs)
 
 
-def _learner_config(config: dict) -> LearnerConfig:
-    return LearnerConfig(
-        lam=config["lam"],
-        epochs=config["epochs"],
-        learning_rate=config["learning_rate"],
-        cv_folds=config["cv_folds"],
-        seed=config["seed"],
-        population=config.get("population", 64),
-        generations=config.get("generations", 100),
-        mutation_rate=config.get("mutation_rate"),
-        tournament_size=config.get("tournament_size", 3),
-    )
-
-
-def _cmd_transform(config: dict, out_dir: Path, outputs: list[str]):
+def _cmd_transform(config: dict, out: Callable[[str], Path]):
     positive, removed = _load_positive_matrix(config)
     atomic_write_text(
-        out_dir / "removed_features.txt",
-        "\n".join(removed) + ("\n" if removed else ""),
+        out("removed_features.txt"), "\n".join(removed) + ("\n" if removed else "")
     )
-    outputs.append("removed_features.txt")
     kind = config["transform"]
     if kind == "clr":
         write_table(
-            out_dir / "clr.tsv",
+            out("clr.tsv"),
             positive.sample_ids,
             positive.feature_ids,
             clr_transform(positive),
         )
-        outputs.append("clr.tsv")
     elif kind == "prop":
-        write_matrix(out_dir / "proportions.tsv", close_to_proportions(positive))
-        outputs.append("proportions.tsv")
+        write_matrix(out("proportions.tsv"), close_to_proportions(positive))
     else:
         ratios, pairs = pairwise_logratios(positive)
         labels = [
             f"{positive.feature_ids[j]}/{positive.feature_ids[k]}"
             for j, k in pairs
         ]
-        write_table(
-            out_dir / "pairwise.tsv", positive.sample_ids, labels, ratios
-        )
-        outputs.append("pairwise.tsv")
+        write_table(out("pairwise.tsv"), positive.sample_ids, labels, ratios)
 
 
-def _cmd_daa(config: dict, out_dir: Path, outputs: list[str]):
+def _cmd_daa(config: dict, out: Callable[[str], Path]):
     positive, removed = _load_positive_matrix(config)
     outcome = _load_outcome(config, positive)
     result = daa(
         positive,
         outcome,
         transform=config["transform"],
-        spec=_model_spec(config, outcome),
+        spec=ModelSpec.for_outcome(outcome, config["link"]),
     )
-    lines = ["feature_id\tbeta\tp_value\tp_adjusted\tnote"]
-    for i, fid in enumerate(result.feature_ids):
-        lines.append(
-            "\t".join(
-                [
-                    fid,
-                    repr(float(result.beta[i])),
-                    repr(float(result.p_value[i])),
-                    repr(float(result.p_adjusted[i])),
-                    result.notes[i],
-                ]
-            )
-        )
-    atomic_write_text(out_dir / "daa.tsv", "\n".join(lines) + "\n")
-    outputs.append("daa.tsv")
+    _write_rows(
+        out("daa.tsv"),
+        "feature_id\tbeta\tp_value\tp_adjusted\tnote",
+        zip(
+            result.feature_ids,
+            result.beta,
+            result.p_value,
+            result.p_adjusted,
+            result.notes,
+        ),
+    )
     significant = result.significant(config["alpha"])
     _write_json(
-        out_dir,
-        "daa.json",
+        out("daa.json"),
         {
             "notion": result.notion,
             "alpha": config["alpha"],
@@ -494,70 +354,60 @@ def _cmd_daa(config: dict, out_dir: Path, outputs: list[str]):
             ],
             "removed_features": removed,
         },
-        outputs,
     )
 
 
-def _cmd_ratios(config: dict, out_dir: Path, outputs: list[str]):
+def _cmd_ratios(config: dict, out: Callable[[str], Path]):
     positive, removed = _load_positive_matrix(config)
     outcome = _load_outcome(config, positive)
     result = differential_ratio_analysis(
         positive,
         outcome,
-        spec=_model_spec(config, outcome),
+        spec=ModelSpec.for_outcome(outcome, config["link"]),
         alpha=config["alpha"],
         max_features=config["max_features"],
     )
-    lines = ["ratio\tnumerator\tdenominator\tbeta\tp_value\tp_adjusted\tnote"]
-    for i, (j, k) in enumerate(result.pair_indices):
-        lines.append(
-            "\t".join(
-                [
-                    result.pair_labels[i],
-                    result.feature_ids[j],
-                    result.feature_ids[k],
-                    repr(float(result.beta[i])),
-                    repr(float(result.p_value[i])),
-                    repr(float(result.p_adjusted[i])),
-                    result.notes[i],
-                ]
+    ids = result.feature_ids
+    _write_rows(
+        out("ratios.tsv"),
+        "ratio\tnumerator\tdenominator\tbeta\tp_value\tp_adjusted\tnote",
+        (
+            (
+                result.pair_labels[i],
+                ids[j],
+                ids[k],
+                result.beta[i],
+                result.p_value[i],
+                result.p_adjusted[i],
+                result.notes[i],
             )
-        )
-    atomic_write_text(out_dir / "ratios.tsv", "\n".join(lines) + "\n")
-    outputs.append("ratios.tsv")
-    attr_lines = ["feature_id\tattribution"]
-    for fid, score in zip(result.feature_ids, result.attribution):
-        attr_lines.append(f"{fid}\t{repr(float(score))}")
-    atomic_write_text(out_dir / "attribution.tsv", "\n".join(attr_lines) + "\n")
-    outputs.append("attribution.tsv")
+            for i, (j, k) in enumerate(result.pair_indices)
+        ),
+    )
+    _write_rows(
+        out("attribution.tsv"),
+        "feature_id\tattribution",
+        zip(ids, result.attribution),
+    )
     _write_json(
-        out_dir,
-        "ratios.json",
+        out("ratios.json"),
         {
             "alpha": result.alpha,
             "n_ratios": len(result.pair_indices),
             "n_significant": result.n_significant,
             "top_features": [
-                result.feature_ids[int(i)]
+                ids[int(i)]
                 for i in np.argsort(-result.attribution, kind="stable")[:10]
             ],
             "removed_features": removed,
         },
-        outputs,
     )
 
 
-_LEARNERS = {
-    "stepwise": forward_stepwise_balance,
-    "relaxed": relaxed_gradient_learner,
-    "evolutionary": evolutionary_slr,
-}
-
-
-def _cmd_learn(config: dict, out_dir: Path, outputs: list[str]):
+def _cmd_learn(config: dict, out: Callable[[str], Path]):
     positive, removed = _load_positive_matrix(config)
     outcome = _load_outcome(config, positive)
-    learner_config = _learner_config(config)
+    learner_config = _from_config(LearnerConfig, config)
     learner = config["learner"]
     mode = config["mode"]
     if learner == "stepwise":
@@ -574,8 +424,7 @@ def _cmd_learn(config: dict, out_dir: Path, outputs: list[str]):
         model = relaxed_gradient_learner(
             positive, outcome, learner_config, mode=mode
         )
-    atomic_write_text(out_dir / "model.json", serialize_model(model))
-    outputs.append("model.json")
+    atomic_write_text(out("model.json"), serialize_model(model))
 
     def score(y: Outcome, predictions) -> float:
         if y.kind == "binary":
@@ -585,12 +434,7 @@ def _cmd_learn(config: dict, out_dir: Path, outputs: list[str]):
     metrics = {
         "learner": learner,
         "mode": model.biomarker.mode,
-        "numerator_features": [
-            model.feature_ids[i] for i in model.biomarker.numerator
-        ],
-        "denominator_features": [
-            model.feature_ids[i] for i in model.biomarker.denominator
-        ],
+        **_side_features(model),
         "beta": model.glm.beta,
         "beta0": model.glm.beta0,
         "converged": model.glm.converged,
@@ -600,20 +444,19 @@ def _cmd_learn(config: dict, out_dir: Path, outputs: list[str]):
         "seed": config["seed"],
         "removed_features": removed,
     }
-    if config.get("test_matrix") is not None:
+    if config["test_matrix"] is not None:
         _require(config, "test_outcome")
         test_matrix, _ = _load_positive_matrix(config, "test_matrix")
         test_outcome = _load_outcome(config, test_matrix, "test_outcome")
         predictions = predict(model, test_matrix)
         metrics["test_score"] = score(test_outcome, predictions)
         write_outcome(
-            out_dir / "test_predictions.tsv", test_matrix.sample_ids, predictions
+            out("test_predictions.tsv"), test_matrix.sample_ids, predictions
         )
-        outputs.append("test_predictions.tsv")
-    _write_json(out_dir, "metrics.json", metrics, outputs)
+    _write_json(out("metrics.json"), metrics)
 
 
-def _cmd_simulate(config: dict, out_dir: Path, outputs: list[str]):
+def _cmd_simulate(config: dict, out: Callable[[str], Path]):
     if config["preset"] == "depth_confounded":
         scenario = depth_confounded_scenario()
         bias = BiasModel.identity(scenario.n_samples, scenario.n_features)
@@ -636,24 +479,20 @@ def _cmd_simulate(config: dict, out_dir: Path, outputs: list[str]):
         )
         report_feature = scenario.feature_ids[scenario.planted.numerator[0]]
     observed = observe(scenario, bias, seed=config["seed"] + 2)
-    write_matrix(out_dir / "true.tsv", scenario.true_matrix())
-    outputs.append("true.tsv")
-    write_matrix(out_dir / "observed.tsv", observed)
-    outputs.append("observed.tsv")
+    write_matrix(out("true.tsv"), scenario.true_matrix())
+    write_matrix(out("observed.tsv"), observed)
     write_outcome(
-        out_dir / "outcome.tsv",
-        scenario.sample_ids,
-        scenario.group.astype(float),
+        out("outcome.tsv"), scenario.sample_ids, scenario.group.astype(float)
     )
-    outputs.append("outcome.tsv")
-    lines = ["feature_id\tabsolute\trelative\tpresential"]
-    for fid in scenario.feature_ids:
-        report = da_notion_report(scenario, observed, fid)
-        lines.append(
-            f"{fid}\t{report.absolute}\t{report.relative}\t{report.presential}"
-        )
-    atomic_write_text(out_dir / "da_report.tsv", "\n".join(lines) + "\n")
-    outputs.append("da_report.tsv")
+    reports = [
+        (fid, da_notion_report(scenario, observed, fid))
+        for fid in scenario.feature_ids
+    ]
+    _write_rows(
+        out("da_report.tsv"),
+        "feature_id\tabsolute\trelative\tpresential",
+        ((fid, r.absolute, r.relative, r.presential) for fid, r in reports),
+    )
     scenario_echo = {
         "preset": config["preset"],
         "n_samples": scenario.n_samples,
@@ -669,52 +508,39 @@ def _cmd_simulate(config: dict, out_dir: Path, outputs: list[str]):
         scenario_echo["planted_denominator"] = scenario.feature_ids[
             scenario.planted.denominator[0]
         ]
-    write_config(out_dir / "scenario.cfg", scenario_echo)
-    outputs.append("scenario.cfg")
+    write_config(out("scenario.cfg"), scenario_echo)
 
 
-def _cmd_approx(config: dict, out_dir: Path, outputs: list[str]):
+def _cmd_approx(config: dict, out: Callable[[str], Path]):
     positive, _ = _load_positive_matrix(config)
     clr_x = clr_transform(positive)
     latent_kind = config["latent"]
+    if latent_kind == "pls":
+        _require(config, "matrix2")
+    target = clr_x
+    if latent_kind != "pca" and config["matrix2"] is not None:
+        second, _ = _load_positive_matrix(config, "matrix2")
+        OmicsPair(positive, second)
+        target = clr_transform(second)
     if latent_kind == "pca":
         latent, _ = pca_first_component(clr_x, source="matrix")
     elif latent_kind == "pls":
-        _require(config, "matrix2")
-        second, _ = _load_positive_matrix(config, "matrix2")
-        OmicsPair(positive, second)
-        latent = pls_first_component(
-            clr_x, clr_transform(second), source="matrix,matrix2"
-        ).x_scores
+        latent = pls_first_component(clr_x, target, source="matrix,matrix2").x_scores
     else:
-        if config.get("matrix2") is not None:
-            second, _ = _load_positive_matrix(config, "matrix2")
-            OmicsPair(positive, second)
-            target = clr_transform(second)
-        else:
-            target = clr_x
         nn = encoder_decoder_latent(
             clr_x,
             target,
-            EncoderDecoderConfig(
-                hidden_units=config["hidden_units"],
-                epochs=config["nn_epochs"],
-                learning_rate=config["nn_learning_rate"],
-                seed=config["seed"],
-            ),
+            _from_config(EncoderDecoderConfig, config, "nn_"),
             source="matrix",
         )
         latent = nn.encode(clr_x)
     approx = approximate_latent_with_rbb(
-        latent, positive, _learner_config(config), mode=config["mode"]
+        latent, positive, _from_config(LearnerConfig, config), mode=config["mode"]
     )
-    write_outcome(out_dir / "latent.tsv", positive.sample_ids, latent.scores)
-    outputs.append("latent.tsv")
-    atomic_write_text(out_dir / "model.json", serialize_model(approx.model))
-    outputs.append("model.json")
+    write_outcome(out("latent.tsv"), positive.sample_ids, latent.scores)
+    atomic_write_text(out("model.json"), serialize_model(approx.model))
     _write_json(
-        out_dir,
-        "approx.json",
+        out("approx.json"),
         {
             "latent_method": latent.method,
             "latent_r2": approx.latent_r2,
@@ -722,21 +548,13 @@ def _cmd_approx(config: dict, out_dir: Path, outputs: list[str]):
             "total_features": approx.total_features,
             "sparsity": approx.sparsity,
             "cv_score": approx.model.cv_score,
-            "numerator_features": [
-                approx.model.feature_ids[i]
-                for i in approx.model.biomarker.numerator
-            ],
-            "denominator_features": [
-                approx.model.feature_ids[i]
-                for i in approx.model.biomarker.denominator
-            ],
+            **_side_features(approx.model),
         },
-        outputs,
     )
 
 
-def _cmd_benchmark(config: dict, out_dir: Path, outputs: list[str]):
-    if config.get("synthetic"):
+def _cmd_benchmark(config: dict, out: Callable[[str], Path]):
+    if config["synthetic"]:
         pair = synthetic_omics_pair(
             n_samples=config["n_samples"],
             g_t=config["g_t"],
@@ -750,52 +568,120 @@ def _cmd_benchmark(config: dict, out_dir: Path, outputs: list[str]):
         pair = OmicsPair(first, second)
     rows = run_benchmark(
         pair,
-        config=_learner_config(config),
-        nn_config=EncoderDecoderConfig(
-            hidden_units=config["hidden_units"],
-            epochs=config["nn_epochs"],
-            learning_rate=config["nn_learning_rate"],
-            seed=config["seed"],
-        ),
+        config=_from_config(LearnerConfig, config),
+        nn_config=_from_config(EncoderDecoderConfig, config, "nn_"),
         mode=config["mode"],
     )
-    atomic_write_text(out_dir / "benchmark.tsv", benchmark_table(rows))
-    outputs.append("benchmark.tsv")
-    _write_json(
-        out_dir,
-        "benchmark.json",
-        {
-            "rows": [
-                {
-                    "objective": r.objective,
-                    "method": r.method,
-                    "latent": r.latent,
-                    "original_r2": r.original_r2,
-                    "rbb_source": r.rbb_source,
-                    "active_features": r.active_features,
-                    "total_features": r.total_features,
-                    "rbb_r2": r.rbb_r2,
-                    "error": r.error,
-                }
-                for r in rows
-            ]
-        },
-        outputs,
-    )
+    atomic_write_text(out("benchmark.tsv"), benchmark_table(rows))
+    _write_json(out("benchmark.json"), {"rows": [asdict(r) for r in rows]})
 
 
+# name: (help, runner, required keys, options)
 _COMMANDS = {
-    "transform": (_cmd_transform, ("matrix",), ("matrix",)),
-    "daa": (_cmd_daa, ("matrix", "outcome"), ("matrix", "outcome")),
-    "ratios": (_cmd_ratios, ("matrix", "outcome"), ("matrix", "outcome")),
+    "transform": (
+        "write clr / proportion / pairwise log-ratio matrices",
+        _cmd_transform,
+        ("matrix",),
+        (
+            *_COMMON,
+            _MATRIX,
+            _Option("--transform", str, "clr", ("clr", "prop", "pairwise")),
+        ),
+    ),
+    "daa": (
+        "per-feature differential abundance under a chosen notion",
+        _cmd_daa,
+        ("matrix", "outcome"),
+        (
+            *_COMMON,
+            _MATRIX,
+            _OUTCOME,
+            _Option("--transform", str, "clr", ("clr", "prop")),
+            _ALPHA,
+            _LINK,
+            _OUTCOME_KIND,
+        ),
+    ),
+    "ratios": (
+        "GLM on every pairwise log-ratio plus feature attribution",
+        _cmd_ratios,
+        ("matrix", "outcome"),
+        (
+            *_COMMON,
+            _MATRIX,
+            _OUTCOME,
+            _ALPHA,
+            _Option("--max-features", int, 2000),
+            _LINK,
+            _OUTCOME_KIND,
+        ),
+    ),
     "learn": (
+        "fit a sparse ratio biomarker predicting the outcome",
         _cmd_learn,
         ("matrix", "outcome"),
-        ("matrix", "outcome", "test_matrix", "test_outcome"),
+        (
+            *_COMMON,
+            _MATRIX,
+            _OUTCOME,
+            _Option("--test-matrix", _input_file),
+            _Option("--test-outcome", _input_file),
+            _Option(
+                "--learner", str, "stepwise", ("stepwise", "relaxed", "evolutionary")
+            ),
+            *_LEARNER,
+            _Option("--population", int, 64),
+            _Option("--generations", int, 100),
+            _Option("--mutation-rate", float),
+            _Option("--tournament-size", int, 3),
+            _OUTCOME_KIND,
+        ),
     ),
-    "simulate": (_cmd_simulate, (), ()),
-    "approx": (_cmd_approx, ("matrix",), ("matrix", "matrix2")),
-    "benchmark": (_cmd_benchmark, (), ("matrix", "matrix2")),
+    "simulate": (
+        "generate ground truth, biased observations, and a notion report",
+        _cmd_simulate,
+        (),
+        (
+            *_COMMON,
+            _Option("--preset", str, "planted", ("planted", "depth_confounded")),
+            _Option("--n-samples", int, 100),
+            _Option("--n-features", int, 20),
+            _Option("--effect", float, 2.0),
+            _Option("--log-sd", float, 0.5),
+            _Option("--theta-sd", float, 0.5),
+            _Option("--depth-sd", float, 0.5),
+            _Option("--noise-sd", float, 0.1),
+        ),
+    ),
+    "approx": (
+        "summarize by a latent score and refit it as a ratio biomarker",
+        _cmd_approx,
+        ("matrix",),
+        (
+            *_COMMON,
+            _MATRIX,
+            _MATRIX2,
+            _Option("--latent", str, "pca", ("pca", "pls", "nn")),
+            *_LEARNER,
+            *_NN,
+        ),
+    ),
+    "benchmark": (
+        "latent pipelines vs their RBB stand-ins, 12-row table",
+        _cmd_benchmark,
+        (),
+        (
+            *_COMMON,
+            _MATRIX,
+            _MATRIX2,
+            _Option("--synthetic", bool, False),
+            _Option("--n-samples", int, 200),
+            _Option("--g-t", int, 50),
+            _Option("--g-u", int, 80),
+            *_LEARNER,
+            *_NN,
+        ),
+    ),
 }
 
 
@@ -806,28 +692,34 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         config = _resolve_config(command, args)
-        runner, required, input_keys = _COMMANDS[command]
+        _, runner, required, options = _COMMANDS[command]
         _require(config, *required)
-        digests = _check_inputs_exist(config, input_keys)
+        digests = _check_inputs_exist(
+            config, [opt.key for opt in options if opt.type is _input_file]
+        )
         config_path = getattr(args, "config", None)
         if config_path is not None:
             digests.update(_check_inputs_exist({"config": config_path}, ("config",)))
         out_dir = Path(config["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs: list[str] = []
-        runner(config, out_dir, outputs)
-        manifest = {
-            "tool": "ratiomarker",
-            "version": __version__,
-            "command": command,
-            "config": {k: _json_ready(v) for k, v in config.items()},
-            "inputs": digests,
-            "outputs": outputs,
-            "wall_seconds": time.perf_counter() - started,
-        }
-        atomic_write_text(
+
+        def out(name: str) -> Path:
+            outputs.append(name)
+            return out_dir / name
+
+        runner(config, out)
+        _write_json(
             out_dir / "manifest.json",
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+            {
+                "tool": "ratiomarker",
+                "version": __version__,
+                "command": command,
+                "config": config,
+                "inputs": digests,
+                "outputs": outputs,
+                "wall_seconds": time.perf_counter() - started,
+            },
         )
         print(f"wrote {len(outputs) + 1} files to {out_dir}")
         return EXIT_OK

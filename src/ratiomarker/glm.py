@@ -43,6 +43,14 @@ class ModelSpec:
         if self.ridge < 0.0:
             raise ValidationError("ridge must be nonnegative")
 
+    @classmethod
+    def for_outcome(cls, outcome: Outcome, link: str = "auto") -> "ModelSpec":
+        """The default spec: with link "auto", logistic for a binary outcome
+        and identity otherwise."""
+        if link == "auto":
+            link = "logistic" if outcome.kind == "binary" else "identity"
+        return cls(link=link)
+
 
 @dataclass
 class FittedGlm:
@@ -273,12 +281,6 @@ def benjamini_hochberg(p_values) -> np.ndarray:
     return adjusted
 
 
-def _default_spec_for(outcome: Outcome, spec: ModelSpec | None) -> ModelSpec:
-    if spec is not None:
-        return spec
-    return ModelSpec(link="logistic" if outcome.kind == "binary" else "identity")
-
-
 @dataclass
 class DaaResult:
     """Per-feature differential abundance table."""
@@ -339,7 +341,7 @@ def daa(
         notion = "relative"
     else:
         raise ValidationError(f"unknown transform {transform!r}")
-    spec = _default_spec_for(outcome, spec)
+    spec = spec or ModelSpec.for_outcome(outcome)
     beta, p_value, notes = _fit_columns(columns, outcome, spec)
     return DaaResult(
         feature_ids=list(matrix.feature_ids),
@@ -363,7 +365,7 @@ def daa_columns(
         raise DimensionMismatch("outcome length does not match column rows")
     if columns.shape[1] != len(feature_ids):
         raise DimensionMismatch("feature id count does not match columns")
-    spec = _default_spec_for(outcome, spec)
+    spec = spec or ModelSpec.for_outcome(outcome)
     beta, p_value, notes = _fit_columns(columns, outcome, spec)
     return DaaResult(
         feature_ids=list(feature_ids),
@@ -423,7 +425,7 @@ def differential_ratio_analysis(
         )
     if outcome.n != matrix.n_samples:
         raise DimensionMismatch("outcome length does not match sample count")
-    spec = _default_spec_for(outcome, spec)
+    spec = spec or ModelSpec.for_outcome(outcome)
     ratios, pairs = pairwise_logratios(matrix)
     beta, p_value, notes = _fit_columns(ratios, outcome, spec)
     p_adjusted = benjamini_hochberg(p_value)

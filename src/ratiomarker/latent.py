@@ -416,8 +416,6 @@ def approximate_latent_with_rbb(
     only on within-sample ratios, the approximation inherits invariance to
     per-sample rescaling of the matrix.
     """
-    if config is None:
-        config = LearnerConfig()
     if latent.scores.size != matrix.n_samples:
         raise DimensionMismatch("latent length does not match sample count")
     outcome = Outcome.continuous(latent.scores)

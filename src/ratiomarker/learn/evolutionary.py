@@ -11,7 +11,6 @@ side are never evaluated; they get the worst possible fitness.
 import numpy as np
 
 from ..composition import Outcome, StrictlyPositiveMatrix
-from ..errors import DimensionMismatch
 from ..glm import ModelSpec
 from .biomarker import (
     LearnedModel,
@@ -20,7 +19,7 @@ from .biomarker import (
     orient_and_fit,
     slr_from_values,
 )
-from .scoring import check_learnable, make_folds, score_candidates
+from .scoring import _learner_setup, make_folds, score_candidates
 
 _GENES = np.array([0, 1, -1], dtype=np.int8)
 
@@ -31,16 +30,7 @@ def evolutionary_slr(
     config: LearnerConfig | None = None,
     spec: ModelSpec | None = None,
 ) -> LearnedModel:
-    if config is None:
-        config = LearnerConfig()
-    if spec is None:
-        spec = ModelSpec(
-            link="logistic" if outcome.kind == "binary" else "identity"
-        )
-    if outcome.n != matrix.n_samples:
-        raise DimensionMismatch("outcome length does not match sample count")
-    check_learnable(outcome, config.cv_folds)
-
+    config, spec = _learner_setup(matrix, outcome, config, spec)
     g = matrix.n_features
     values = matrix.values
     rng = np.random.default_rng(config.seed)

@@ -14,9 +14,10 @@ import numpy as np
 from scipy.special import expit
 
 from ..composition import Outcome, StrictlyPositiveMatrix
-from ..errors import DimensionMismatch, EmptySideAfterDiscretization
+from ..errors import EmptySideAfterDiscretization, ValidationError
 from ..glm import ModelSpec
 from .biomarker import (
+    MODES,
     LearnedModel,
     LearnerConfig,
     RatioBiomarker,
@@ -24,7 +25,7 @@ from .biomarker import (
     orient_and_fit,
     slr_from_values,
 )
-from .scoring import check_learnable, cv_score_values, make_folds
+from .scoring import _learner_setup, cv_score_values, make_folds
 
 
 def relaxed_loss_and_grad(
@@ -64,7 +65,7 @@ def relaxed_loss_and_grad(
         m_neg = (logs @ (1.0 - s)) / w_neg
         z = m_pos - m_neg
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ValidationError(f"unknown mode {mode!r}")
 
     eta = beta * z + beta0
     if link == "logistic":
@@ -75,7 +76,7 @@ def relaxed_loss_and_grad(
         loss = float(0.5 * np.mean(diff * diff))
         resid = diff / n
     else:
-        raise ValueError(f"unknown link {link!r}")
+        raise ValidationError(f"unknown link {link!r}")
 
     grad = np.empty(g + 2)
     grad[g] = float(resid @ z)
@@ -117,16 +118,9 @@ def relaxed_gradient_learner(
     spec: ModelSpec | None = None,
     mode: str = "balance",
 ) -> LearnedModel:
-    if config is None:
-        config = LearnerConfig()
-    if spec is None:
-        spec = ModelSpec(
-            link="logistic" if outcome.kind == "binary" else "identity"
-        )
-    if outcome.n != matrix.n_samples:
-        raise DimensionMismatch("outcome length does not match sample count")
-    check_learnable(outcome, config.cv_folds)
-
+    if mode not in MODES:
+        raise ValidationError(f"unknown mode {mode!r}")
+    config, spec = _learner_setup(matrix, outcome, config, spec)
     g = matrix.n_features
     values = matrix.values
     logs = np.log(values)
@@ -168,6 +162,21 @@ def relaxed_gradient_learner(
     grad_norm = float(np.linalg.norm(grad))
     converged = grad_norm <= 1e-3 * (1.0 + abs(loss_curve[-1]))
 
+    def candidate(cutoff: float, num: list[int], den: list[int]) -> dict:
+        if mode == "balance":
+            z = balance_from_logs(logs, num, den)
+        else:
+            z = slr_from_values(values, num, den)
+        mean, se, _ = cv_score_values(z, outcome, spec, folds)
+        return {
+            "cutoff": cutoff,
+            "numerator": num,
+            "denominator": den,
+            "size": len(num) + len(den),
+            "cv_score": mean,
+            "cv_se": se,
+        }
+
     # Sweep cutoffs sparsest-first; candidate sets are nested, so set sizes
     # strictly increase and "sparsest within lam SEs of the best" is a
     # deterministic first-hit scan.
@@ -181,39 +190,12 @@ def relaxed_gradient_learner(
             continue
         if candidates and candidates[-1]["size"] == len(num) + len(den):
             continue
-        if mode == "balance":
-            z = balance_from_logs(logs, num, den)
-        else:
-            z = slr_from_values(values, num, den)
-        mean, se, _ = cv_score_values(z, outcome, spec, folds)
-        candidates.append(
-            {
-                "cutoff": float(cutoff),
-                "numerator": num,
-                "denominator": den,
-                "size": len(num) + len(den),
-                "cv_score": mean,
-                "cv_se": se,
-            }
-        )
+        candidates.append(candidate(float(cutoff), num, den))
 
     if not candidates or all(
         c["cv_score"] == float("-inf") for c in candidates
     ):
-        num, den = _fallback_sets(a)
-        if mode == "balance":
-            z = balance_from_logs(logs, num, den)
-        else:
-            z = slr_from_values(values, num, den)
-        mean, se, _ = cv_score_values(z, outcome, spec, folds)
-        chosen = {
-            "cutoff": float("nan"),
-            "numerator": num,
-            "denominator": den,
-            "size": len(num) + len(den),
-            "cv_score": mean,
-            "cv_se": se,
-        }
+        chosen = candidate(float("nan"), *_fallback_sets(a))
         candidates = [chosen]
     else:
         best = max(candidates, key=lambda c: c["cv_score"])

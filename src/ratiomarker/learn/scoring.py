@@ -35,10 +35,11 @@ import math
 import numpy as np
 from scipy.stats import rankdata
 
-from ..composition import Outcome
+from ..composition import Outcome, StrictlyPositiveMatrix
 from ..errors import DimensionMismatch, ValidationError
 from ..glm import ModelSpec, fit_glm
 from ..metrics import auc_score, r2_score
+from .biomarker import LearnerConfig
 
 # How far beyond the fitter's tolerance and ridge the score statistic must
 # lie before its sign is taken as the sign of the fitted beta.
@@ -76,6 +77,22 @@ def check_learnable(outcome: Outcome, n_folds: int):
             )
     if n_folds > outcome.n:
         raise ValidationError("more CV folds than samples")
+
+
+def _learner_setup(
+    matrix: StrictlyPositiveMatrix,
+    outcome: Outcome,
+    config: LearnerConfig | None,
+    spec: ModelSpec | None,
+) -> tuple[LearnerConfig, ModelSpec]:
+    """The preamble of every learner: default config and spec, then the
+    dimension check, then `check_learnable`."""
+    config = config or LearnerConfig()
+    spec = spec or ModelSpec.for_outcome(outcome)
+    if outcome.n != matrix.n_samples:
+        raise DimensionMismatch("outcome length does not match sample count")
+    check_learnable(outcome, config.cv_folds)
+    return config, spec
 
 
 def cv_score_values(

@@ -21,15 +21,11 @@ from .biomarker import (
     balance_from_logs,
     orient_and_fit,
 )
-from .scoring import check_learnable, make_folds, score_candidates
+from .scoring import _learner_setup, make_folds, score_candidates
 
 # Largest candidate matrix (n x pairs) the initialization scores at once;
 # small blocks keep the scan's memory flat at no cost in speed.
 _BLOCK_ELEMENTS = 1 << 15
-
-
-def _default_spec(outcome: Outcome) -> ModelSpec:
-    return ModelSpec(link="logistic" if outcome.kind == "binary" else "identity")
 
 
 def forward_stepwise_balance(
@@ -38,15 +34,7 @@ def forward_stepwise_balance(
     config: LearnerConfig | None = None,
     spec: ModelSpec | None = None,
 ) -> LearnedModel:
-    if config is None:
-        config = LearnerConfig()
-    if spec is None:
-        spec = _default_spec(outcome)
-    check_learnable(outcome, config.cv_folds)
-    if outcome.n != matrix.n_samples:
-        from ..errors import DimensionMismatch
-
-        raise DimensionMismatch("outcome length does not match sample count")
+    config, spec = _learner_setup(matrix, outcome, config, spec)
     g = matrix.n_features
     rng = np.random.default_rng(config.seed)
     folds = make_folds(outcome, config.cv_folds, rng)
@@ -67,22 +55,23 @@ def forward_stepwise_balance(
     if not np.any(means > float("-inf")):
         raise NoImprovingPair("no feature pair yields a fittable model")
     best = int(np.argmax(means))
-    best_pair = (int(jj[best]), int(kk[best]))
-    best_mean = float(means[best])
-    best_se = float(ses[best])
+    numerator = [int(jj[best])]
+    denominator = [int(kk[best])]
+    current_mean = float(means[best])
+    current_se = float(ses[best])
+    trace = []
 
-    numerator = [best_pair[0]]
-    denominator = [best_pair[1]]
-    current_mean = best_mean
-    current_se = best_se
-    trace = [
-        {
-            "numerator": list(numerator),
-            "denominator": list(denominator),
-            "cv_score": current_mean,
-            "cv_se": current_se,
-        }
-    ]
+    def record_step():
+        trace.append(
+            {
+                "numerator": sorted(numerator),
+                "denominator": sorted(denominator),
+                "cv_score": current_mean,
+                "cv_se": current_se,
+            }
+        )
+
+    record_step()
 
     while len(numerator) + len(denominator) < g:
         in_use = set(numerator) | set(denominator)
@@ -112,14 +101,7 @@ def forward_stepwise_balance(
         (numerator if side == "numerator" else denominator).append(f)
         current_mean = add_mean
         current_se = float(ses[best])
-        trace.append(
-            {
-                "numerator": sorted(numerator),
-                "denominator": sorted(denominator),
-                "cv_score": current_mean,
-                "cv_se": current_se,
-            }
-        )
+        record_step()
 
     biomarker = RatioBiomarker(tuple(numerator), tuple(denominator), "balance")
     biomarker, fit, fitted = orient_and_fit(biomarker, matrix, outcome, spec)

@@ -160,6 +160,90 @@ class TestExitCodes:
         )
         assert rc == 3
 
+    def run_with_config(self, tmp_path, command, text):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        return run(command, "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
+
+    def test_config_value_not_an_integer(self, tmp_path, capsys):
+        assert self.run_with_config(tmp_path, "transform", "seed=abc\n") == 2
+        assert "seed='abc'" in capsys.readouterr().err
+
+    def test_config_fraction_for_an_integer_option(self, tmp_path, capsys):
+        assert self.run_with_config(tmp_path, "benchmark", "n_samples=2.5\n") == 2
+        assert "n_samples='2.5'" in capsys.readouterr().err
+
+    def test_config_none_only_clears_options_that_default_to_none(self, tmp_path):
+        assert self.run_with_config(tmp_path, "simulate", "seed=none\n") == 2
+
+    def test_config_value_outside_choices(self, tmp_path):
+        assert self.run_with_config(tmp_path, "transform", "transform=alr\n") == 3
+
+
+# Small runs of every subcommand whose manifests are replayed as --config.
+# Together they set int, float, bool (--synthetic), nullable float
+# (--mutation-rate) and input-path options away from their defaults.
+REPLAY_ARGS = {
+    "transform": [
+        "--matrix", "{sim}/observed.tsv",
+        "--transform", "pairwise",
+        "--zero-replacement", "none",
+    ],
+    "daa": [
+        "--matrix", "{sim}/observed.tsv",
+        "--outcome", "{sim}/outcome.tsv",
+        "--transform", "prop",
+        "--alpha", "0.1",
+    ],
+    "ratios": [
+        "--matrix", "{sim}/observed.tsv",
+        "--outcome", "{sim}/outcome.tsv",
+        "--max-features", "50",
+        "--link", "logistic",
+        "--max-zero-fraction", "0.4",
+    ],
+    "learn": [
+        "--matrix", "{sim}/observed.tsv",
+        "--outcome", "{sim}/outcome.tsv",
+        "--test-matrix", "{sim}/observed.tsv",
+        "--test-outcome", "{sim}/outcome.tsv",
+        "--learner", "evolutionary",
+        "--mode", "slr",
+        "--population", "8",
+        "--generations", "3",
+        "--mutation-rate", "0.25",
+        "--cv-folds", "3",
+        "--seed", "4",
+    ],
+    "simulate": [
+        "--n-samples", "20",
+        "--n-features", "6",
+        "--effect", "1.5",
+        "--seed", "5",
+    ],
+    "approx": [
+        "--matrix", "{sim}/observed.tsv",
+        "--matrix2", "{sim2}/observed.tsv",
+        "--latent", "nn",
+        "--lambda", "0.5",
+        "--epochs", "50",
+        "--nn-epochs", "30",
+        "--nn-learning-rate", "0.02",
+        "--hidden-units", "4",
+        "--cv-folds", "3",
+    ],
+    "benchmark": [
+        "--synthetic",
+        "--n-samples", "30",
+        "--g-t", "6",
+        "--g-u", "8",
+        "--epochs", "40",
+        "--nn-epochs", "20",
+        "--hidden-units", "4",
+        "--cv-folds", "3",
+    ],
+}
+
 
 class TestConfigPrecedence:
     def test_file_beats_default_and_flag_beats_file(self, tmp_path):
@@ -183,27 +267,25 @@ class TestConfigPrecedence:
         assert (out2 / "clr.tsv").is_file()
         assert not (out2 / "proportions.tsv").exists()
 
-    def test_manifest_reruns_identically(self, tmp_path):
-        sim = simulate_into(tmp_path, n_samples=15, n_features=6)
+    @pytest.mark.parametrize("command", list(REPLAY_ARGS))
+    def test_manifest_reruns_identically(self, tmp_path, command):
+        sim = simulate_into(tmp_path, n_samples=24, n_features=6, seed=1)
+        sim2 = simulate_into(tmp_path, "sim2", n_samples=24, n_features=5, seed=2)
+        argv = [arg.format(sim=sim, sim2=sim2) for arg in REPLAY_ARGS[command]]
         out1 = tmp_path / "first"
-        assert run(
-            "transform",
-            "--matrix", str(sim / "observed.tsv"),
-            "--transform", "pairwise",
-            "--out-dir", str(out1),
-        ) == 0
+        assert run(command, *argv, "--out-dir", str(out1)) == 0
         out2 = tmp_path / "second"
         rc = run(
-            "transform",
+            command,
             "--config", str(out1 / "manifest.json"),
             "--out-dir", str(out2),
         )
         assert rc == 0
-        assert (out2 / "pairwise.tsv").read_bytes() == (
-            out1 / "pairwise.tsv"
-        ).read_bytes()
         m1 = json.loads((out1 / "manifest.json").read_text())
         m2 = json.loads((out2 / "manifest.json").read_text())
+        assert m1["outputs"] == m2["outputs"]
+        for name in m1["outputs"]:
+            assert (out2 / name).read_bytes() == (out1 / name).read_bytes(), name
         c1 = dict(m1["config"])
         c2 = dict(m2["config"])
         c1.pop("out_dir")

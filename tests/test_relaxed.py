@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
+from ratiomarker.errors import ValidationError
 from ratiomarker.glm import ModelSpec
 from ratiomarker.learn.biomarker import LearnerConfig
 from ratiomarker.learn.relaxed import (
@@ -83,6 +84,32 @@ class TestGradient:
         )
         assert np.isfinite(loss)
         assert np.all(np.isfinite(grad))
+
+    @pytest.mark.parametrize(
+        "mode, link", [("alr", "logistic"), ("balance", "probit")]
+    )
+    def test_unknown_mode_or_link_is_a_validation_error(self, mode, link):
+        params, values, y = random_problem(0)
+        with pytest.raises(ValidationError):
+            relaxed_loss_and_grad(params, values, y, mode, link)
+
+    def test_learner_rejects_unknown_mode_before_training(self, monkeypatch):
+        def untouched(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(
+            "ratiomarker.learn.relaxed.relaxed_loss_and_grad", untouched
+        )
+        _, values, y = random_problem(1)
+        matrix = StrictlyPositiveMatrix(
+            values,
+            [f"s{i}" for i in range(len(y))],
+            [f"g{j}" for j in range(values.shape[1])],
+        )
+        with pytest.raises(ValidationError, match="unknown mode"):
+            relaxed_gradient_learner(
+                matrix, Outcome.binary(y), LearnerConfig(cv_folds=2), mode="alr"
+            )
 
 
 def observed_planted(seed, n=100, g=20, effect=2.0):

@@ -7,9 +7,14 @@ from hypothesis import strategies as st
 
 from conftest import column_by_column
 
-from ratiomarker.composition import Outcome
+from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
 from ratiomarker.errors import DimensionMismatch, ValidationError
 from ratiomarker.glm import ModelSpec
+from ratiomarker.learn import (
+    evolutionary_slr,
+    forward_stepwise_balance,
+    relaxed_gradient_learner,
+)
 from ratiomarker.learn.scoring import (
     check_learnable,
     cv_score_values,
@@ -73,6 +78,30 @@ class TestCheckLearnable:
         out = Outcome.continuous(np.arange(3.0))
         with pytest.raises(ValidationError):
             check_learnable(out, 4)
+
+
+@pytest.mark.parametrize(
+    "learner", [forward_stepwise_balance, relaxed_gradient_learner, evolutionary_slr]
+)
+class TestLearnerPreconditions:
+    matrix = StrictlyPositiveMatrix(
+        np.exp(np.random.default_rng(0).normal(size=(10, 4))),
+        [f"s{i}" for i in range(10)],
+        [f"f{j}" for j in range(4)],
+    )
+
+    def test_wrong_length_outcome_is_checked_first(self, learner):
+        # Nine samples with a one-sample class: the dimension check wins.
+        y = np.zeros(9)
+        y[0] = 1.0
+        with pytest.raises(DimensionMismatch):
+            learner(self.matrix, Outcome.binary(y))
+
+    def test_one_sample_class(self, learner):
+        y = np.zeros(10)
+        y[0] = 1.0
+        with pytest.raises(ValidationError, match="2 samples per class"):
+            learner(self.matrix, Outcome.binary(y))
 
 
 class TestCvScore:
