@@ -32,7 +32,6 @@ from .composition import (
     apply_zero_policy,
     clr_transform,
     close_to_proportions,
-    pairwise_logratios,
 )
 from .errors import (
     NotConvergedError,
@@ -313,12 +312,13 @@ def _cmd_transform(config: dict, out: Callable[[str], Path]):
     elif kind == "prop":
         write_matrix(out("proportions.tsv"), close_to_proportions(positive))
     else:
-        ratios, pairs = pairwise_logratios(positive)
-        labels = [
-            f"{positive.feature_ids[j]}/{positive.feature_ids[k]}"
-            for j, k in pairs
-        ]
-        write_table(out("pairwise.tsv"), positive.sample_ids, labels, ratios)
+        # Each row is built as it is written, never the whole table; its
+        # values are the bits of the matching `pairwise_logratios` row.
+        ids = positive.feature_ids
+        jj, kk = np.triu_indices(positive.n_features, k=1)
+        labels = [f"{ids[j]}/{ids[k]}" for j, k in zip(jj.tolist(), kk.tolist())]
+        rows = (logs[jj] - logs[kk] for logs in np.log(positive.values))
+        write_table(out("pairwise.tsv"), positive.sample_ids, labels, rows)
 
 
 def _cmd_daa(config: dict, out: Callable[[str], Path]):

@@ -19,6 +19,10 @@ from .errors import (
     ZeroRemains,
 )
 
+# Largest block (rows x columns) that column-wise work over a wide table
+# builds at once; small blocks keep memory flat at no cost in speed.
+_BLOCK_ELEMENTS = 1 << 15
+
 
 def _as_float_matrix(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -251,3 +255,22 @@ def pairwise_logratios(
     jj, kk = np.triu_indices(matrix.n_features, k=1)
     ratios = logs[:, jj] - logs[:, kk]
     return ratios, list(zip(jj.tolist(), kk.tolist()))
+
+
+def _column_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive column slices of an n_rows-row table, each holding at
+    most `_BLOCK_ELEMENTS` values (and at least one column)."""
+    width = max(1, _BLOCK_ELEMENTS // n_rows)
+    return [slice(s, s + width) for s in range(0, n_cols, width)]
+
+
+def _pairwise_logratio_blocks(logs: np.ndarray):
+    """Yield (pair slice, block) over the columns of `pairwise_logratios`.
+
+    `logs` is the N x G matrix of log abundances. Each block is computed
+    as log x_j - log x_k for its pairs, so it holds the same bits as the
+    matching columns of the full table, which is never built.
+    """
+    jj, kk = np.triu_indices(logs.shape[1], k=1)
+    for pairs in _column_blocks(logs.shape[0], jj.size):
+        yield pairs, logs[:, jj[pairs]] - logs[:, kk[pairs]]

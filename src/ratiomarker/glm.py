@@ -9,11 +9,20 @@ Newton iterations on a ridge-stabilized log-likelihood.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import expit, ndtr, stdtr
 
-from .composition import Outcome, StrictlyPositiveMatrix, clr_transform, close_to_proportions, pairwise_logratios
+from .composition import (
+    Outcome,
+    StrictlyPositiveMatrix,
+    _column_blocks,
+    _pairwise_logratio_blocks,
+    clr_transform,
+    close_to_proportions,
+    pairwise_logratio_pairs,
+)
 from .errors import (
     DegenerateDesign,
     DimensionMismatch,
@@ -297,23 +306,187 @@ class DaaResult:
             return np.asarray(self.p_adjusted < alpha) & ~np.isnan(self.p_adjusted)
 
 
-def _fit_columns(columns: np.ndarray, outcome: Outcome, spec: ModelSpec):
-    """Fit each column as a score; failures become NaN rows with a note."""
-    n_cols = columns.shape[1]
-    beta = np.full(n_cols, np.nan)
-    p_value = np.full(n_cols, np.nan)
-    notes = [""] * n_cols
-    for j in range(n_cols):
+# A 2x2 system whose determinant keeps less than this share of the product
+# of its diagonal has lost six of sixteen digits to cancellation; there the
+# summation order alone moves a batched fit away from `fit_glm`'s.
+_MIN_RELATIVE_DET = 1e-6
+
+
+def _fit_columns(blocks, outcome: Outcome, spec: ModelSpec):
+    """Fit every column of each n x c block in `blocks` as its own score.
+
+    Returns beta, p-value and note per column, as one `fit_glm` per column
+    gives them: a column `fit_glm` rejects (non-finite, constant, a link
+    that does not suit the outcome) is a NaN row whose note is the error,
+    and a fit that did not converge keeps its numbers with that note. The
+    columns of a block are fitted together; those the batched arithmetic
+    cannot stand in for (rejected, ill-conditioned, or not converged, whose
+    note quotes a gradient norm) are fitted by `fit_glm` itself.
+    """
+    betas, p_values, notes = [np.empty(0)], [np.empty(0)], []
+    for z in blocks:
+        beta, p_value, block_notes = _fit_block(z, outcome, spec)
+        betas.append(beta)
+        p_values.append(p_value)
+        notes.extend(block_notes)
+    return np.concatenate(betas), np.concatenate(p_values), notes
+
+
+def _fit_block(z: np.ndarray, outcome: Outcome, spec: ModelSpec):
+    n, c = z.shape
+    beta = np.full(c, np.nan)
+    p_value = np.full(c, np.nan)
+    notes = [""] * c
+    with np.errstate(invalid="ignore"):
+        batched = np.isfinite(z).all(axis=0) & (np.ptp(z, axis=0) > 0.0)
+    if spec.link == "logistic":
+        batched &= outcome.both_classes_present()
+        fit = _fit_logistic_block
+    else:
+        batched &= outcome.kind == "continuous"
+        fit = _fit_identity_block
+    cols = np.flatnonzero(batched)
+    if cols.size:
+        beta[cols], p_value[cols], refit = fit(
+            z if cols.size == c else z[:, cols], outcome.values, spec
+        )
+        batched[cols[refit]] = False
+    for j in np.flatnonzero(~batched):
         try:
-            fit = fit_glm(columns[:, j], outcome, spec)
+            one = fit_glm(z[:, j], outcome, spec)
         except ValidationError as exc:
-            notes[j] = str(exc)
+            beta[j], p_value[j], notes[j] = np.nan, np.nan, str(exc)
             continue
-        beta[j] = fit.beta
-        p_value[j] = fit.p_value
-        if not fit.converged:
-            notes[j] = fit.note
+        beta[j], p_value[j], notes[j] = one.beta, one.p_value, one.note
     return beta, p_value, notes
+
+
+def _ill_conditioned(a, b, c):
+    """Columns whose 2x2 system [[a, b], [b, c]] is singular or too close
+    to it for the batched arithmetic; `fit_glm` fits those."""
+    det = a * c - b * b
+    with np.errstate(invalid="ignore"):
+        return det, ~(det > _MIN_RELATIVE_DET * a * c) | ~np.isfinite(det)
+
+
+def _wald_p_values(beta, se, tail):
+    """Two-sided p-values of beta / se; se == 0 gives 0, or 1 at beta == 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = 2.0 * tail(-np.abs(beta / se))
+    return np.where(se == 0.0, np.where(beta == 0.0, 1.0, 0.0), p)
+
+
+def _fit_identity_block(z, y, spec):
+    """Least squares of y on every column of z, from sufficient statistics."""
+    n = z.shape[0]
+    sz = z.sum(axis=0)
+    szz = np.einsum("ij,ij->j", z, z)
+    sy = float(y.sum())
+    szy = y @ z
+    det, singular = _ill_conditioned(szz, sz, float(n))
+    det = np.where(singular, 1.0, det)
+    beta = (n * szy - sz * sy) / det
+    beta0 = (szz * sy - sz * szy) / det
+    dof = n - 2
+    if dof <= 0:
+        return beta, np.full(beta.shape, np.nan), singular
+    resid = y[:, None] - (z * beta + beta0)
+    sigma2 = np.einsum("ij,ij->j", resid, resid) / dof
+    se = np.sqrt(np.maximum(sigma2 * n / det, 0.0))
+    return beta, _wald_p_values(beta, se, partial(stdtr, dof)), singular
+
+
+def _penalized_nll_block(eta, y, b1, b0, ridge):
+    nll = np.logaddexp(0.0, eta).sum(axis=0) - y @ eta
+    return nll + 0.5 * ridge * (b1 * b1 + b0 * b0)
+
+
+def _fit_logistic_block(z, y, spec):
+    """`_fit_logistic` on every column of z at once.
+
+    Each column takes the Newton steps and step halvings `_fit_logistic`
+    takes and leaves the active set once it stops. A column whose Hessian
+    is ill-conditioned, or that has not converged in `spec.max_iter`
+    iterations, is marked for a refit.
+    """
+    n, c = z.shape
+    ridge = spec.ridge
+    ybar = float(y.mean())
+    beta = np.zeros(c)
+    se = np.zeros(c)
+    refit = np.zeros(c, dtype=bool)
+    # The active columns' state: scores, slope, intercept, linear
+    # predictor and penalized objective.
+    act = np.arange(c)
+    za = z
+    b1 = np.zeros(c)
+    b0 = np.full(c, math.log(ybar / (1.0 - ybar)))
+    eta = np.repeat(b0[None, :], n, axis=0)
+    f_cur = _penalized_nll_block(eta, y, b1, b0, ridge)
+    for n_iter in range(spec.max_iter + 1):
+        mu = expit(eta)
+        r = mu - y[:, None]
+        g1 = np.einsum("ij,ij->j", za, r) + ridge * b1
+        g0 = r.sum(axis=0) + ridge * b0
+        gnorm = np.sqrt(g1 * g1 + g0 * g0)
+        w = mu * (1.0 - mu)
+        wz = w * za
+        h11 = np.einsum("ij,ij->j", wz, za) + ridge
+        h10 = wz.sum(axis=0)
+        h00 = w.sum(axis=0) + ridge
+        det, bad = _ill_conditioned(h11, h10, h00)
+        last = n_iter == spec.max_iter
+        converged = (gnorm <= spec.tol * (1.0 + np.abs(b1))) & (not last)
+        stop = converged | bad | last
+        if stop.any():
+            done = act[stop]
+            beta[done] = b1[stop]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                se[done] = np.sqrt(np.maximum(h00[stop] / det[stop], 0.0))
+            refit[done] = (bad | ~converged)[stop]
+            keep = ~stop
+            if not keep.any():
+                break
+            act, za, eta, f_cur = act[keep], za[:, keep], eta[:, keep], f_cur[keep]
+            b1, b0, g1, g0 = b1[keep], b0[keep], g1[keep], g0[keep]
+            h11, h10, h00, det = h11[keep], h10[keep], h00[keep], det[keep]
+        d1 = (h00 * g1 - h10 * g0) / det
+        d0 = (h11 * g0 - h10 * g1) / det
+        t1, t0 = b1 - d1, b0 - d0
+        trial = za * t1 + t0
+        f_new = _penalized_nll_block(trial, y, t1, t0, ridge)
+        step = np.ones_like(t1)
+        # Halve each column's step until its penalized objective stops
+        # increasing, at most 50 times, as `_fit_logistic` does.
+        for _ in range(50):
+            up = np.flatnonzero(~(f_new <= f_cur + 1e-12 * (1.0 + np.abs(f_cur))))
+            if not up.size:
+                break
+            step[up] *= 0.5
+            t1[up] = b1[up] - step[up] * d1[up]
+            t0[up] = b0[up] - step[up] * d0[up]
+            trial[:, up] = za[:, up] * t1[up] + t0[up]
+            f_new[up] = _penalized_nll_block(trial[:, up], y, t1[up], t0[up], ridge)
+        b1, b0, eta, f_cur = t1, t0, trial, f_new
+    return beta, _wald_p_values(beta, se, ndtr), refit
+
+
+def _daa_result(columns, feature_ids, outcome, spec, notion) -> DaaResult:
+    if columns.shape[0] != outcome.n:
+        raise DimensionMismatch("outcome length does not match column rows")
+    if columns.shape[1] != len(feature_ids):
+        raise DimensionMismatch("feature id count does not match columns")
+    spec = spec or ModelSpec.for_outcome(outcome)
+    blocks = (columns[:, cols] for cols in _column_blocks(*columns.shape))
+    beta, p_value, notes = _fit_columns(blocks, outcome, spec)
+    return DaaResult(
+        feature_ids=list(feature_ids),
+        beta=beta,
+        p_value=p_value,
+        p_adjusted=benjamini_hochberg(p_value),
+        notion=notion,
+        notes=notes,
+    )
 
 
 def daa(
@@ -329,7 +502,8 @@ def daa(
     The two notions can disagree in sign; that disagreement is real and
     is the reason both are offered. Features whose column cannot be fitted
     (constant, for example) are flagged via a note and get NaN statistics;
-    the analysis never aborts on them.
+    the analysis never aborts on them. Columns are fitted in blocks of
+    bounded size.
     """
     if outcome.n != matrix.n_samples:
         raise DimensionMismatch("outcome length does not match sample count")
@@ -341,16 +515,7 @@ def daa(
         notion = "relative"
     else:
         raise ValidationError(f"unknown transform {transform!r}")
-    spec = spec or ModelSpec.for_outcome(outcome)
-    beta, p_value, notes = _fit_columns(columns, outcome, spec)
-    return DaaResult(
-        feature_ids=list(matrix.feature_ids),
-        beta=beta,
-        p_value=p_value,
-        p_adjusted=benjamini_hochberg(p_value),
-        notion=notion,
-        notes=notes,
-    )
+    return _daa_result(columns, matrix.feature_ids, outcome, spec, notion)
 
 
 def daa_columns(
@@ -361,20 +526,7 @@ def daa_columns(
 ) -> DaaResult:
     """Differential analysis of caller-supplied transformed columns."""
     columns = np.asarray(columns, dtype=float)
-    if columns.shape[0] != outcome.n:
-        raise DimensionMismatch("outcome length does not match column rows")
-    if columns.shape[1] != len(feature_ids):
-        raise DimensionMismatch("feature id count does not match columns")
-    spec = spec or ModelSpec.for_outcome(outcome)
-    beta, p_value, notes = _fit_columns(columns, outcome, spec)
-    return DaaResult(
-        feature_ids=list(feature_ids),
-        beta=beta,
-        p_value=p_value,
-        p_adjusted=benjamini_hochberg(p_value),
-        notion="user_supplied",
-        notes=notes,
-    )
+    return _daa_result(columns, feature_ids, outcome, spec, "user_supplied")
 
 
 @dataclass
@@ -415,7 +567,8 @@ def differential_ratio_analysis(
     whose BH-adjusted p-value falls below `alpha`. Ratio statistics depend
     only on within-sample ratios, so they are invariant to per-sample
     rescaling. Feature count is capped because the test count grows
-    quadratically.
+    quadratically; the ratio table itself is never held whole, as ratios
+    are built and fitted in blocks of bounded size.
     """
     g = matrix.n_features
     if g > max_features:
@@ -426,8 +579,9 @@ def differential_ratio_analysis(
     if outcome.n != matrix.n_samples:
         raise DimensionMismatch("outcome length does not match sample count")
     spec = spec or ModelSpec.for_outcome(outcome)
-    ratios, pairs = pairwise_logratios(matrix)
-    beta, p_value, notes = _fit_columns(ratios, outcome, spec)
+    blocks = _pairwise_logratio_blocks(np.log(matrix.values))
+    beta, p_value, notes = _fit_columns((z for _, z in blocks), outcome, spec)
+    pairs = pairwise_logratio_pairs(g)
     p_adjusted = benjamini_hochberg(p_value)
     with np.errstate(invalid="ignore"):
         significant = (p_adjusted < alpha) & ~np.isnan(p_adjusted)

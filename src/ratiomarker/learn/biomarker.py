@@ -10,6 +10,7 @@ aggregates, which makes swapping the sides an exact negation and makes a
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,9 +190,14 @@ def serialize_model(model: LearnedModel) -> str:
     """Deterministic JSON text sufficient to re-evaluate the model.
 
     Floats round-trip through repr, so a loaded model predicts
-    bit-identically to the one that was saved.
+    bit-identically to the one that was saved. The text is strict JSON: a
+    non-finite se, p-value or CV statistic is written as null.
     """
     glm = model.glm
+
+    def finite_or_null(value):
+        return value if math.isfinite(value) else None
+
     payload = {
         "format": "ratiomarker-model",
         "version": 1,
@@ -208,18 +214,24 @@ def serialize_model(model: LearnedModel) -> str:
         "link": glm.link,
         "beta": glm.beta,
         "beta0": glm.beta0,
-        "se": glm.se,
-        "p_value": glm.p_value,
+        "se": finite_or_null(glm.se),
+        "p_value": finite_or_null(glm.p_value),
         "converged": glm.converged,
-        "cv_score": model.cv_score,
-        "cv_se": model.cv_se,
+        "cv_score": finite_or_null(model.cv_score),
+        "cv_se": finite_or_null(model.cv_se),
         "seed": model.seed,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def load_model(text: str) -> LearnedModel:
+    """Read a model written by `serialize_model`; a null statistic is NaN."""
     data = json.loads(text)
+
+    def float_or_nan(key):
+        value = data[key]
+        return float("nan") if value is None else float(value)
+
     if data.get("format") != "ratiomarker-model":
         raise ValidationError("not a serialized biomarker model")
     biomarker = RatioBiomarker(
@@ -231,8 +243,8 @@ def load_model(text: str) -> LearnedModel:
         beta=float(data["beta"]),
         beta0=float(data["beta0"]),
         covariate_betas=None,
-        se=float(data["se"]),
-        p_value=float(data["p_value"]),
+        se=float_or_nan("se"),
+        p_value=float_or_nan("p_value"),
         converged=bool(data["converged"]),
         n_iter=0,
         link=data["link"],
@@ -241,8 +253,8 @@ def load_model(text: str) -> LearnedModel:
         biomarker=biomarker,
         glm=glm,
         feature_ids=list(data["feature_ids"]),
-        cv_score=float(data["cv_score"]),
-        cv_se=float(data["cv_se"]),
+        cv_score=float_or_nan("cv_score"),
+        cv_se=float_or_nan("cv_se"),
         training_scores=np.array([]),
         seed=int(data["seed"]),
         diagnostics={},

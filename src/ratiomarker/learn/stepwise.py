@@ -11,7 +11,7 @@ current model's fold scores.
 
 import numpy as np
 
-from ..composition import Outcome, StrictlyPositiveMatrix
+from ..composition import Outcome, StrictlyPositiveMatrix, _pairwise_logratio_blocks
 from ..errors import NoImprovingPair
 from ..glm import ModelSpec
 from .biomarker import (
@@ -22,10 +22,6 @@ from .biomarker import (
     orient_and_fit,
 )
 from .scoring import _learner_setup, make_folds, score_candidates
-
-# Largest candidate matrix (n x pairs) the initialization scores at once;
-# small blocks keep the scan's memory flat at no cost in speed.
-_BLOCK_ELEMENTS = 1 << 15
 
 
 def forward_stepwise_balance(
@@ -46,12 +42,8 @@ def forward_stepwise_balance(
     jj, kk = np.triu_indices(g, 1)
     means = np.full(jj.size, float("-inf"))
     ses = np.zeros(jj.size)
-    block = max(1, _BLOCK_ELEMENTS // outcome.n)
-    for i in range(0, jj.size, block):
-        pairs = slice(i, i + block)
-        means[pairs], ses[pairs] = score_candidates(
-            logs[:, jj[pairs]] - logs[:, kk[pairs]], outcome, spec, folds
-        )
+    for pairs, z in _pairwise_logratio_blocks(logs):
+        means[pairs], ses[pairs] = score_candidates(z, outcome, spec, folds)
     if not np.any(means > float("-inf")):
         raise NoImprovingPair("no feature pair yields a fittable model")
     best = int(np.argmax(means))

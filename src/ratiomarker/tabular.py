@@ -10,6 +10,8 @@ message.
 import json
 import math
 import os
+import uuid
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -89,12 +91,14 @@ def read_matrix(path) -> CompositionMatrix:
 
 
 def write_table(path, row_ids, col_ids, values, corner="sample_id", delimiter="\t"):
-    """Write a labelled table; floats are written with full repr precision."""
-    values = np.asarray(values, dtype=float)
-    out = [delimiter.join([corner, *[str(c) for c in col_ids]])]
-    for rid, row in zip(row_ids, values):
-        out.append(delimiter.join([str(rid), *[repr(float(v)) for v in row]]))
-    atomic_write_text(path, "\n".join(out) + "\n")
+    """Write a labelled table row by row; floats are written with full repr
+    precision. `values` is a 2-d array or any iterable of 1-d rows, so a
+    caller can build each row as it is written."""
+    with _atomic_writer(path) as f:
+        f.write(delimiter.join([corner, *[str(c) for c in col_ids]]) + "\n")
+        for rid, row in zip(row_ids, values):
+            cells = np.asarray(row, dtype=float).tolist()
+            f.write(delimiter.join([str(rid), *map(repr, cells)]) + "\n")
 
 
 def write_matrix(path, matrix: CompositionMatrix, delimiter="\t"):
@@ -202,7 +206,24 @@ def write_config(path, config: dict):
 
 def atomic_write_text(path, text: str):
     """Write via a temp file and rename, so files appear exactly once."""
+    with _atomic_writer(path) as f:
+        f.write(text)
+
+
+@contextmanager
+def _atomic_writer(path):
+    """A text file that appears at `path` only once it is written whole.
+
+    It is written to a temp file beside `path` whose name is unique per
+    write, so concurrent writes to one path do not collide, then renamed
+    over `path`; on error the temp file is removed. The file is created
+    with the usual umask-derived mode.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

@@ -237,6 +237,26 @@ class TestModelSerialization:
         assert list(data) == sorted(data)
         assert json.dumps(data, indent=2, sort_keys=True) + "\n" == text
 
+    def test_non_finite_statistics_round_trip_as_null(self):
+        model, _ = self.fitted_model()
+        model.glm.se = float("nan")
+        model.glm.p_value = float("nan")
+        model.cv_score = float("-inf")
+        text = serialize_model(model)
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not strict JSON")
+
+        data = json.loads(text, parse_constant=reject)
+        assert data["se"] is None and data["p_value"] is None
+        assert data["cv_score"] is None
+        assert data["cv_se"] == model.cv_se
+        back = load_model(text)
+        assert np.isnan(back.glm.se) and np.isnan(back.glm.p_value)
+        assert np.isnan(back.cv_score)
+        assert back.glm.beta == model.glm.beta
+        assert serialize_model(back) == text
+
     def test_serialization_is_deterministic(self):
         model, _ = self.fitted_model()
         assert serialize_model(model) == serialize_model(model)

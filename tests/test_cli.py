@@ -10,10 +10,23 @@ import json
 import numpy as np
 import pytest
 
+from conftest import fit_glm_by_column
+
+from ratiomarker import glm
 from ratiomarker.cli import main
-from ratiomarker.composition import StrictlyPositiveMatrix, clr_transform
+from ratiomarker.composition import (
+    StrictlyPositiveMatrix,
+    apply_zero_policy,
+    clr_transform,
+    pairwise_logratios,
+)
 from ratiomarker.learn.biomarker import load_model, predict
-from ratiomarker.tabular import read_config, read_matrix, read_outcome_pairs
+from ratiomarker.tabular import (
+    read_config,
+    read_matrix,
+    read_outcome_pairs,
+    write_table,
+)
 
 
 def run(*argv):
@@ -95,6 +108,13 @@ class TestTransform:
         assert len(cols) == 10
         assert cols[0] == "g1/g2"
         assert cols[-1] == "g4/g5"
+        # Rows are built one at a time, with the bits of the whole table.
+        positive, _ = apply_zero_policy(read_matrix(sim / "observed.tsv"))
+        ratios, _ = pairwise_logratios(positive)
+        write_table(tmp_path / "whole.tsv", positive.sample_ids, cols, ratios)
+        assert (out / "pairwise.tsv").read_bytes() == (
+            tmp_path / "whole.tsv"
+        ).read_bytes()
 
     def test_proportions_rows_sum_to_one(self, tmp_path):
         sim = simulate_into(tmp_path, n_samples=10, n_features=5)
@@ -447,6 +467,36 @@ class TestDaaAndRatios:
             scenario["planted_numerator"],
             scenario["planted_denominator"],
         }
+
+    @pytest.mark.parametrize("kind", ["auto", "continuous"])
+    def test_ratios_match_fit_glm_column_by_column(self, tmp_path, monkeypatch, kind):
+        sim = simulate_into(tmp_path, n_samples=60, n_features=20, seed=8)
+        argv = [
+            "ratios",
+            "--matrix", str(sim / "observed.tsv"),
+            "--outcome", str(sim / "outcome.tsv"),
+            "--outcome-kind", kind,
+        ]
+        assert run(*argv, "--out-dir", str(tmp_path / "batched")) == 0
+        monkeypatch.setattr(glm, "_fit_columns", fit_glm_by_column)
+        assert run(*argv, "--out-dir", str(tmp_path / "by_column")) == 0
+        for name in ("attribution.tsv", "ratios.json"):
+            assert (tmp_path / "batched" / name).read_bytes() == (
+                tmp_path / "by_column" / name
+            ).read_bytes()
+        rows = [
+            [line.split("\t") for line in (tmp_path / d / "ratios.tsv").read_text().splitlines()]
+            for d in ("batched", "by_column")
+        ]
+        assert len(rows[0]) == 1 + 190
+        assert rows[0][0] == rows[1][0]
+        for got, want in zip(rows[0][1:], rows[1][1:]):
+            # Labels and notes agree; beta, p and adjusted p to 1e-9.
+            assert got[:3] + got[6:] == want[:3] + want[6:]
+            np.testing.assert_allclose(
+                np.array(got[3:6], dtype=float), np.array(want[3:6], dtype=float),
+                rtol=1e-9, atol=1e-9,
+            )
 
     def test_ratio_feature_cap(self, tmp_path):
         sim = simulate_into(tmp_path, n_samples=30, n_features=12)

@@ -8,9 +8,18 @@ penalized objective.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, special, stats
 
-from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
+from conftest import fit_glm_by_column
+
+from ratiomarker import composition
+from ratiomarker.composition import (
+    Outcome,
+    StrictlyPositiveMatrix,
+    pairwise_logratios,
+)
 from ratiomarker.errors import (
     DegenerateDesign,
     DimensionMismatch,
@@ -19,6 +28,7 @@ from ratiomarker.errors import (
 )
 from ratiomarker.glm import (
     ModelSpec,
+    _fit_columns,
     benjamini_hochberg,
     daa,
     daa_columns,
@@ -206,6 +216,126 @@ class TestFitValidation:
                 Outcome.continuous(np.linspace(0, 1, 6)),
                 ModelSpec(link="logistic"),
             )
+
+
+@st.composite
+def column_fit_cases(draw):
+    """Outcome, spec and blocks of score columns with the awkward kinds.
+
+    Values lie on grids, so exact ties and perfect fits occur. Columns may
+    be constant, hold a non-finite value, separate the classes, hold an
+    outlier (where Newton steps get halved), sit far from zero relative to
+    their spread (an ill-conditioned 2x2 system), or span many orders of
+    magnitude. N from 2 gives dof <= 0 for identity fits, a small
+    `max_iter` gives non-converged logistic fits, and the link sometimes
+    does not suit the outcome.
+    """
+    n = draw(st.integers(2, 24))
+
+    def draw_vector(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=float)
+
+    binary = draw(st.booleans())
+    if binary:
+        y = draw_vector(st.sampled_from([0.0, 1.0]))
+        if draw(st.integers(0, 9)):
+            y[draw(st.integers(0, n - 1))] = 1.0 - y[0]  # both classes present
+        out = Outcome.binary(y)
+    else:
+        y = draw_vector(st.integers(-20, 20)) / 4.0
+        out = Outcome.continuous(y)
+    grid = st.integers(-64, 64)
+    columns = []
+    kinds = st.sampled_from(
+        ["free", "informative", "separable", "outlier", "constant",
+         "non_finite", "offset", "scaled", "perfect"]
+    )
+    for kind in draw(st.lists(kinds, min_size=1, max_size=10)):
+        z = draw_vector(grid) / 8.0
+        if kind == "informative":
+            z = y * draw(st.integers(1, 16)) / 8.0 + z / 4.0
+        elif kind == "separable":
+            side = np.where(y > np.median(y), 1.0, -1.0)
+            z = side * draw_vector(st.integers(1, 64)) / 8.0
+        elif kind == "outlier":
+            z[draw(st.integers(0, n - 1))] *= 10.0 ** draw(st.integers(1, 3))
+        elif kind == "constant":
+            z = np.full(n, draw(grid) / 8.0)
+        elif kind == "non_finite":
+            z[draw(st.integers(0, n - 1))] = draw(
+                st.sampled_from([np.nan, np.inf, -np.inf])
+            )
+        elif kind == "offset":
+            z = 10.0 ** draw(st.integers(1, 8)) + z / 8.0
+        elif kind == "scaled":
+            z = z * 10.0 ** draw(st.integers(-6, 6))
+        elif kind == "perfect":
+            z = y * draw(st.sampled_from([-2.0, 0.5, 3.0])) + 1.0
+        columns.append(z)
+    z = np.column_stack(columns)
+    link = "logistic" if binary else "identity"
+    if not draw(st.integers(0, 9)):
+        link = "identity" if binary else "logistic"
+    spec = ModelSpec(link=link, max_iter=draw(st.sampled_from([1, 2, 3, 100])))
+    cuts = sorted(draw(st.lists(st.integers(0, z.shape[1]), max_size=3)))
+    blocks = np.split(z, cuts, axis=1)
+    return out, spec, blocks
+
+
+def assert_fits_match(got, want):
+    """Equal NaN masks and notes; beta and p within the batched tolerance."""
+    beta, p_value, notes = got
+    want_beta, want_p, want_notes = want
+    assert notes == want_notes
+    np.testing.assert_array_equal(np.isnan(beta), np.isnan(want_beta))
+    np.testing.assert_array_equal(np.isnan(p_value), np.isnan(want_p))
+    ok = ~np.isnan(want_beta)
+    assert np.all(
+        np.abs(beta[ok] - want_beta[ok]) <= 1e-9 * (1.0 + np.abs(want_beta[ok]))
+    )
+    ok = ~np.isnan(want_p)
+    assert np.all(np.abs(p_value[ok] - want_p[ok]) <= 1e-9)
+
+
+class TestBatchedColumnFits:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(column_fit_cases())
+    def test_matches_fit_glm_column_by_column(self, case):
+        out, spec, blocks = case
+        assert_fits_match(
+            _fit_columns(blocks, out, spec), fit_glm_by_column(blocks, out, spec)
+        )
+
+    @pytest.mark.parametrize("block_elements", [1, 7 * 60, 1 << 15])
+    def test_ratio_blocks_match_the_whole_table(self, monkeypatch, block_elements):
+        # Blocks of one column, of seven, and one block for all 45 ratios.
+        mat, out = planted_matrix(95)
+        monkeypatch.setattr(composition, "_BLOCK_ELEMENTS", block_elements)
+        for spec, outcome in (
+            (ModelSpec(link="logistic"), out),
+            (ModelSpec(link="identity"), Outcome.continuous(out.values + mat.values[:, 2])),
+        ):
+            res = differential_ratio_analysis(mat, outcome, spec)
+            ratios, pairs = pairwise_logratios(mat)
+            assert res.pair_indices == pairs
+            assert_fits_match(
+                (res.beta, res.p_value, res.notes),
+                fit_glm_by_column([ratios], outcome, spec),
+            )
+
+    def test_daa_blocks_keep_each_note_in_place(self, monkeypatch):
+        mat, out = planted_matrix(96)
+        cols = np.array(mat.values)
+        cols[:, 3] = 7.0
+        cols[:, 6] = np.inf
+        monkeypatch.setattr(composition, "_BLOCK_ELEMENTS", 4 * 60)
+        res = daa_columns(cols, mat.feature_ids, out)
+        assert_fits_match(
+            (res.beta, res.p_value, res.notes),
+            fit_glm_by_column([cols], out, ModelSpec(link="logistic")),
+        )
+        assert res.notes[3] == "score is constant; nothing to fit"
+        assert res.notes[6] == "score contains non-finite values"
 
 
 class TestBenjaminiHochberg:

@@ -1,5 +1,7 @@
 """File formats: matrices, outcomes, configs, atomic writes."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from ratiomarker.tabular import (
     write_config,
     write_matrix,
     write_outcome,
+    write_table,
 )
 
 
@@ -185,3 +188,54 @@ class TestAtomicWrite:
         atomic_write_text(path, "one\n")
         atomic_write_text(path, "two\n")
         assert path.read_text() == "two\n"
+
+    def test_concurrent_writes_to_one_path(self, tmp_path):
+        # Each write has its own temp file, so overlapping writes neither
+        # fail nor mix: the file holds exactly one writer's text.
+        path = tmp_path / "out.txt"
+        texts = [f"{i}\n" * 50_000 for i in range(4)]
+        barrier = threading.Barrier(len(texts))
+        errors = []
+
+        def writer(text):
+            try:
+                barrier.wait(timeout=10)
+                for _ in range(20):
+                    atomic_write_text(path, text)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in texts]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert path.read_text() in texts
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_write_leaves_nothing(self, tmp_path):
+        path = tmp_path / "out.tsv"
+
+        def rows():
+            yield [1.0, 2.0]
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError):
+            write_table(path, ["a", "b"], ["x", "y"], rows())
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestWriteTable:
+    def test_rows_from_an_iterable_equal_the_array(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.normal(0.0, 1.0, (4, 3))
+        values[1, 2] = -0.0
+        whole, rows = tmp_path / "whole.tsv", tmp_path / "rows.tsv"
+        write_table(whole, list("abcd"), list("xyz"), values)
+        write_table(rows, list("abcd"), list("xyz"), (r for r in values))
+        assert rows.read_bytes() == whole.read_bytes()
+        lines = whole.read_text().splitlines()
+        assert lines[0] == "sample_id\tx\ty\tz"
+        assert lines[2].split("\t")[1:] == [repr(float(v)) for v in values[1]]
