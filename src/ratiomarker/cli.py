@@ -15,6 +15,7 @@ values and their choice checks all come from those rows. Exit codes:
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from collections.abc import Callable
@@ -65,6 +66,7 @@ from .simulate import (
     planted_signal_scenario,
 )
 from .tabular import (
+    _atomic_writer,
     atomic_write_text,
     outcome_for_matrix,
     read_config,
@@ -87,6 +89,18 @@ def _input_file(raw: str) -> str:
     return raw
 
 
+class _Domain(NamedTuple):
+    """The values a numeric option accepts, and how its message says so."""
+
+    text: str
+    holds: Callable[[float], bool]
+
+
+_POSITIVE = _Domain("positive and finite", lambda x: 0.0 < x < math.inf)
+_NON_NEGATIVE = _Domain("non-negative and finite", lambda x: 0.0 <= x < math.inf)
+_PROBABILITY = _Domain("a probability in (0, 1)", lambda x: 0.0 < x < 1.0)
+
+
 class _Option(NamedTuple):
     """One command-line option; a config file names it by its key."""
 
@@ -95,6 +109,7 @@ class _Option(NamedTuple):
     default: object = None
     choices: tuple[str, ...] = ()
     dest: str = ""
+    domain: _Domain | None = None
 
     @property
     def key(self) -> str:
@@ -103,7 +118,7 @@ class _Option(NamedTuple):
 
 _COMMON = (
     _Option("--out-dir", str, "ratiomarker-out"),
-    _Option("--seed", int, 0),
+    _Option("--seed", int, 0, domain=_NON_NEGATIVE),
     _Option("--max-zero-fraction", float, 0.5),
     _Option(
         "--zero-replacement",
@@ -115,9 +130,9 @@ _COMMON = (
 # The learner group; every key but "mode" names a LearnerConfig field.
 _LEARNER = (
     _Option("--mode", str, "balance", ("balance", "slr")),
-    _Option("--lambda", float, 1.0, dest="lam"),
+    _Option("--lambda", float, 1.0, dest="lam", domain=_NON_NEGATIVE),
     _Option("--epochs", int, 1000),
-    _Option("--learning-rate", float, 1.0),
+    _Option("--learning-rate", float, 1.0, domain=_POSITIVE),
     _Option("--cv-folds", int, 5),
 )
 # The network group: EncoderDecoderConfig fields, "nn_" prefixed where a
@@ -125,12 +140,12 @@ _LEARNER = (
 _NN = (
     _Option("--hidden-units", int, 32),
     _Option("--nn-epochs", int, 1000),
-    _Option("--nn-learning-rate", float, 0.01),
+    _Option("--nn-learning-rate", float, 0.01, domain=_POSITIVE),
 )
 _MATRIX = _Option("--matrix", _input_file)
 _MATRIX2 = _Option("--matrix2", _input_file)
 _OUTCOME = _Option("--outcome", _input_file)
-_ALPHA = _Option("--alpha", float, 0.05)
+_ALPHA = _Option("--alpha", float, 0.05, domain=_PROBABILITY)
 _LINK = _Option("--link", str, "auto", ("auto", "identity", "logistic"))
 _OUTCOME_KIND = _Option(
     "--outcome-kind", str, "auto", ("auto", "binary", "continuous")
@@ -201,11 +216,16 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     resolved.update(
         (k, v) for k, v in vars(args).items() if k not in ("command", "config")
     )
+    # Config-file values and flags alike: an out-of-range value is a
+    # precondition failure that names its option.
     for key, opt in options.items():
-        if opt.choices and resolved[key] not in opt.choices:
+        value = resolved[key]
+        if opt.choices and value not in opt.choices:
             raise ValidationError(
                 f"{key} must be one of {', '.join(opt.choices)}"
             )
+        if opt.domain and value is not None and not opt.domain.holds(value):
+            raise ValidationError(f"{key} must be {opt.domain.text}, got {value!r}")
     return resolved
 
 
@@ -249,12 +269,13 @@ def _write_json(path: Path, payload: dict):
 
 
 def _write_rows(path: Path, header: str, rows):
-    """A tab-separated table; floats are written with full repr precision."""
-    lines = [header] + [
-        "\t".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row)
-        for row in rows
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """A tab-separated table, written row by row; floats are written with
+    full repr precision."""
+    with _atomic_writer(path) as f:
+        f.write(header + "\n")
+        for row in rows:
+            cells = (repr(float(c)) if isinstance(c, float) else str(c) for c in row)
+            f.write("\t".join(cells) + "\n")
 
 
 def _side_features(model) -> dict:
@@ -647,10 +668,10 @@ _COMMANDS = {
             _Option("--n-samples", int, 100),
             _Option("--n-features", int, 20),
             _Option("--effect", float, 2.0),
-            _Option("--log-sd", float, 0.5),
-            _Option("--theta-sd", float, 0.5),
-            _Option("--depth-sd", float, 0.5),
-            _Option("--noise-sd", float, 0.1),
+            _Option("--log-sd", float, 0.5, domain=_NON_NEGATIVE),
+            _Option("--theta-sd", float, 0.5, domain=_NON_NEGATIVE),
+            _Option("--depth-sd", float, 0.5, domain=_NON_NEGATIVE),
+            _Option("--noise-sd", float, 0.1, domain=_NON_NEGATIVE),
         ),
     ),
     "approx": (
@@ -675,9 +696,9 @@ _COMMANDS = {
             _MATRIX,
             _MATRIX2,
             _Option("--synthetic", bool, False),
-            _Option("--n-samples", int, 200),
-            _Option("--g-t", int, 50),
-            _Option("--g-u", int, 80),
+            _Option("--n-samples", int, 200, domain=_POSITIVE),
+            _Option("--g-t", int, 50, domain=_POSITIVE),
+            _Option("--g-u", int, 80, domain=_POSITIVE),
             *_LEARNER,
             *_NN,
         ),

@@ -5,11 +5,24 @@ score (a log-ratio, a balance, or any transformed feature column), phi is
 the identity for continuous outcomes and the logistic function for binary
 ones. Identity fits are ordinary least squares; logistic fits use damped
 Newton iterations on a ridge-stabilized log-likelihood.
+
+One kernel, `_fit_rows`, does every fit: it takes a columns x samples
+array and fits each row as its own score. `fit_glm` is its one-row call,
+`_fit_columns` feeds it the blocks of `daa` and `ratios`, and
+`learn.scoring.score_candidates` calls it once per fold. The kernel centres
+each score before forming the 2x2 system, a change of variables that
+leaves the objective, the ridge on the uncentred intercept and the
+convergence test on the uncentred gradient as they are, and makes the
+determinant n * sum((z - mean(z))^2) rather than a difference of two large
+sums. Every reduction runs along a row (`sum` or `einsum`, never BLAS), so a
+row's result does not depend on the block it is fitted in. The scalar
+two-column fitters in `tests/conftest.py` are the references.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, ndtr, stdtr
@@ -47,9 +60,9 @@ class ModelSpec:
             raise ValidationError(f"unknown link {self.link!r}")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be at least 1")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValidationError("tol must be positive")
-        if self.ridge < 0.0:
+        if not self.ridge >= 0.0:
             raise ValidationError("ridge must be nonnegative")
 
     @classmethod
@@ -67,7 +80,6 @@ class FittedGlm:
 
     beta: float
     beta0: float
-    covariate_betas: np.ndarray | None
     se: float
     p_value: float
     converged: bool
@@ -75,199 +87,253 @@ class FittedGlm:
     link: str
     note: str = ""
 
-    def linear_predictor(self, z, covariates=None) -> np.ndarray:
-        eta = self.beta * np.asarray(z, dtype=float) + self.beta0
-        if self.covariate_betas is not None and len(self.covariate_betas):
-            if covariates is None:
-                raise ValidationError("model was fitted with covariates")
-            eta = eta + np.asarray(covariates, dtype=float) @ self.covariate_betas
-        return eta
+    def linear_predictor(self, z) -> np.ndarray:
+        return self.beta * np.asarray(z, dtype=float) + self.beta0
 
-    def predict_response(self, z, covariates=None) -> np.ndarray:
-        eta = self.linear_predictor(z, covariates)
+    def predict_response(self, z) -> np.ndarray:
+        eta = self.linear_predictor(z)
         return expit(eta) if self.link == "logistic" else eta
 
 
-def _solve_spd(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # Closed form for the ubiquitous 2x2 case keeps CV scans fast.
-    if h.shape[0] == 2:
-        a, b = h[0, 0], h[0, 1]
-        c = h[1, 1]
-        det = a * c - b * b
-        return np.array([(c * g[0] - b * g[1]) / det, (a * g[1] - b * g[0]) / det])
-    return np.linalg.solve(h, g)
-
-
-def _penalized_nll(x, y, beta, ridge) -> float:
-    eta = x @ beta
-    nll = float(np.sum(np.logaddexp(0.0, eta)) - y @ eta)
-    return nll + 0.5 * ridge * float(beta @ beta)
-
-
-def fit_glm(
-    z,
-    outcome: Outcome,
-    spec: ModelSpec | None = None,
-    covariates=None,
-) -> FittedGlm:
-    """Fit y ~ phi(beta * z + covariates @ b + beta0).
+def fit_glm(z, outcome: Outcome, spec: ModelSpec | None = None) -> FittedGlm:
+    """Fit y ~ phi(beta * z + beta0).
 
     Identity link: least squares, Wald p-value from the t distribution.
     Logistic link: ridge-stabilized damped Newton, Wald p-value from the
     normal distribution. Convergence is declared when the gradient norm
     drops to tol * (1 + |beta|). Non-convergence is reported on the result,
-    not raised.
+    not raised; a score that cannot be fitted raises `ValidationError`.
     """
-    if spec is None:
-        spec = ModelSpec()
+    spec = spec or ModelSpec()
     z = np.asarray(z, dtype=float).ravel()
-    y = outcome.values
-    if z.size != y.size:
-        raise DimensionMismatch(f"score length {z.size} vs outcome length {y.size}")
-    if covariates is not None:
-        covariates = np.asarray(covariates, dtype=float)
-        if covariates.ndim == 1:
-            covariates = covariates[:, None]
-        if covariates.shape[0] != z.size:
-            raise DimensionMismatch("covariate rows do not match score length")
-    if not np.all(np.isfinite(z)):
-        raise ValidationError("score contains non-finite values")
-    if np.ptp(z) == 0.0:
-        raise DegenerateDesign("score is constant; nothing to fit")
+    if z.size != outcome.n:
+        raise DimensionMismatch(f"score length {z.size} vs outcome length {outcome.n}")
+    fits = _fit_rows(z[None, :], outcome, spec)
+    if fits.errors[0] is not None:
+        raise fits.errors[0]
+    return FittedGlm(
+        beta=float(fits.beta[0]),
+        beta0=float(fits.beta0[0]),
+        se=float(fits.se[0]),
+        p_value=float(fits.p_value[0]),
+        converged=bool(fits.converged[0]),
+        n_iter=int(fits.n_iter[0]),
+        link=spec.link,
+        note=fits.notes[0],
+    )
+
+
+class _Fits(NamedTuple):
+    """Per-row results of `_fit_rows`. A rejected row has NaN statistics,
+    its error in `errors` and the error's message as its note."""
+
+    beta: np.ndarray
+    beta0: np.ndarray
+    se: np.ndarray
+    p_value: np.ndarray
+    n_iter: np.ndarray
+    converged: np.ndarray
+    notes: list[str]
+    errors: list[ValidationError | None]
+
+
+def _link_error(outcome: Outcome, spec: ModelSpec) -> ValidationError | None:
     if spec.link == "logistic":
         if outcome.kind != "binary":
-            raise ValidationError("logistic link requires a binary outcome")
+            return ValidationError("logistic link requires a binary outcome")
         if not outcome.both_classes_present():
-            raise ValidationError("binary outcome must contain both classes")
+            return ValidationError("binary outcome must contain both classes")
     elif outcome.kind != "continuous":
-        raise ValidationError("identity link requires a continuous outcome")
-
-    columns = [z[:, None]]
-    if covariates is not None:
-        columns.append(covariates)
-    columns.append(np.ones((z.size, 1)))
-    x = np.hstack(columns)
-    n, p = x.shape
-
-    if spec.link == "identity":
-        return _fit_identity(x, y, n, p, covariates)
-    return _fit_logistic(x, y, n, p, spec, covariates)
+        return ValidationError("identity link requires a continuous outcome")
+    return None
 
 
-def _fit_identity(x, y, n, p, covariates) -> FittedGlm:
-    if p == 2:
-        # Normal equations in closed form; the design is well conditioned
-        # for single-score fits and this path dominates CV scans.
-        sz = float(x[:, 0].sum())
-        szz = float(x[:, 0] @ x[:, 0])
-        sy = float(y.sum())
-        szy = float(x[:, 0] @ y)
-        det = szz * n - sz * sz
-        if det == 0.0:
-            raise DegenerateDesign("design matrix is singular")
-        beta = (n * szy - sz * sy) / det
-        beta0 = (szz * sy - sz * szy) / det
-        coef = np.array([beta, beta0])
-    else:
-        coef, *_ = np.linalg.lstsq(x, y, rcond=None)
-    resid = y - x @ coef
-    dof = n - p
-    rss = float(resid @ resid)
-    if dof <= 0:
-        se = float("nan")
-        p_value = float("nan")
-    else:
-        sigma2 = rss / dof
-        xtx = x.T @ x
-        try:
-            cov = sigma2 * np.linalg.inv(xtx)
-        except np.linalg.LinAlgError:
-            cov = sigma2 * np.linalg.pinv(xtx)
-        var = max(float(cov[0, 0]), 0.0)
-        se = math.sqrt(var)
-        if se == 0.0:
-            # A perfect fit leaves no residual noise; the score axis is
-            # infinitely significant unless beta is itself zero.
-            p_value = 1.0 if coef[0] == 0.0 else 0.0
+def _fit_rows(zt, outcome: Outcome, spec: ModelSpec) -> _Fits:
+    """Fit every row of zt (columns x samples) as its own score.
+
+    A row is rejected, in this order, for a non-finite value, for being
+    constant, or because the link does not suit the outcome; an identity
+    fit whose centred score has no spread left is rejected as singular.
+    """
+    zt = np.ascontiguousarray(zt, dtype=float)
+    c = zt.shape[0]
+    errors: list[ValidationError | None] = [None] * c
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(zt).all(axis=1)
+        constant = finite & ~(np.ptp(zt, axis=1) > 0.0)
+    link_error = _link_error(outcome, spec)
+    for j in range(c):
+        if not finite[j]:
+            errors[j] = ValidationError("score contains non-finite values")
+        elif constant[j]:
+            errors[j] = DegenerateDesign("score is constant; nothing to fit")
+        elif link_error is not None:
+            errors[j] = link_error
+    beta, beta0, se, p_value = (np.full(c, np.nan) for _ in range(4))
+    n_iter = np.zeros(c, dtype=int)
+    converged = np.zeros(c, dtype=bool)
+    notes = [""] * c
+    rows = np.flatnonzero([e is None for e in errors])
+    if rows.size:
+        z = zt if rows.size == c else zt[rows]
+        if spec.link == "identity":
+            fit = _fit_identity_rows(z, outcome.values)
+            beta[rows], beta0[rows], se[rows], p_value[rows], singular = fit
+            for j in rows[singular]:
+                errors[j] = DegenerateDesign("design matrix is singular")
+            converged[rows[~singular]] = True
         else:
-            t_stat = coef[0] / se
-            p_value = float(2.0 * stdtr(dof, -abs(t_stat)))
-    cov_betas = coef[1:-1].copy() if covariates is not None else None
-    return FittedGlm(
-        beta=float(coef[0]),
-        beta0=float(coef[-1]),
-        covariate_betas=cov_betas,
-        se=se,
-        p_value=p_value,
-        converged=True,
-        n_iter=0,
-        link="identity",
-    )
+            fit = _fit_logistic_rows(z, outcome.values, spec)
+            beta[rows], beta0[rows], se[rows], p_value[rows] = fit[:4]
+            n_iter[rows], converged[rows], gnorm = fit[4:]
+            for j, g in zip(rows, gnorm):
+                if not converged[j]:
+                    notes[j] = (
+                        f"did not converge in {spec.max_iter} iterations"
+                        f" (gradient norm {g:.3g})"
+                    )
+    for j, e in enumerate(errors):
+        if e is not None:
+            notes[j] = str(e)
+    return _Fits(beta, beta0, se, p_value, n_iter, converged, notes, errors)
 
 
-def _fit_logistic(x, y, n, p, spec, covariates) -> FittedGlm:
-    beta = np.zeros(p)
+def _wald_p_values(beta, se, tail):
+    """Two-sided p-values of beta / se; se == 0 gives 0, or 1 at beta == 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = 2.0 * tail(-np.abs(beta / se))
+    return np.where(se == 0.0, np.where(beta == 0.0, 1.0, 0.0), p)
+
+
+def _rowdot(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _fit_identity_rows(z, y):
+    """Least squares of y on every row of z: beta, beta0, se, p-value, and
+    the rows whose centred score has no spread left, which are NaN. se and
+    p are NaN when dof <= 0."""
+    n = y.size
+    zbar = z.mean(axis=1)
+    zc = z - zbar[:, None]
+    ybar = y.mean()
+    yc = y - ybar
+    szz = _rowdot(zc, zc)
+    singular = ~(szz > 0.0)
+    szz[singular] = np.nan
+    beta = np.einsum("ij,j->i", zc, yc) / szz
+    beta0 = ybar - beta * zbar
+    if n <= 2:
+        nan = np.full(beta.shape, np.nan)
+        return beta, beta0, nan, nan, singular
+    resid = yc - zc * beta[:, None]
+    se = np.sqrt(_rowdot(resid, resid) / (n - 2) / szz)
+    return beta, beta0, se, _wald_p_values(beta, se, partial(stdtr, n - 2)), singular
+
+
+def _penalized_nll_rows(eta, y, b1, b0, ridge):
+    nll = np.logaddexp(0.0, eta).sum(axis=1) - np.einsum("ij,j->i", eta, y)
+    return nll + 0.5 * ridge * (b1 * b1 + b0 * b0)
+
+
+def _fit_logistic_rows(z, y, spec):
+    """Damped Newton on every row of z at once.
+
+    The state of a row is its slope b1 and its intercept a at the mean
+    score, so eta = b1 * (z - zbar) + a and the uncentred intercept is
+    a - b1 * zbar. Each row converges when the norm of its uncentred
+    gradient drops to tol * (1 + |b1|), halves its own step until its
+    penalized objective stops increasing, and leaves the active set once
+    it stops. Returns beta, beta0, se, p-value, iterations, converged and
+    the final gradient norm per row.
+    """
+    c, n = z.shape
+    ridge, tol, max_iter = spec.ridge, spec.tol, spec.max_iter
+    zbar_all = z.mean(axis=1)
+    zc = z - zbar_all[:, None]
     ybar = float(y.mean())
-    beta[-1] = math.log(ybar / (1.0 - ybar))
-    ridge = spec.ridge
-    f_cur = _penalized_nll(x, y, beta, ridge)
-    converged = False
-    n_iter = 0
-    grad = None
-    for n_iter in range(1, spec.max_iter + 1):
-        eta = x @ beta
+    out = np.empty((4, c))  # slope, intercept at the mean, se, gradient norm
+    n_iter = np.empty(c, dtype=int)
+    converged = np.zeros(c, dtype=bool)
+    # The active rows' state.
+    act = np.arange(c)
+    zbar = zbar_all
+    b1 = np.zeros(c)
+    a = np.full(c, math.log(ybar / (1.0 - ybar)))
+    eta = np.repeat(a[:, None], n, axis=1)
+    f_cur = _penalized_nll_rows(eta, y, b1, a, ridge)
+    for it in range(max_iter + 1):
         mu = expit(eta)
-        grad = x.T @ (mu - y) + ridge * beta
-        if np.linalg.norm(grad) <= spec.tol * (1.0 + abs(beta[0])):
-            converged = True
-            break
+        r = mu - y
+        sr = r.sum(axis=1)
+        b0 = a - b1 * zbar
+        g0 = sr + ridge * b0
+        gc1 = _rowdot(r, zc) + ridge * (b1 - zbar * b0)
+        g1 = gc1 + zbar * g0
+        gnorm = np.sqrt(g1 * g1 + g0 * g0)
         w = mu * (1.0 - mu)
-        hess = (x * w[:, None]).T @ x
-        hess[np.diag_indices(p)] += ridge
-        direction = _solve_spd(hess, grad)
-        step = 1.0
-        trial = beta - direction
-        f_new = _penalized_nll(x, y, trial, ridge)
-        # Halve the step until the penalized objective stops increasing.
-        for _ in range(50):
-            if f_new <= f_cur + 1e-12 * (1.0 + abs(f_cur)):
+        wz = w * zc
+        h00 = w.sum(axis=1) + ridge
+        h10 = wz.sum(axis=1) - ridge * zbar
+        h11 = _rowdot(wz, zc) + ridge * (1.0 + zbar * zbar)
+        det = h11 * h00 - h10 * h10
+        last = it == max_iter
+        conv = (gnorm <= tol * (1.0 + np.abs(b1))) & (not last)
+        stop = conv | last
+        if stop.any():
+            done = act[stop]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                se = np.sqrt(np.maximum(h00[stop] / det[stop], 0.0))
+            out[:, done] = b1[stop], a[stop], se, gnorm[stop]
+            n_iter[done] = np.where(conv[stop], it + 1, max_iter)
+            converged[done] = conv[stop]
+            keep = ~stop
+            if not keep.any():
                 break
-            step *= 0.5
-            trial = beta - step * direction
-            f_new = _penalized_nll(x, y, trial, ridge)
-        beta = trial
-        f_cur = f_new
-    eta = x @ beta
-    mu = expit(eta)
-    grad = x.T @ (mu - y) + ridge * beta
-    w = mu * (1.0 - mu)
-    hess = (x * w[:, None]).T @ x
-    hess[np.diag_indices(p)] += ridge
-    try:
-        cov = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(hess)
-    se = math.sqrt(max(float(cov[0, 0]), 0.0))
-    if se == 0.0:
-        p_value = 1.0 if beta[0] == 0.0 else 0.0
-    else:
-        p_value = float(2.0 * ndtr(-abs(beta[0] / se)))
-    cov_betas = beta[1:-1].copy() if covariates is not None else None
-    note = "" if converged else (
-        f"did not converge in {spec.max_iter} iterations"
-        f" (gradient norm {np.linalg.norm(grad):.3g})"
-    )
-    return FittedGlm(
-        beta=float(beta[0]),
-        beta0=float(beta[-1]),
-        covariate_betas=cov_betas,
-        se=se,
-        p_value=p_value,
-        converged=converged,
-        n_iter=n_iter,
-        link="logistic",
-        note=note,
-    )
+            act, zc, zbar, eta = act[keep], zc[keep], zbar[keep], eta[keep]
+            b1, a, g0, gc1, f_cur = b1[keep], a[keep], g0[keep], gc1[keep], f_cur[keep]
+            h11, h10, h00, det = h11[keep], h10[keep], h00[keep], det[keep]
+        # The Newton step in centred coordinates; it is the uncentred step
+        # under the change of variables.
+        d1 = (h00 * gc1 - h10 * g0) / det
+        d0 = (h11 * g0 - h10 * gc1) / det
+        t1, ta = b1 - d1, a - d0
+        trial = zc * t1[:, None] + ta[:, None]
+        f_new = _penalized_nll_rows(trial, y, t1, ta - t1 * zbar, ridge)
+        step = np.ones_like(t1)
+        # Halve each row's step until its penalized objective stops
+        # increasing, at most 50 times.
+        for _ in range(50):
+            up = np.flatnonzero(~(f_new <= f_cur + 1e-12 * (1.0 + np.abs(f_cur))))
+            if not up.size:
+                break
+            step[up] *= 0.5
+            t1[up] = b1[up] - step[up] * d1[up]
+            ta[up] = a[up] - step[up] * d0[up]
+            trial[up] = zc[up] * t1[up, None] + ta[up, None]
+            f_new[up] = _penalized_nll_rows(
+                trial[up], y, t1[up], ta[up] - t1[up] * zbar[up], ridge
+            )
+        b1, a, eta, f_cur = t1, ta, trial, f_new
+    beta, intercept, se, gnorm = out
+    p_value = _wald_p_values(beta, se, ndtr)
+    return beta, intercept - beta * zbar_all, se, p_value, n_iter, converged, gnorm
+
+
+def _fit_columns(blocks, outcome: Outcome, spec: ModelSpec):
+    """Fit every column of each n x c block in `blocks` as its own score.
+
+    Returns beta, p-value and note per column, as one `fit_glm` per column
+    gives them: a column `fit_glm` rejects is a NaN row whose note is the
+    error, and a fit that did not converge keeps its numbers with that note.
+    """
+    betas, p_values, notes = [np.empty(0)], [np.empty(0)], []
+    for z in blocks:
+        fits = _fit_rows(z.T, outcome, spec)
+        betas.append(fits.beta)
+        p_values.append(fits.p_value)
+        notes.extend(fits.notes)
+    return np.concatenate(betas), np.concatenate(p_values), notes
 
 
 def benjamini_hochberg(p_values) -> np.ndarray:
@@ -304,171 +370,6 @@ class DaaResult:
     def significant(self, alpha: float = 0.05) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             return np.asarray(self.p_adjusted < alpha) & ~np.isnan(self.p_adjusted)
-
-
-# A 2x2 system whose determinant keeps less than this share of the product
-# of its diagonal has lost six of sixteen digits to cancellation; there the
-# summation order alone moves a batched fit away from `fit_glm`'s.
-_MIN_RELATIVE_DET = 1e-6
-
-
-def _fit_columns(blocks, outcome: Outcome, spec: ModelSpec):
-    """Fit every column of each n x c block in `blocks` as its own score.
-
-    Returns beta, p-value and note per column, as one `fit_glm` per column
-    gives them: a column `fit_glm` rejects (non-finite, constant, a link
-    that does not suit the outcome) is a NaN row whose note is the error,
-    and a fit that did not converge keeps its numbers with that note. The
-    columns of a block are fitted together; those the batched arithmetic
-    cannot stand in for (rejected, ill-conditioned, or not converged, whose
-    note quotes a gradient norm) are fitted by `fit_glm` itself.
-    """
-    betas, p_values, notes = [np.empty(0)], [np.empty(0)], []
-    for z in blocks:
-        beta, p_value, block_notes = _fit_block(z, outcome, spec)
-        betas.append(beta)
-        p_values.append(p_value)
-        notes.extend(block_notes)
-    return np.concatenate(betas), np.concatenate(p_values), notes
-
-
-def _fit_block(z: np.ndarray, outcome: Outcome, spec: ModelSpec):
-    n, c = z.shape
-    beta = np.full(c, np.nan)
-    p_value = np.full(c, np.nan)
-    notes = [""] * c
-    with np.errstate(invalid="ignore"):
-        batched = np.isfinite(z).all(axis=0) & (np.ptp(z, axis=0) > 0.0)
-    if spec.link == "logistic":
-        batched &= outcome.both_classes_present()
-        fit = _fit_logistic_block
-    else:
-        batched &= outcome.kind == "continuous"
-        fit = _fit_identity_block
-    cols = np.flatnonzero(batched)
-    if cols.size:
-        beta[cols], p_value[cols], refit = fit(
-            z if cols.size == c else z[:, cols], outcome.values, spec
-        )
-        batched[cols[refit]] = False
-    for j in np.flatnonzero(~batched):
-        try:
-            one = fit_glm(z[:, j], outcome, spec)
-        except ValidationError as exc:
-            beta[j], p_value[j], notes[j] = np.nan, np.nan, str(exc)
-            continue
-        beta[j], p_value[j], notes[j] = one.beta, one.p_value, one.note
-    return beta, p_value, notes
-
-
-def _ill_conditioned(a, b, c):
-    """Columns whose 2x2 system [[a, b], [b, c]] is singular or too close
-    to it for the batched arithmetic; `fit_glm` fits those."""
-    det = a * c - b * b
-    with np.errstate(invalid="ignore"):
-        return det, ~(det > _MIN_RELATIVE_DET * a * c) | ~np.isfinite(det)
-
-
-def _wald_p_values(beta, se, tail):
-    """Two-sided p-values of beta / se; se == 0 gives 0, or 1 at beta == 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = 2.0 * tail(-np.abs(beta / se))
-    return np.where(se == 0.0, np.where(beta == 0.0, 1.0, 0.0), p)
-
-
-def _fit_identity_block(z, y, spec):
-    """Least squares of y on every column of z, from sufficient statistics."""
-    n = z.shape[0]
-    sz = z.sum(axis=0)
-    szz = np.einsum("ij,ij->j", z, z)
-    sy = float(y.sum())
-    szy = y @ z
-    det, singular = _ill_conditioned(szz, sz, float(n))
-    det = np.where(singular, 1.0, det)
-    beta = (n * szy - sz * sy) / det
-    beta0 = (szz * sy - sz * szy) / det
-    dof = n - 2
-    if dof <= 0:
-        return beta, np.full(beta.shape, np.nan), singular
-    resid = y[:, None] - (z * beta + beta0)
-    sigma2 = np.einsum("ij,ij->j", resid, resid) / dof
-    se = np.sqrt(np.maximum(sigma2 * n / det, 0.0))
-    return beta, _wald_p_values(beta, se, partial(stdtr, dof)), singular
-
-
-def _penalized_nll_block(eta, y, b1, b0, ridge):
-    nll = np.logaddexp(0.0, eta).sum(axis=0) - y @ eta
-    return nll + 0.5 * ridge * (b1 * b1 + b0 * b0)
-
-
-def _fit_logistic_block(z, y, spec):
-    """`_fit_logistic` on every column of z at once.
-
-    Each column takes the Newton steps and step halvings `_fit_logistic`
-    takes and leaves the active set once it stops. A column whose Hessian
-    is ill-conditioned, or that has not converged in `spec.max_iter`
-    iterations, is marked for a refit.
-    """
-    n, c = z.shape
-    ridge = spec.ridge
-    ybar = float(y.mean())
-    beta = np.zeros(c)
-    se = np.zeros(c)
-    refit = np.zeros(c, dtype=bool)
-    # The active columns' state: scores, slope, intercept, linear
-    # predictor and penalized objective.
-    act = np.arange(c)
-    za = z
-    b1 = np.zeros(c)
-    b0 = np.full(c, math.log(ybar / (1.0 - ybar)))
-    eta = np.repeat(b0[None, :], n, axis=0)
-    f_cur = _penalized_nll_block(eta, y, b1, b0, ridge)
-    for n_iter in range(spec.max_iter + 1):
-        mu = expit(eta)
-        r = mu - y[:, None]
-        g1 = np.einsum("ij,ij->j", za, r) + ridge * b1
-        g0 = r.sum(axis=0) + ridge * b0
-        gnorm = np.sqrt(g1 * g1 + g0 * g0)
-        w = mu * (1.0 - mu)
-        wz = w * za
-        h11 = np.einsum("ij,ij->j", wz, za) + ridge
-        h10 = wz.sum(axis=0)
-        h00 = w.sum(axis=0) + ridge
-        det, bad = _ill_conditioned(h11, h10, h00)
-        last = n_iter == spec.max_iter
-        converged = (gnorm <= spec.tol * (1.0 + np.abs(b1))) & (not last)
-        stop = converged | bad | last
-        if stop.any():
-            done = act[stop]
-            beta[done] = b1[stop]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                se[done] = np.sqrt(np.maximum(h00[stop] / det[stop], 0.0))
-            refit[done] = (bad | ~converged)[stop]
-            keep = ~stop
-            if not keep.any():
-                break
-            act, za, eta, f_cur = act[keep], za[:, keep], eta[:, keep], f_cur[keep]
-            b1, b0, g1, g0 = b1[keep], b0[keep], g1[keep], g0[keep]
-            h11, h10, h00, det = h11[keep], h10[keep], h00[keep], det[keep]
-        d1 = (h00 * g1 - h10 * g0) / det
-        d0 = (h11 * g0 - h10 * g1) / det
-        t1, t0 = b1 - d1, b0 - d0
-        trial = za * t1 + t0
-        f_new = _penalized_nll_block(trial, y, t1, t0, ridge)
-        step = np.ones_like(t1)
-        # Halve each column's step until its penalized objective stops
-        # increasing, at most 50 times, as `_fit_logistic` does.
-        for _ in range(50):
-            up = np.flatnonzero(~(f_new <= f_cur + 1e-12 * (1.0 + np.abs(f_cur))))
-            if not up.size:
-                break
-            step[up] *= 0.5
-            t1[up] = b1[up] - step[up] * d1[up]
-            t0[up] = b0[up] - step[up] * d0[up]
-            trial[:, up] = za[:, up] * t1[up] + t0[up]
-            f_new[up] = _penalized_nll_block(trial[:, up], y, t1[up], t0[up], ridge)
-        b1, b0, eta, f_cur = t1, t0, trial, f_new
-    return beta, _wald_p_values(beta, se, ndtr), refit
 
 
 def _daa_result(columns, feature_ids, outcome, spec, notion) -> DaaResult:
@@ -586,10 +487,9 @@ def differential_ratio_analysis(
     with np.errstate(invalid="ignore"):
         significant = (p_adjusted < alpha) & ~np.isnan(p_adjusted)
     counts = np.zeros(g)
-    for (j, k), sig in zip(pairs, significant):
-        if sig:
-            counts[j] += 1
-            counts[k] += 1
+    jj, kk = np.triu_indices(g, 1)
+    np.add.at(counts, jj[significant], 1.0)
+    np.add.at(counts, kk[significant], 1.0)
     labels = [
         f"{matrix.feature_ids[j]}/{matrix.feature_ids[k]}" for j, k in pairs
     ]

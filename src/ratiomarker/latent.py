@@ -186,7 +186,7 @@ class EncoderDecoderConfig:
             raise ValidationError("only the relu activation is supported")
         if self.epochs < 1:
             raise ValidationError("epochs must be at least 1")
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise ValidationError("learning_rate must be positive")
 
 

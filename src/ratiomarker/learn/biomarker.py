@@ -117,11 +117,11 @@ class LearnerConfig:
     tournament_size: int = 3
 
     def __post_init__(self):
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:
             raise ValidationError("lam must be nonnegative")
         if self.epochs < 1:
             raise ValidationError("epochs must be at least 1")
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise ValidationError("learning_rate must be positive")
         if self.cv_folds < 2:
             raise ValidationError("cv_folds must be at least 2")
@@ -242,7 +242,6 @@ def load_model(text: str) -> LearnedModel:
     glm = FittedGlm(
         beta=float(data["beta"]),
         beta0=float(data["beta0"]),
-        covariate_betas=None,
         se=float_or_nan("se"),
         p_value=float_or_nan("p_value"),
         converged=bool(data["converged"]),

@@ -25,7 +25,7 @@ from .biomarker import (
     orient_and_fit,
     slr_from_values,
 )
-from .scoring import _learner_setup, cv_score_values, make_folds
+from .scoring import _learner_setup, make_folds, score_candidates
 
 
 def relaxed_loss_and_grad(
@@ -162,41 +162,43 @@ def relaxed_gradient_learner(
     grad_norm = float(np.linalg.norm(grad))
     converged = grad_norm <= 1e-3 * (1.0 + abs(loss_curve[-1]))
 
-    def candidate(cutoff: float, num: list[int], den: list[int]) -> dict:
-        if mode == "balance":
-            z = balance_from_logs(logs, num, den)
-        else:
-            z = slr_from_values(values, num, den)
-        mean, se, _ = cv_score_values(z, outcome, spec, folds)
-        return {
-            "cutoff": cutoff,
-            "numerator": num,
-            "denominator": den,
-            "size": len(num) + len(den),
-            "cv_score": mean,
-            "cv_se": se,
-        }
+    def scored(sets: list) -> list[dict]:
+        """The sweep's table rows for (cutoff, numerator, denominator) sets,
+        all scored in one call."""
+        score = balance_from_logs if mode == "balance" else slr_from_values
+        data = logs if mode == "balance" else values
+        z = np.column_stack([score(data, num, den) for _, num, den in sets])
+        means, ses = score_candidates(z, outcome, spec, folds)
+        return [
+            {
+                "cutoff": cutoff,
+                "numerator": num,
+                "denominator": den,
+                "size": len(num) + len(den),
+                "cv_score": float(mean),
+                "cv_se": float(se),
+            }
+            for (cutoff, num, den), mean, se in zip(sets, means, ses)
+        ]
 
     # Sweep cutoffs sparsest-first; candidate sets are nested, so set sizes
     # strictly increase and "sparsest within lam SEs of the best" is a
     # deterministic first-hit scan.
     distance = np.abs(expit(a) - 0.5)
-    cutoffs = np.unique(distance)[::-1]
-    candidates = []
-    for cutoff in cutoffs:
+    sets = []
+    for cutoff in np.unique(distance)[::-1]:
         try:
             num, den = _hard_sets(a, float(cutoff))
         except EmptySideAfterDiscretization:
             continue
-        if candidates and candidates[-1]["size"] == len(num) + len(den):
+        if sets and len(sets[-1][1]) + len(sets[-1][2]) == len(num) + len(den):
             continue
-        candidates.append(candidate(float(cutoff), num, den))
+        sets.append((float(cutoff), num, den))
+    candidates = scored(sets) if sets else []
 
-    if not candidates or all(
-        c["cv_score"] == float("-inf") for c in candidates
-    ):
-        chosen = candidate(float("nan"), *_fallback_sets(a))
-        candidates = [chosen]
+    if all(c["cv_score"] == float("-inf") for c in candidates):
+        candidates = scored([(float("nan"), *_fallback_sets(a))])
+        chosen = candidates[0]
     else:
         best = max(candidates, key=lambda c: c["cv_score"])
         threshold = best["cv_score"] - config.lam * best["cv_se"]

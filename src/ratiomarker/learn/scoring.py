@@ -4,30 +4,30 @@ Folds are a pure function of the RNG, so every learner that draws its folds
 from a seeded generator is reproducible bit for bit. Binary outcomes get
 stratified folds. A candidate's score is the mean out-of-fold AUC (binary)
 or R squared (continuous); folds whose score is undefined (a single-class
-test fold, say) are skipped in the aggregation.
+test fold, say) are skipped in the aggregation, and a candidate that cannot
+be fitted in some fold scores -inf.
 
-`cv_score_values` scores one candidate the direct way: per fold one GLM
-fit on the training rows and one AUC or R squared of beta * z + beta0 on
-the test rows. It is the reference that `score_candidates` must reproduce
-bit for bit.
+`score_candidates` is the one scorer: it scores every column of an n x C
+matrix at once. For a binary outcome with the logistic link, AUC does not
+change under an increasing map, so a fold's AUC depends only on the sign of
+the fitted beta. The penalized profile log-likelihood of beta is concave,
+so that sign is the sign of the score statistic sum((y - mean(y)) * z) on
+the training rows, up to the fitter's tolerance and the ridge. Those
+columns are therefore not fitted: sign * z is ranked on each test fold for
+all columns together and the rank-sum formula of `metrics.auc_score` is
+applied. The other columns are fitted, once per fold in one call of the
+GLM kernel on the training rows, and beta * z + beta0 is scored on the
+test rows: those whose statistic is too close to zero to fix the sign
+against the fitter's tolerance (the fitter stops at beta = 0 on some of
+them, with AUC 0.5), those with non-finite values, every column when a
+training fold lacks a class, and every column of a continuous outcome or
+of another link.
 
-`score_candidates` scores every column of an n x C matrix at once. For a
-binary outcome with the logistic link, AUC does not change under an
-increasing map, so a fold's AUC depends only on the sign of the fitted
-beta. The penalized profile log-likelihood of beta is concave, so that sign
-is the sign of the score statistic sum((y - mean(y)) * z) on the training
-rows, up to the fitter's tolerance and the ridge. The kernel therefore fits
-nothing: it ranks sign * z on each test fold for all columns together and
-applies the rank-sum formula of `metrics.auc_score`, so ties and fold AUCs
-come out exactly as the reference's. The reference scores the columns the
-kernel cannot settle: those whose statistic is too close to zero to fix the
-sign against the fitter's tolerance (the fitter stops at beta = 0 on some
-of them, with AUC 0.5), those with non-finite values, every column when a
-training fold lacks a class, and every column of a continuous outcome.
-
-The two differ in one case only: two distinct test values so close that
-the reference's rounding of beta * z + beta0 makes them equal, which the
-reference ranks as a tie and the kernel does not.
+The reference, `cv_score_values` in `tests/conftest.py`, fits one GLM per
+fold and column. The scorer equals it bit for bit except in one case: two
+distinct test values so close that the reference's rounding of
+beta * z + beta0 makes them equal, which the reference ranks as a tie and
+the sign path does not.
 """
 
 import math
@@ -37,8 +37,7 @@ from scipy.stats import rankdata
 
 from ..composition import Outcome, StrictlyPositiveMatrix
 from ..errors import DimensionMismatch, ValidationError
-from ..glm import ModelSpec, fit_glm
-from ..metrics import auc_score, r2_score
+from ..glm import ModelSpec, _fit_rows
 from .biomarker import LearnerConfig
 
 # How far beyond the fitter's tolerance and ridge the score statistic must
@@ -95,41 +94,6 @@ def _learner_setup(
     return config, spec
 
 
-def cv_score_values(
-    z: np.ndarray,
-    outcome: Outcome,
-    spec: ModelSpec,
-    folds,
-) -> tuple[float, float, list[float]]:
-    """Out-of-fold score of a fixed score vector.
-
-    Returns (mean, standard error, per-fold scores). A candidate whose fit
-    fails in any fold (constant score in training, say) is unusable and
-    scores -inf.
-    """
-    scores = []
-    for train, test in folds:
-        try:
-            fit = fit_glm(z[train], outcome.subset(train), spec)
-        except ValidationError:
-            return float("-inf"), 0.0, []
-        eta = fit.beta * z[test] + fit.beta0
-        if outcome.kind == "binary":
-            scores.append(auc_score(outcome.values[test], eta))
-        else:
-            scores.append(r2_score(outcome.values[test], eta))
-    arr = np.asarray(scores, dtype=float)
-    valid = arr[~np.isnan(arr)]
-    if valid.size == 0:
-        return float("-inf"), 0.0, scores
-    mean = float(valid.mean())
-    if valid.size >= 2:
-        se = float(valid.std(ddof=1) / math.sqrt(valid.size))
-    else:
-        se = 0.0
-    return mean, se, scores
-
-
 def score_candidates(
     Z: np.ndarray,
     outcome: Outcome,
@@ -138,9 +102,8 @@ def score_candidates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Out-of-fold (mean, standard error) of every column of Z (n x C).
 
-    Equal bit for bit to `cv_score_values` applied column by column,
-    including -inf with SE 0 for a column that cannot be fitted in some
-    fold. See the module docstring for how binary outcomes avoid the fits.
+    A column that cannot be fitted in some fold scores -inf with SE 0. See
+    the module docstring for which columns are fitted.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] != outcome.n:
@@ -152,15 +115,16 @@ def score_candidates(
         train.size and 0.0 < y[train].mean() < 1.0 for train, _ in folds
     )
     if not batched:
-        return _score_columns(Z, range(Z.shape[1]), outcome, spec, folds)
+        return _fitted_scores(Z, outcome, spec, folds)
 
-    # Non-finite columns go to the oracle; zeros keep them out of the way.
+    # Non-finite columns are fitted, which rejects them; zeros keep them
+    # out of the way here.
     finite = np.all(np.isfinite(Z), axis=0)
     z_all = Z if finite.all() else np.where(finite, Z, 0.0)
-    by_oracle = ~finite
+    undecided = ~finite
     dead = np.zeros(Z.shape[1], dtype=bool)
-    fold_aucs = []
-    for train, test in folds:
+    scores = np.full((Z.shape[1], len(folds)), np.nan)
+    for f, (train, test) in enumerate(folds):
         z_train = z_all[train]
         y_train = y[train]
         ybar = y_train.mean()
@@ -173,41 +137,74 @@ def score_candidates(
             * (spec.tol + spec.ridge * (1.0 + abs(math.log(ybar / (1.0 - ybar)))))
             * (1.0 + np.maximum(top, -bottom))
         )
-        by_oracle |= np.abs(stat) <= margin
-        y_test = y[test]
-        n_pos = int(np.sum(y_test == 1.0))
-        n_neg = int(np.sum(y_test == 0.0))
-        if n_pos == 0 or n_neg == 0:
-            continue
+        undecided |= np.abs(stat) <= margin
         sign = np.where(stat > 0.0, 1.0, -1.0)
-        ranks = rankdata(z_all[test] * sign, axis=0)
-        rank_sum = ranks[y_test == 1.0].sum(axis=0)
-        fold_aucs.append(
-            (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-        )
-
-    n_cols = Z.shape[1]
-    mean = np.full(n_cols, float("-inf"))
-    se = np.zeros(n_cols)
-    if fold_aucs:
-        # One row per candidate, so each row reduces exactly as the
-        # oracle's 1-D array of fold scores does.
-        aucs = np.ascontiguousarray(np.transpose(fold_aucs))
-        mean = aucs.mean(axis=1)
-        if len(fold_aucs) >= 2:
-            se = aucs.std(axis=1, ddof=1) / math.sqrt(len(fold_aucs))
+        scores[:, f] = _auc_rows((z_all[test] * sign).T, y[test])
     dead &= finite
-    mean[dead] = float("-inf")
-    se[dead] = 0.0
-    oracle = np.flatnonzero(by_oracle & ~dead)
-    if oracle.size:
-        mean[oracle], se[oracle] = _score_columns(Z, oracle, outcome, spec, folds)
+    mean, se = _mean_and_se(scores, dead)
+    to_fit = np.flatnonzero(undecided & ~dead)
+    if to_fit.size:
+        mean[to_fit], se[to_fit] = _fitted_scores(Z[:, to_fit], outcome, spec, folds)
     return mean, se
 
 
-def _score_columns(Z, columns, outcome, spec, folds):
-    """(mean, SE) of the given columns of Z, one `cv_score_values` each."""
-    scored = [cv_score_values(Z[:, c], outcome, spec, folds)[:2] for c in columns]
-    mean = np.array([m for m, _ in scored], dtype=float)
-    se = np.array([s for _, s in scored], dtype=float)
+def _fitted_scores(Z, outcome, spec, folds):
+    """(mean, SE) of every column of Z from one GLM fit per fold: all
+    columns are fitted on the training rows in one kernel call, and
+    beta * z + beta0 is scored on the test rows."""
+    zt = np.ascontiguousarray(Z.T)
+    y = outcome.values
+    dead = np.zeros(len(zt), dtype=bool)
+    scores = np.full((len(zt), len(folds)), np.nan)
+    for f, (train, test) in enumerate(folds):
+        live = np.flatnonzero(~dead)
+        if not live.size:
+            break
+        fits = _fit_rows(zt[np.ix_(live, train)], outcome.subset(train), spec)
+        fitted = np.array([e is None for e in fits.errors], dtype=bool)
+        dead[live[~fitted]] = True
+        live = live[fitted]
+        beta, beta0 = fits.beta[fitted, None], fits.beta0[fitted, None]
+        eta = beta * zt[np.ix_(live, test)] + beta0
+        if outcome.kind == "binary":
+            scores[live, f] = _auc_rows(eta, y[test])
+        else:
+            scores[live, f] = _r2_rows(eta, y[test])
+    return _mean_and_se(scores, dead)
+
+
+def _auc_rows(scores, y):
+    """`metrics.auc_score(y, row)` for every row of scores."""
+    n_pos = int(np.sum(y == 1.0))
+    n_neg = int(np.sum(y == 0.0))
+    if n_pos == 0 or n_neg == 0:
+        return np.nan
+    rank_sum = rankdata(scores, axis=1)[:, y == 1.0].sum(axis=1)
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _r2_rows(predictions, y):
+    """`metrics.r2_score(y, row)` for every row of predictions."""
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    if ss_tot == 0.0:
+        return np.nan
+    return 1.0 - ((y - predictions) ** 2).sum(axis=1) / ss_tot
+
+
+def _mean_and_se(scores, dead):
+    """Mean and standard error of each row of scores (candidates x folds)
+    over its folds that are not NaN, reduced as a 1-D array of those fold
+    scores is; -inf with SE 0 for a dead row or one with no scored fold."""
+    mean = np.full(len(scores), float("-inf"))
+    se = np.zeros(len(scores))
+    scored = ~np.isnan(scores)
+    for pattern in np.unique(scored[~dead], axis=0):
+        k = int(pattern.sum())
+        if k == 0:
+            continue
+        rows = np.flatnonzero(~dead & (scored == pattern).all(axis=1))
+        valid = scores[np.ix_(rows, np.flatnonzero(pattern))]
+        mean[rows] = valid.mean(axis=1)
+        if k >= 2:
+            se[rows] = valid.std(axis=1, ddof=1) / math.sqrt(k)
     return mean, se

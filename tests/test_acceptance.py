@@ -15,6 +15,7 @@ import pytest
 
 import conftest
 import ratiomarker as rm
+from conftest import cv_score_values
 from ratiomarker.composition import (
     Outcome,
     StrictlyPositiveMatrix,
@@ -37,7 +38,7 @@ from ratiomarker.learn.biomarker import (
     evaluate_biomarker,
 )
 from ratiomarker.learn.relaxed import relaxed_loss_and_grad
-from ratiomarker.learn.scoring import cv_score_values, make_folds
+from ratiomarker.learn.scoring import make_folds
 from ratiomarker.learn.stepwise import forward_stepwise_balance
 from ratiomarker.simulate import (
     BiasModel,

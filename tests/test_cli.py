@@ -199,6 +199,39 @@ class TestExitCodes:
     def test_config_value_outside_choices(self, tmp_path):
         assert self.run_with_config(tmp_path, "transform", "transform=alr\n") == 3
 
+    def run_on_simulated(self, tmp_path, command, *argv):
+        sim = simulate_into(tmp_path, n_samples=24, n_features=6)
+        return run(
+            command,
+            "--matrix", str(sim / "observed.tsv"),
+            "--outcome", str(sim / "outcome.tsv"),
+            "--out-dir", str(tmp_path / "o"),
+            *argv,
+        )
+
+    def test_negative_standard_deviation(self, tmp_path, capsys):
+        assert run("simulate", "--log-sd", "-1", "--out-dir", str(tmp_path)) == 3
+        assert "log_sd must be non-negative" in capsys.readouterr().err
+
+    def test_negative_seed(self, tmp_path, capsys):
+        assert self.run_on_simulated(tmp_path, "learn", "--seed", "-5") == 3
+        assert "seed must be non-negative" in capsys.readouterr().err
+
+    def test_alpha_outside_the_unit_interval(self, tmp_path, capsys):
+        assert self.run_on_simulated(tmp_path, "ratios", "--alpha", "2") == 3
+        assert "alpha must be a probability" in capsys.readouterr().err
+
+    def test_nan_learning_rate(self, tmp_path, capsys):
+        rc = self.run_on_simulated(
+            tmp_path, "learn", "--learner", "relaxed", "--learning-rate", "nan"
+        )
+        assert rc == 3
+        assert "learning_rate must be positive" in capsys.readouterr().err
+
+    def test_config_value_outside_its_range(self, tmp_path, capsys):
+        assert self.run_with_config(tmp_path, "simulate", "log_sd=-1\n") == 3
+        assert "log_sd must be non-negative" in capsys.readouterr().err
+
 
 # Small runs of every subcommand whose manifests are replayed as --config.
 # Together they set int, float, bool (--synthetic), nullable float

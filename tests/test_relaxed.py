@@ -8,9 +8,11 @@ selection rule are exercised on planted data.
 import numpy as np
 import pytest
 
+from conftest import column_by_column
 from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
 from ratiomarker.errors import ValidationError
 from ratiomarker.glm import ModelSpec
+from ratiomarker.learn import relaxed
 from ratiomarker.learn.biomarker import LearnerConfig
 from ratiomarker.learn.relaxed import (
     relaxed_gradient_learner,
@@ -241,3 +243,36 @@ class TestIdentityLinkPath:
             LearnerConfig(seed=61), spec=ModelSpec(link="identity"),
         )
         assert a.biomarker == b.biomarker
+
+
+class TestBatchedScoring:
+    """Scoring the whole cutoff sweep in one call must keep the sweep."""
+
+    def assert_same_model(self, monkeypatch, matrix, outcome, config, spec=None):
+        fast = relaxed_gradient_learner(matrix, outcome, config, spec)
+        monkeypatch.setattr(relaxed, "score_candidates", column_by_column)
+        slow = relaxed_gradient_learner(matrix, outcome, config, spec)
+        assert len(fast.diagnostics["cutoffs"]) > 1
+        assert fast.biomarker == slow.biomarker
+        assert fast.cv_score == slow.cv_score
+        assert fast.cv_se == slow.cv_se
+        assert fast.diagnostics == slow.diagnostics
+
+    def test_binary_outcome(self, monkeypatch):
+        sc, obs, out = observed_planted(70)
+        self.assert_same_model(monkeypatch, obs, out, LearnerConfig(seed=70))
+
+    def test_continuous_outcome(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        n, g = 80, 12
+        sc = planted_signal_scenario(n, g, effect=2.0, seed=71)
+        obs = observe(sc, BiasModel.identity(n, g))
+        logs = np.log(obs.values)
+        target = logs[:, 3] - logs[:, 8] + rng.normal(0.0, 0.3, n)
+        self.assert_same_model(
+            monkeypatch,
+            obs,
+            Outcome.continuous(target),
+            LearnerConfig(seed=71),
+            ModelSpec(link="identity"),
+        )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import column_by_column
+from conftest import column_by_column, cv_score_values
 
 from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
 from ratiomarker.errors import DimensionMismatch, ValidationError
@@ -17,7 +17,6 @@ from ratiomarker.learn import (
 )
 from ratiomarker.learn.scoring import (
     check_learnable,
-    cv_score_values,
     make_folds,
     score_candidates,
 )

@@ -8,13 +8,13 @@ folds, take the best. Recovery is checked on planted two-feature signals.
 import numpy as np
 import pytest
 
-from conftest import column_by_column
+from conftest import column_by_column, cv_score_values
 from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
 from ratiomarker.errors import NoImprovingPair
 from ratiomarker.glm import ModelSpec
 from ratiomarker.learn import stepwise
 from ratiomarker.learn.biomarker import LearnerConfig
-from ratiomarker.learn.scoring import cv_score_values, make_folds
+from ratiomarker.learn.scoring import make_folds
 from ratiomarker.learn.stepwise import forward_stepwise_balance
 from ratiomarker.simulate import (
     BiasModel,
