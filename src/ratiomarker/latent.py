@@ -220,56 +220,83 @@ def _init_params(rng, d_in: int, hidden: int, d_out: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+class _MlpWorkspace:
+    """The activations, their gradients and the gradient vector of one
+    `mlp_loss_and_grad` shape, written in place on every call.
+
+    Keeping them for a whole fit makes a training step allocate nothing.
+    An n x d temporary can fall just under the allocator's mmap threshold
+    (200 x 80 doubles is 125 KiB, against glibc's default 128 KiB), and
+    the heap top it leaves is then trimmed and faulted in again on every
+    step.
+    """
+
+    def __init__(self, n: int, d_in: int, hidden: int, d_out: int):
+        self.pre1 = np.empty((n, hidden))
+        self.act1 = np.empty((n, hidden))
+        self.bottleneck = np.empty((n, 1))
+        self.pre3 = np.empty((n, hidden))
+        self.act3 = np.empty((n, hidden))
+        self.resid = np.empty((n, d_out))
+        self.square = np.empty((n, d_out))
+        self.d_hidden = np.empty((n, hidden))
+        self.d_bottleneck = np.empty((n, 1))
+        self.relu = np.empty((n, hidden), dtype=bool)
+        self.grad = np.empty(_param_count(d_in, hidden, d_out))
+
+
 def mlp_loss_and_grad(
-    params: np.ndarray, x: np.ndarray, y: np.ndarray, hidden: int
+    params: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    hidden: int,
+    workspace: _MlpWorkspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean squared reconstruction error and its analytic gradient.
 
     The network is input -> hidden relu -> 1 (linear bottleneck) -> hidden
     relu -> output, all weights and biases flattened into one vector in
-    layer order.
+    layer order. With a workspace the gradient returned is its `grad`,
+    overwritten by the next call; without one, a fresh workspace is made.
     """
     n, d_in = x.shape
     d_out = y.shape[1]
+    ws = _MlpWorkspace(n, d_in, hidden, d_out) if workspace is None else workspace
     (w1, w2, w3, w4), (b1, b2, b3, b4) = _unpack(params, d_in, hidden, d_out)
-
-    pre1 = x @ w1 + b1
-    act1 = np.maximum(pre1, 0.0)
-    bottleneck = act1 @ w2 + b2
-    pre3 = bottleneck @ w3 + b3
-    act3 = np.maximum(pre3, 0.0)
-    out = act3 @ w4 + b4
-    resid = out - y
-    loss = float(np.mean(resid * resid))
-
-    d_out_grad = 2.0 * resid / resid.size
-    g_w4 = act3.T @ d_out_grad
-    g_b4 = d_out_grad.sum(axis=0)
-    d_act3 = d_out_grad @ w4.T
-    d_pre3 = d_act3 * (pre3 > 0.0)
-    g_w3 = bottleneck.T @ d_pre3
-    g_b3 = d_pre3.sum(axis=0)
-    d_bottleneck = d_pre3 @ w3.T
-    g_w2 = act1.T @ d_bottleneck
-    g_b2 = d_bottleneck.sum(axis=0)
-    d_act1 = d_bottleneck @ w2.T
-    d_pre1 = d_act1 * (pre1 > 0.0)
-    g_w1 = x.T @ d_pre1
-    g_b1 = d_pre1.sum(axis=0)
-
-    grad = np.concatenate(
-        [
-            g_w1.ravel(),
-            g_b1,
-            g_w2.ravel(),
-            g_b2,
-            g_w3.ravel(),
-            g_b3,
-            g_w4.ravel(),
-            g_b4,
-        ]
+    (g_w1, g_w2, g_w3, g_w4), (g_b1, g_b2, g_b3, g_b4) = _unpack(
+        ws.grad, d_in, hidden, d_out
     )
-    return loss, grad
+
+    pre1 = np.matmul(x, w1, out=ws.pre1)
+    pre1 += b1
+    act1 = np.maximum(pre1, 0.0, out=ws.act1)
+    bottleneck = np.matmul(act1, w2, out=ws.bottleneck)
+    bottleneck += b2
+    pre3 = np.matmul(bottleneck, w3, out=ws.pre3)
+    pre3 += b3
+    act3 = np.maximum(pre3, 0.0, out=ws.act3)
+    resid = np.matmul(act3, w4, out=ws.resid)
+    resid += b4
+    resid -= y
+    loss = float(np.mean(np.multiply(resid, resid, out=ws.square)))
+
+    d_out_grad = resid
+    d_out_grad *= 2.0
+    d_out_grad /= resid.size
+    np.matmul(act3.T, d_out_grad, out=g_w4)
+    np.sum(d_out_grad, axis=0, out=g_b4)
+    d_pre3 = np.matmul(d_out_grad, w4.T, out=ws.d_hidden)
+    d_pre3 *= np.greater(pre3, 0.0, out=ws.relu)
+    np.matmul(bottleneck.T, d_pre3, out=g_w3)
+    np.sum(d_pre3, axis=0, out=g_b3)
+    d_bottleneck = np.matmul(d_pre3, w3.T, out=ws.d_bottleneck)
+    np.matmul(act1.T, d_bottleneck, out=g_w2)
+    np.sum(d_bottleneck, axis=0, out=g_b2)
+    d_pre1 = np.matmul(d_bottleneck, w2.T, out=ws.d_hidden)
+    d_pre1 *= np.greater(pre1, 0.0, out=ws.relu)
+    np.matmul(x.T, d_pre1, out=g_w1)
+    np.sum(d_pre1, axis=0, out=g_b1)
+    return loss, ws.grad
 
 
 @dataclass
@@ -329,20 +356,39 @@ def encoder_decoder_latent(
     xc = x - x_mean
     yc = y - y_mean
     params = _init_params(rng, x.shape[1], config.hidden_units, y.shape[1])
+    workspace = _MlpWorkspace(
+        x.shape[0], x.shape[1], config.hidden_units, y.shape[1]
+    )
     m = np.zeros_like(params)
     v = np.zeros_like(params)
+    m_hat = np.empty_like(params)
+    v_hat = np.empty_like(params)
     b1, b2, eps = 0.9, 0.999, 1e-8
     loss_curve = np.empty(config.epochs)
-    grad = np.zeros_like(params)
+    # Adam, updated in place; each line keeps the operands and order of
+    # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g and
+    # params -= lr * m_hat / (sqrt(v_hat) + eps), so the bits are those of
+    # the expressions.
     for t in range(1, config.epochs + 1):
-        loss, grad = mlp_loss_and_grad(params, xc, yc, config.hidden_units)
+        loss, grad = mlp_loss_and_grad(
+            params, xc, yc, config.hidden_units, workspace
+        )
         loss_curve[t - 1] = loss
-        m = b1 * m + (1.0 - b1) * grad
-        v = b2 * v + (1.0 - b2) * grad * grad
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        params = params - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-    final_loss, grad = mlp_loss_and_grad(params, xc, yc, config.hidden_units)
+        m *= b1
+        m += np.multiply(grad, 1.0 - b1, out=m_hat)
+        v *= b2
+        np.multiply(grad, 1.0 - b2, out=v_hat)
+        v += np.multiply(v_hat, grad, out=v_hat)
+        np.divide(m, 1.0 - b1**t, out=m_hat)
+        m_hat *= config.learning_rate
+        np.divide(v, 1.0 - b2**t, out=v_hat)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += eps
+        m_hat /= v_hat
+        params -= m_hat
+    final_loss, grad = mlp_loss_and_grad(
+        params, xc, yc, config.hidden_units, workspace
+    )
     converged = float(np.linalg.norm(grad)) <= 1e-3 * (1.0 + final_loss)
     return EncoderDecoderFit(
         params=params,

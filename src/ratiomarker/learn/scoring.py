@@ -14,10 +14,10 @@ the fitted beta. The penalized profile log-likelihood of beta is concave,
 so that sign is the sign of the score statistic sum((y - mean(y)) * z) on
 the training rows, up to the fitter's tolerance and the ridge. Those
 columns are therefore not fitted: sign * z is ranked on each test fold for
-all columns together and the rank-sum formula of `metrics.auc_score` is
-applied. The other columns are fitted, once per fold in one call of the
-GLM kernel on the training rows, and beta * z + beta0 is scored on the
-test rows: those whose statistic is too close to zero to fix the sign
+all columns together with the rank-sum formula of `metrics.auc_score`.
+The other columns are fitted, once per fold in one call of the GLM kernel
+on the training rows, and beta * z + beta0 is scored on the test rows:
+those whose statistic is too close to zero to fix the sign
 against the fitter's tolerance (the fitter stops at beta = 0 on some of
 them, with AUC 0.5), those with non-finite values, every column when a
 training fold lacks a class, and every column of a continuous outcome or
@@ -33,11 +33,11 @@ the sign path does not.
 import math
 
 import numpy as np
-from scipy.stats import rankdata
 
 from ..composition import Outcome, StrictlyPositiveMatrix
 from ..errors import DimensionMismatch, ValidationError
 from ..glm import ModelSpec, _fit_rows
+from ..metrics import _auc_rows
 from .biomarker import LearnerConfig
 
 # How far beyond the fitter's tolerance and ridge the score statistic must
@@ -139,7 +139,7 @@ def score_candidates(
         )
         undecided |= np.abs(stat) <= margin
         sign = np.where(stat > 0.0, 1.0, -1.0)
-        scores[:, f] = _auc_rows((z_all[test] * sign).T, y[test])
+        scores[:, f] = _auc_rows(y[test], (z_all[test] * sign).T)
     dead &= finite
     mean, se = _mean_and_se(scores, dead)
     to_fit = np.flatnonzero(undecided & ~dead)
@@ -167,20 +167,10 @@ def _fitted_scores(Z, outcome, spec, folds):
         beta, beta0 = fits.beta[fitted, None], fits.beta0[fitted, None]
         eta = beta * zt[np.ix_(live, test)] + beta0
         if outcome.kind == "binary":
-            scores[live, f] = _auc_rows(eta, y[test])
+            scores[live, f] = _auc_rows(y[test], eta)
         else:
             scores[live, f] = _r2_rows(eta, y[test])
     return _mean_and_se(scores, dead)
-
-
-def _auc_rows(scores, y):
-    """`metrics.auc_score(y, row)` for every row of scores."""
-    n_pos = int(np.sum(y == 1.0))
-    n_neg = int(np.sum(y == 0.0))
-    if n_pos == 0 or n_neg == 0:
-        return np.nan
-    rank_sum = rankdata(scores, axis=1)[:, y == 1.0].sum(axis=1)
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def _r2_rows(predictions, y):

@@ -1,7 +1,54 @@
 """Scoring helpers: AUC for binary outcomes, R squared for continuous."""
 
 import numpy as np
-from scipy.stats import rankdata
+
+
+def _midranks(a) -> np.ndarray:
+    """1-based ranks along the last axis, each tie group given its mean rank.
+
+    Equals `scipy.stats.rankdata(a, axis=-1)` bit for bit: a slice that
+    holds a NaN is all NaN, and -0.0 ties with 0.0. Midranks are
+    half-integers, so they are exact. Equal values get one midrank
+    whatever order the sort leaves them in, so the sort need not be
+    stable.
+    """
+    a = np.asarray(a, dtype=float)
+    order = np.argsort(a, axis=-1)
+    ordered = np.take_along_axis(a, order, axis=-1)
+    # A tie group starts where the sorted value changes; the start's
+    # 0-based position and the group's size give its midrank.
+    starts = np.ones(a.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    first = np.broadcast_to(np.arange(a.shape[-1]), a.shape)[starts]
+    size = np.diff(np.flatnonzero(starts), append=a.size)
+    ranks = np.empty(a.shape)
+    np.put_along_axis(
+        ranks,
+        order,
+        np.repeat(first + (size + 1) / 2.0, size).reshape(a.shape),
+        axis=-1,
+    )
+    has_nan = np.isnan(a).any(axis=-1, keepdims=True)
+    if has_nan.any():
+        ranks = np.where(has_nan, np.nan, ranks)
+    return ranks
+
+
+def _auc_rows(y, scores):
+    """AUC of every slice of `scores` along its last axis against `y`.
+
+    The rank-sum (Mann-Whitney) form: the probability that a random
+    positive outscores a random negative, counting ties as one half. NaN
+    when either class is absent, and for a slice that holds a NaN.
+    """
+    y = np.asarray(y, dtype=float)
+    positive = y == 1.0
+    n_pos = int(np.sum(positive))
+    n_neg = int(np.sum(y == 0.0))
+    if n_pos == 0 or n_neg == 0:
+        return np.full(np.shape(scores)[:-1], np.nan)
+    rank_sum = _midranks(scores)[..., positive].sum(axis=-1)
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def auc_score(y, scores) -> float:
@@ -11,15 +58,7 @@ def auc_score(y, scores) -> float:
     negative, counting ties as one half. Returns NaN when either class is
     absent.
     """
-    y = np.asarray(y, dtype=float)
-    scores = np.asarray(scores, dtype=float)
-    n_pos = int(np.sum(y == 1.0))
-    n_neg = int(np.sum(y == 0.0))
-    if n_pos == 0 or n_neg == 0:
-        return float("nan")
-    ranks = rankdata(scores)
-    rank_sum = ranks[y == 1.0].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return float(_auc_rows(y, scores))
 
 
 def r2_score(y, predictions) -> float:

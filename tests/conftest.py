@@ -8,16 +8,21 @@ The helpers below are the slow references the package's batched code is
 checked against: `reference_fit` is a scalar two-column GLM fitter written
 with matrix arithmetic, independent of the block kernel in `glm.py`, and
 `cv_score_values` scores one candidate with one `fit_glm` per fold.
+`reference_auc` ranks with `scipy.stats.rankdata`, which the package does
+not import. `reference_mlp_loss_and_grad` and `reference_encoder_decoder`
+train the bottleneck network with a new array for every intermediate.
 """
 
 import math
 
 import numpy as np
 from scipy.special import expit, ndtr, stdtr
+from scipy.stats import rankdata
 
 from ratiomarker.errors import DegenerateDesign, ValidationError
 from ratiomarker.glm import FittedGlm, fit_glm
-from ratiomarker.metrics import auc_score, r2_score
+from ratiomarker.latent import _init_params, _unpack
+from ratiomarker.metrics import r2_score
 
 ACCEPTANCE_LINES = []
 
@@ -144,6 +149,18 @@ def _fit_logistic(x, y, zbar, spec) -> FittedGlm:
     )
 
 
+def reference_auc(y, scores) -> float:
+    """AUC by the rank-sum formula on `scipy.stats.rankdata` midranks;
+    NaN when either class is absent."""
+    y = np.asarray(y, dtype=float)
+    n_pos = int(np.sum(y == 1.0))
+    n_neg = int(np.sum(y == 0.0))
+    if n_pos == 0 or n_neg == 0:
+        return float("nan")
+    rank_sum = rankdata(np.asarray(scores, dtype=float))[y == 1.0].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
 def cv_score_values(z, outcome, spec, folds) -> tuple[float, float, list[float]]:
     """Reference for `score_candidates`: the out-of-fold score of one score
     vector, with one `fit_glm` per fold.
@@ -160,7 +177,7 @@ def cv_score_values(z, outcome, spec, folds) -> tuple[float, float, list[float]]
             return float("-inf"), 0.0, []
         eta = fit.beta * z[test] + fit.beta0
         if outcome.kind == "binary":
-            scores.append(auc_score(outcome.values[test], eta))
+            scores.append(reference_auc(outcome.values[test], eta))
         else:
             scores.append(r2_score(outcome.values[test], eta))
     arr = np.asarray(scores, dtype=float)
@@ -208,6 +225,77 @@ def fit_glm_by_column(blocks, outcome, spec, fit=fit_glm):
             p_value.append(one.p_value)
             notes.append(one.note)
     return np.array(beta, dtype=float), np.array(p_value, dtype=float), notes
+
+
+def reference_mlp_loss_and_grad(params, x, y, hidden, workspace=None):
+    """Reference for `latent.mlp_loss_and_grad`: the same arithmetic in the
+    same order, each intermediate a new array. `workspace` is ignored."""
+    n, d_in = x.shape
+    d_out = y.shape[1]
+    (w1, w2, w3, w4), (b1, b2, b3, b4) = _unpack(params, d_in, hidden, d_out)
+
+    pre1 = x @ w1 + b1
+    act1 = np.maximum(pre1, 0.0)
+    bottleneck = act1 @ w2 + b2
+    pre3 = bottleneck @ w3 + b3
+    act3 = np.maximum(pre3, 0.0)
+    out = act3 @ w4 + b4
+    resid = out - y
+    loss = float(np.mean(resid * resid))
+
+    d_out_grad = 2.0 * resid / resid.size
+    g_w4 = act3.T @ d_out_grad
+    g_b4 = d_out_grad.sum(axis=0)
+    d_act3 = d_out_grad @ w4.T
+    d_pre3 = d_act3 * (pre3 > 0.0)
+    g_w3 = bottleneck.T @ d_pre3
+    g_b3 = d_pre3.sum(axis=0)
+    d_bottleneck = d_pre3 @ w3.T
+    g_w2 = act1.T @ d_bottleneck
+    g_b2 = d_bottleneck.sum(axis=0)
+    d_act1 = d_bottleneck @ w2.T
+    d_pre1 = d_act1 * (pre1 > 0.0)
+    g_w1 = x.T @ d_pre1
+    g_b1 = d_pre1.sum(axis=0)
+
+    grad = np.concatenate(
+        [
+            g_w1.ravel(),
+            g_b1,
+            g_w2.ravel(),
+            g_b2,
+            g_w3.ravel(),
+            g_b3,
+            g_w4.ravel(),
+            g_b4,
+        ]
+    )
+    return loss, grad
+
+
+def reference_encoder_decoder(x, y, config):
+    """Reference for `latent.encoder_decoder_latent` on finite 2-d x and y:
+    (params, loss_curve, final_loss) of Adam written as whole-array
+    expressions over `reference_mlp_loss_and_grad`."""
+    rng = np.random.default_rng(config.seed)
+    xc = x - x.mean(axis=0, keepdims=True)
+    yc = y - y.mean(axis=0, keepdims=True)
+    hidden = config.hidden_units
+    params = _init_params(rng, x.shape[1], hidden, y.shape[1])
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    loss_curve = np.empty(config.epochs)
+    for t in range(1, config.epochs + 1):
+        loss, grad = reference_mlp_loss_and_grad(params, xc, yc, hidden)
+        loss_curve[t - 1] = loss
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * grad * grad
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        params = params - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    final_loss, _ = reference_mlp_loss_and_grad(params, xc, yc, hidden)
+    return params, loss_curve, final_loss
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -6,14 +6,19 @@ wrote. Nothing here shells out; `main` returns the exit code directly.
 
 import hashlib
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import fit_glm_by_column
 
 from ratiomarker import glm
-from ratiomarker.cli import main
+from ratiomarker.cli import _COMMANDS, main
 from ratiomarker.composition import (
     StrictlyPositiveMatrix,
     apply_zero_policy,
@@ -231,6 +236,120 @@ class TestExitCodes:
     def test_config_value_outside_its_range(self, tmp_path, capsys):
         assert self.run_with_config(tmp_path, "simulate", "log_sd=-1\n") == 3
         assert "log_sd must be non-negative" in capsys.readouterr().err
+
+
+# Small, quick runs of every subcommand, with each learner and each latent
+# method drawn in; the fuzz below breaks one option value or one input cell
+# of one of them.
+FUZZ_ARGS = {
+    "transform": ["--matrix", "{sim}/observed.tsv", "--transform", "pairwise"],
+    "daa": ["--matrix", "{sim}/observed.tsv", "--outcome", "{sim}/outcome.tsv"],
+    "ratios": ["--matrix", "{sim}/observed.tsv", "--outcome", "{sim}/outcome.tsv"],
+    "learn": [
+        "--matrix", "{sim}/observed.tsv",
+        "--outcome", "{sim}/outcome.tsv",
+        "--learner", "{learner}",
+        "--epochs", "20",
+        "--population", "6",
+        "--generations", "2",
+        "--cv-folds", "3",
+    ],
+    "simulate": ["--n-samples", "20", "--n-features", "6"],
+    "approx": [
+        "--matrix", "{sim}/observed.tsv",
+        "--matrix2", "{sim2}/observed.tsv",
+        "--latent", "{latent}",
+        "--epochs", "20",
+        "--nn-epochs", "10",
+        "--hidden-units", "4",
+        "--cv-folds", "3",
+    ],
+    "benchmark": [
+        "--synthetic",
+        "--n-samples", "30",
+        "--g-t", "6",
+        "--g-u", "8",
+        "--epochs", "20",
+        "--nn-epochs", "10",
+        "--hidden-units", "4",
+        "--cv-folds", "3",
+    ],
+}
+DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
+# Out-of-range, extreme, non-finite or unparsable values. No int is large:
+# a large in-range count (say --n-samples 1000000000) would ask for a huge
+# simulation.
+BAD_INTS = ["0", "-1", "-2147483648", "1.5", "nan"]
+BAD_FLOATS = ["nan", "inf", "-inf", "-1", "0", "1e308", "-1e308", "x"]
+BAD_CELLS = ["", "abc", "nan", "inf", "-inf", "-1", "1e999", "0", "1,5", " "]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    return {
+        "sim": simulate_into(root, n_samples=24, n_features=6, seed=1),
+        "sim2": simulate_into(root, "sim2", n_samples=24, n_features=5, seed=2),
+    }
+
+
+def break_one_cell(path: Path, data):
+    lines = path.read_text().splitlines()
+    row = data.draw(st.integers(1, len(lines) - 1), label="row")
+    cells = lines[row].split("\t")
+    col = data.draw(st.integers(1, len(cells) - 1), label="column")
+    cells[col] = data.draw(st.sampled_from(BAD_CELLS), label="cell")
+    lines[row] = "\t".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestExitCodeContract:
+    """Generated bad input never escapes `main` as an exception: every run
+    ends in a documented exit code (argparse's own exit is code 2)."""
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_bad_values_and_cells_end_in_a_documented_code(self, fuzz_inputs, data):
+        command = data.draw(st.sampled_from(sorted(FUZZ_ARGS)), label="command")
+        template = " ".join(FUZZ_ARGS[command])
+        files = [
+            (key, name)
+            for key in ("sim", "sim2")
+            for name in ("observed.tsv", "outcome.tsv")
+            if f"{{{key}}}/{name}" in template
+        ]
+        learner = data.draw(st.sampled_from(["stepwise", "relaxed", "evolutionary"]))
+        latent = data.draw(st.sampled_from(["pca", "pls", "nn"]))
+        with tempfile.TemporaryDirectory() as work:
+            dirs = dict(fuzz_inputs)
+            extra = []
+            if files and data.draw(st.booleans(), label="break a cell"):
+                key, name = data.draw(st.sampled_from(files), label="file")
+                dirs[key] = Path(work) / key
+                shutil.copytree(fuzz_inputs[key], dirs[key])
+                break_one_cell(dirs[key] / name, data)
+            else:
+                numeric = [
+                    opt for opt in _COMMANDS[command][3] if opt.type in (int, float)
+                ]
+                opt = data.draw(st.sampled_from(numeric), label="option")
+                bad = BAD_INTS if opt.type is int else BAD_FLOATS
+                extra = [opt.flag, data.draw(st.sampled_from(bad), label="value")]
+            argv = [
+                a.format(learner=learner, latent=latent, **dirs)
+                for a in FUZZ_ARGS[command]
+            ]
+            try:
+                code = main(
+                    [command, *argv, *extra, "--out-dir", str(Path(work) / "out")]
+                )
+            except SystemExit as exc:
+                code = exc.code
+        assert code in DOCUMENTED_EXIT_CODES
 
 
 # Small runs of every subcommand whose manifests are replayed as --config.

@@ -3,12 +3,17 @@
 PCA is checked against an eigendecomposition of the covariance matrix done
 here from scratch. PLS is checked against the dominant singular direction
 of the cross-covariance, which the one-component iteration must find. The
-network gradient is checked against central finite differences.
+network gradient is checked against central finite differences, and the
+in-place gradient and training loop against the allocating references in
+`conftest.py`, byte for byte.
 """
 
 import numpy as np
 import pytest
 
+from conftest import reference_encoder_decoder, reference_mlp_loss_and_grad
+
+from ratiomarker import latent
 from ratiomarker.composition import StrictlyPositiveMatrix, clr_transform
 from ratiomarker.errors import (
     DimensionMismatch,
@@ -28,7 +33,7 @@ from ratiomarker.latent import (
     pls_first_component,
     variance_explained,
 )
-from ratiomarker.latent import _init_params, _param_count
+from ratiomarker.latent import _init_params, _MlpWorkspace, _param_count
 
 
 def pca_oracle(x):
@@ -166,6 +171,72 @@ class TestMlpGradient:
         b = _init_params(np.random.default_rng(5), 4, 3, 2)
         np.testing.assert_array_equal(a, b)
         assert a.size == _param_count(4, 3, 2)
+
+
+# (n, d_in, hidden, d_out): d_in != d_out, the benchmark's d = 80 (a 200 x 80
+# residual is just under glibc's 128 KiB mmap threshold), and one hidden unit.
+MLP_SHAPES = [(9, 4, 3, 6), (200, 50, 32, 80), (12, 5, 1, 5), (30, 80, 8, 2)]
+
+
+class TestInPlaceMlp:
+    @pytest.mark.parametrize("shape", MLP_SHAPES)
+    def test_gradient_equals_the_reference_bytes(self, shape):
+        n, d_in, hidden, d_out = shape
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(0.0, 1.0, (n, d_in))
+        y = rng.normal(0.0, 1.0, (n, d_out))
+        workspace = _MlpWorkspace(n, d_in, hidden, d_out)
+        for _ in range(3):
+            params = rng.normal(0.0, 0.7, _param_count(d_in, hidden, d_out))
+            want_loss, want_grad = reference_mlp_loss_and_grad(params, x, y, hidden)
+            loss, grad = mlp_loss_and_grad(params, x, y, hidden)
+            assert loss == want_loss
+            assert grad.tobytes() == want_grad.tobytes()
+            # Reusing one workspace leaves nothing of the previous call.
+            loss, grad = mlp_loss_and_grad(params, x, y, hidden, workspace)
+            assert loss == want_loss
+            assert grad.tobytes() == want_grad.tobytes()
+            assert grad is workspace.grad
+
+    def test_call_without_workspace_returns_a_fresh_gradient(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(0.0, 1.0, (6, 3))
+        y = rng.normal(0.0, 1.0, (6, 2))
+        params = rng.normal(0.0, 0.7, _param_count(3, 2, 2))
+        _, first = mlp_loss_and_grad(params, x, y, 2)
+        kept = first.copy()
+        _, second = mlp_loss_and_grad(params * 2.0, x, y, 2)
+        assert first is not second
+        np.testing.assert_array_equal(first, kept)
+
+    @pytest.mark.parametrize("shape", MLP_SHAPES)
+    def test_fit_equals_the_reference_bytes(self, shape):
+        n, d_in, hidden, d_out = shape
+        rng = np.random.default_rng(100 + sum(shape))
+        x = rng.normal(0.0, 1.0, (n, d_in))
+        y = x[:, :1] @ rng.normal(0.0, 1.0, (1, d_out)) + rng.normal(
+            0.0, 0.1, (n, d_out)
+        )
+        config = EncoderDecoderConfig(
+            hidden_units=hidden, epochs=40, learning_rate=0.05, seed=sum(shape)
+        )
+        fit = encoder_decoder_latent(x, y, config)
+        params, loss_curve, final_loss = reference_encoder_decoder(x, y, config)
+        assert fit.params.tobytes() == params.tobytes()
+        assert fit.loss_curve.tobytes() == loss_curve.tobytes()
+        assert fit.final_loss == final_loss
+
+    def test_training_calls_the_module_level_gradient(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args))
+            return reference_mlp_loss_and_grad(*args)
+
+        monkeypatch.setattr(latent, "mlp_loss_and_grad", counted)
+        x, y, _ = shared_factor_pair(44, n=20)
+        encoder_decoder_latent(x, y, EncoderDecoderConfig(epochs=7, seed=44))
+        assert len(calls) == 8
 
 
 class TestEncoderDecoder:

@@ -1,0 +1,79 @@
+"""The midrank kernel and the AUC built on it, against scipy.
+
+`metrics._midranks` replaces `scipy.stats.rankdata` in the package; these
+properties require its bytes to equal scipy's on 1-D and 2-D inputs of every
+width, with heavy ties, signed zeros, infinities and NaN.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.stats import rankdata
+
+from conftest import reference_auc
+
+from ratiomarker.metrics import _auc_rows, _midranks, auc_score
+
+# Few distinct values make heavy ties; -0.0 and 0.0 must tie.
+TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf])
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, width=64)
+ELEMENTS = st.one_of(TIED, ANY_FLOAT)
+
+
+def arrays(ndim):
+    shape = hnp.array_shapes(min_dims=ndim, max_dims=ndim, min_side=1, max_side=12)
+    return hnp.arrays(np.float64, shape, elements=ELEMENTS)
+
+
+def same_bytes(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and (
+        got.tobytes() == want.tobytes()
+    )
+
+
+class TestMidranks:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(1))
+    def test_one_dimensional_equals_scipy(self, a):
+        assert same_bytes(_midranks(a), rankdata(a))
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(2))
+    def test_each_row_equals_scipy(self, a):
+        assert same_bytes(_midranks(a), rankdata(a, axis=-1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(2), st.data())
+    def test_a_nan_blanks_only_its_row(self, a, data):
+        row = data.draw(st.integers(0, a.shape[0] - 1))
+        col = data.draw(st.integers(0, a.shape[1] - 1))
+        a[row, col] = np.nan
+        got = _midranks(a)
+        assert np.isnan(got[row]).all()
+        assert same_bytes(got, rankdata(a, axis=-1))
+
+    def test_ties_get_their_mean_rank(self):
+        got = _midranks(np.array([3.0, -0.0, 1.0, 0.0, 3.0, 3.0, -np.inf]))
+        np.testing.assert_array_equal(got, [6.0, 2.5, 4.0, 2.5, 6.0, 6.0, 1.0])
+
+
+class TestAuc:
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(2), st.data())
+    def test_rows_equal_the_scipy_reference(self, scores, data):
+        width = scores.shape[1]
+        y = np.array(
+            data.draw(
+                st.lists(st.sampled_from([0.0, 1.0]), min_size=width, max_size=width)
+            )
+        )
+        got = _auc_rows(y, scores)
+        want = np.array([reference_auc(y, row) for row in scores])
+        assert same_bytes(got, want)
+        assert same_bytes(np.array([auc_score(y, row) for row in scores]), want)
+
+    def test_absent_class_and_nan_scores_give_nan(self):
+        assert np.isnan(auc_score(np.zeros(4), np.arange(4.0)))
+        assert np.isnan(auc_score([0.0, 1.0, 1.0], [0.2, np.nan, 0.9]))
+        assert np.isnan(_auc_rows(np.ones(3), np.ones((2, 3)))).all()
