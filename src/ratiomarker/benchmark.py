@@ -26,6 +26,7 @@ from .latent import (
     variance_explained,
 )
 from .learn.biomarker import LearnerConfig
+from .parallel import ordered_map
 
 
 @dataclass
@@ -102,7 +103,13 @@ def run_benchmark(
     nn_config: EncoderDecoderConfig | None = None,
     mode: str = "balance",
 ) -> list[BenchmarkRow]:
-    """The 12-row latent-vs-RBB comparison table."""
+    """The 12-row latent-vs-RBB comparison table.
+
+    The rows are independent, so they run through `ordered_map`, on every
+    CPU in the process's affinity mask. Each row fits its own latent and
+    draws its learner seed from its index, so the rows equal those of a
+    one-CPU run (`taskset -c 0` keeps the table to one core).
+    """
     if config is None:
         config = LearnerConfig()
     if nn_config is None:
@@ -110,64 +117,49 @@ def run_benchmark(
     clr = {"T": clr_transform(pair.t), "U": clr_transform(pair.u)}
     matrices = {"T": pair.t, "U": pair.u}
 
-    cache: dict[str, object] = {}
+    # Each row fits its own latent: a fit returns the latent score
+    # and the network that decodes it (None to decode by least squares).
+    def pca(label):
+        return lambda: (pca_first_component(clr[label], source=label)[0], None)
 
-    def pca(label: str):
-        key = f"pca:{label}"
-        if key not in cache:
-            cache[key] = pca_first_component(clr[label], source=label)
-        return cache[key]
+    def pls(side):
+        def fit():
+            pls_fit = pls_first_component(clr["T"], clr["U"], source="T,U")
+            return (pls_fit.x_scores if side == "T" else pls_fit.y_scores), None
 
-    def pls():
-        if "pls" not in cache:
-            cache["pls"] = pls_first_component(
-                clr["T"], clr["U"], source="T,U"
-            )
-        return cache["pls"]
+        return fit
 
-    def cross_network(src: str, dst: str):
-        key = f"nn:{src}:{dst}"
-        if key not in cache:
-            cache[key] = encoder_decoder_latent(
+    def nn(src, dst):
+        def fit():
+            network = encoder_decoder_latent(
                 clr[src], clr[dst], nn_config, source=src
             )
-        return cache[key]
+            return network.encode(clr[src]), network
 
-    def pca_latent(label):
-        return lambda: pca(label)[0]
+        return fit
 
-    def pls_latent(side):
-        return lambda: pls().x_scores if side == "T" else pls().y_scores
-
-    def nn_latent(src, dst):
-        return lambda: cross_network(src, dst).encode(clr[src])
-
-    def nn_decoder(src, dst):
-        return lambda: cross_network(src, dst)
-
-    # (objective, method, latent label, latent getter, target label,
-    #  rbb source label, decoder)
+    # (objective, method, latent label, latent fit, target label,
+    #  rbb source label)
     rows_spec = [
-        ("dimension_reduction", "pca", "PCA1(clr T)", pca_latent("T"), "T", "T", None),
-        ("dimension_reduction", "pca", "PCA1(clr U)", pca_latent("U"), "U", "U", None),
-        ("dimension_reduction", "pls", "PLS1 t(clr T, clr U)", pls_latent("T"), "T", "T", None),
-        ("dimension_reduction", "pls", "PLS1 u(clr T, clr U)", pls_latent("U"), "U", "U", None),
-        ("dimension_reduction", "nn", "NN(T>h>T)", nn_latent("T", "T"), "T", "T", nn_decoder("T", "T")),
-        ("dimension_reduction", "nn", "NN(U>h>U)", nn_latent("U", "U"), "U", "U", nn_decoder("U", "U")),
-        ("integration", "pca", "PCA1(clr T)", pca_latent("T"), "T", "U", None),
-        ("integration", "pca", "PCA1(clr U)", pca_latent("U"), "U", "T", None),
-        ("integration", "pls", "PLS1 t(clr T, clr U)", pls_latent("T"), "T", "U", None),
-        ("integration", "pls", "PLS1 u(clr T, clr U)", pls_latent("U"), "U", "T", None),
-        ("integration", "nn", "NN(T>h>U)", nn_latent("T", "U"), "U", "T", nn_decoder("T", "U")),
-        ("integration", "nn", "NN(U>h>T)", nn_latent("U", "T"), "T", "U", nn_decoder("U", "T")),
+        ("dimension_reduction", "pca", "PCA1(clr T)", pca("T"), "T", "T"),
+        ("dimension_reduction", "pca", "PCA1(clr U)", pca("U"), "U", "U"),
+        ("dimension_reduction", "pls", "PLS1 t(clr T, clr U)", pls("T"), "T", "T"),
+        ("dimension_reduction", "pls", "PLS1 u(clr T, clr U)", pls("U"), "U", "U"),
+        ("dimension_reduction", "nn", "NN(T>h>T)", nn("T", "T"), "T", "T"),
+        ("dimension_reduction", "nn", "NN(U>h>U)", nn("U", "U"), "U", "U"),
+        ("integration", "pca", "PCA1(clr T)", pca("T"), "T", "U"),
+        ("integration", "pca", "PCA1(clr U)", pca("U"), "U", "T"),
+        ("integration", "pls", "PLS1 t(clr T, clr U)", pls("T"), "T", "U"),
+        ("integration", "pls", "PLS1 u(clr T, clr U)", pls("U"), "U", "T"),
+        ("integration", "nn", "NN(T>h>U)", nn("T", "U"), "U", "T"),
+        ("integration", "nn", "NN(U>h>T)", nn("U", "T"), "T", "U"),
     ]
 
-    rows = []
-    for i, (objective, method, label, latent_getter, target_label, source_label, decoder_getter) in enumerate(rows_spec):
+    def evaluate(i: int) -> BenchmarkRow:
+        objective, method, label, fit_latent, target_label, source_label = rows_spec[i]
         target = clr[target_label]
         try:
-            latent = latent_getter()
-            network = None if decoder_getter is None else decoder_getter()
+            latent, network = fit_latent()
             original_r2 = _reconstruction_r2(target, latent.scores, network)
             approx = approximate_latent_with_rbb(
                 latent,
@@ -189,16 +181,15 @@ def run_benchmark(
                 rbb_r2=float("nan"),
                 error=str(exc),
             )
-        rows.append(
-            BenchmarkRow(
-                objective=objective,
-                method=method,
-                latent=label,
-                rbb_source=source_label,
-                **result,
-            )
+        return BenchmarkRow(
+            objective=objective,
+            method=method,
+            latent=label,
+            rbb_source=source_label,
+            **result,
         )
-    return rows
+
+    return list(ordered_map(evaluate, range(len(rows_spec))))
 
 
 def benchmark_table(rows: list[BenchmarkRow]) -> str:

@@ -338,8 +338,13 @@ def _cmd_transform(config: dict, out: Callable[[str], Path]):
         ids = positive.feature_ids
         jj, kk = np.triu_indices(positive.n_features, k=1)
         labels = [f"{ids[j]}/{ids[k]}" for j, k in zip(jj.tolist(), kk.tolist())]
-        rows = (logs[jj] - logs[kk] for logs in np.log(positive.values))
-        write_table(out("pairwise.tsv"), positive.sample_ids, labels, rows)
+        logs = np.log(positive.values)
+        write_table(
+            out("pairwise.tsv"),
+            positive.sample_ids,
+            labels,
+            lambda i: logs[i][jj] - logs[i][kk],
+        )
 
 
 def _cmd_daa(config: dict, out: Callable[[str], Path]):

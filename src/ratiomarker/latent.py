@@ -342,7 +342,8 @@ def encoder_decoder_latent(
 
     Data are column-centered internally; `decode` adds the target means
     back. Training is deterministic given the seed. Non-convergence is
-    reported on the fit (converged flag plus final loss), not raised.
+    reported on the fit (converged flag plus final loss), not raised;
+    training that overflows to non-finite weights raises ValidationError.
     """
     if config is None:
         config = EncoderDecoderConfig()
@@ -365,30 +366,37 @@ def encoder_decoder_latent(
     v_hat = np.empty_like(params)
     b1, b2, eps = 0.9, 0.999, 1e-8
     loss_curve = np.empty(config.epochs)
-    # Adam, updated in place; each line keeps the operands and order of
-    # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g and
-    # params -= lr * m_hat / (sqrt(v_hat) + eps), so the bits are those of
-    # the expressions.
-    for t in range(1, config.epochs + 1):
-        loss, grad = mlp_loss_and_grad(
+    # A step size too large for the data overflows the weights; that is
+    # reported once, as the error below, not as numpy warnings.
+    with np.errstate(all="ignore"):
+        # Adam, updated in place; each line keeps the operands and order of
+        # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g and
+        # params -= lr * m_hat / (sqrt(v_hat) + eps), so the bits are those of
+        # the expressions.
+        for t in range(1, config.epochs + 1):
+            loss, grad = mlp_loss_and_grad(
+                params, xc, yc, config.hidden_units, workspace
+            )
+            loss_curve[t - 1] = loss
+            m *= b1
+            m += np.multiply(grad, 1.0 - b1, out=m_hat)
+            v *= b2
+            np.multiply(grad, 1.0 - b2, out=v_hat)
+            v += np.multiply(v_hat, grad, out=v_hat)
+            np.divide(m, 1.0 - b1**t, out=m_hat)
+            m_hat *= config.learning_rate
+            np.divide(v, 1.0 - b2**t, out=v_hat)
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += eps
+            m_hat /= v_hat
+            params -= m_hat
+        final_loss, grad = mlp_loss_and_grad(
             params, xc, yc, config.hidden_units, workspace
         )
-        loss_curve[t - 1] = loss
-        m *= b1
-        m += np.multiply(grad, 1.0 - b1, out=m_hat)
-        v *= b2
-        np.multiply(grad, 1.0 - b2, out=v_hat)
-        v += np.multiply(v_hat, grad, out=v_hat)
-        np.divide(m, 1.0 - b1**t, out=m_hat)
-        m_hat *= config.learning_rate
-        np.divide(v, 1.0 - b2**t, out=v_hat)
-        np.sqrt(v_hat, out=v_hat)
-        v_hat += eps
-        m_hat /= v_hat
-        params -= m_hat
-    final_loss, grad = mlp_loss_and_grad(
-        params, xc, yc, config.hidden_units, workspace
-    )
+    if not (np.all(np.isfinite(params)) and np.isfinite(final_loss)):
+        raise ValidationError(
+            "network training diverged; lower the network learning rate"
+        )
     converged = float(np.linalg.norm(grad)) <= 1e-3 * (1.0 + final_loss)
     return EncoderDecoderFit(
         params=params,

@@ -202,8 +202,14 @@ def planted_signal_scenario(
     group[n_samples // 2 :] = 1
     log_abund[group == 1, num] += effect / 2.0
     log_abund[group == 1, den] -= effect / 2.0
+    with np.errstate(over="ignore"):
+        true_abundances = np.exp(log_abund)
+    if not np.all(np.isfinite(true_abundances) & (true_abundances > 0.0)):
+        raise ValidationError(
+            "true abundances overflow float64; lower effect or log_sd"
+        )
     return GroundTruthScenario(
-        true_abundances=np.exp(log_abund),
+        true_abundances=true_abundances,
         group=group,
         planted=RatioBiomarker((int(num),), (int(den),), "balance"),
         planted_effect=effect,

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .composition import CompositionMatrix, Outcome
+from .composition import CompositionMatrix, Outcome, _column_blocks
 from .errors import ParseError, ValidationError
+from .parallel import ordered_map
 
 
 def _detect_delimiter(header_line: str) -> str:
@@ -91,14 +92,34 @@ def read_matrix(path) -> CompositionMatrix:
 
 
 def write_table(path, row_ids, col_ids, values, corner="sample_id", delimiter="\t"):
-    """Write a labelled table row by row; floats are written with full repr
-    precision. `values` is a 2-d array or any iterable of 1-d rows, so a
-    caller can build each row as it is written."""
+    """Write a labelled table; floats are written with full repr precision.
+
+    `values` is a 2-d array, any iterable of 1-d rows, or a function from a
+    row index to its row, so a caller can build each row only when it is
+    written. Rows are formatted in blocks of at most `_BLOCK_ELEMENTS`
+    values (at least one row each) through `ordered_map`: a table of more
+    than one block is formatted on every CPU in the process's affinity
+    mask, into the bytes a one-CPU run writes (`taskset -c 0` keeps it to
+    one core).
+    """
+    header = [corner, *[str(c) for c in col_ids]]
+    row_ids = [str(r) for r in row_ids]
+    row = values if callable(values) else list(values).__getitem__
+
+    def format_rows(block: slice) -> str:
+        lines = []
+        for i in range(len(row_ids))[block]:
+            cells = np.asarray(row(i), dtype=float).tolist()
+            lines.append(delimiter.join([row_ids[i], *map(repr, cells)]) + "\n")
+        return "".join(lines)
+
+    # Row slices of at most `_BLOCK_ELEMENTS` values each: the column
+    # blocks of the transposed table.
+    blocks = _column_blocks(max(1, len(header) - 1), len(row_ids))
     with _atomic_writer(path) as f:
-        f.write(delimiter.join([corner, *[str(c) for c in col_ids]]) + "\n")
-        for rid, row in zip(row_ids, values):
-            cells = np.asarray(row, dtype=float).tolist()
-            f.write(delimiter.join([str(rid), *map(repr, cells)]) + "\n")
+        f.write(delimiter.join(header) + "\n")
+        for text in ordered_map(format_rows, blocks):
+            f.write(text)
 
 
 def write_matrix(path, matrix: CompositionMatrix, delimiter="\t"):

@@ -11,20 +11,45 @@ with matrix arithmetic, independent of the block kernel in `glm.py`, and
 `reference_auc` ranks with `scipy.stats.rankdata`, which the package does
 not import. `reference_mlp_loss_and_grad` and `reference_encoder_decoder`
 train the bottleneck network with a new array for every intermediate.
+
+The `cpus` fixture makes `ordered_map` see one CPU or two, whatever the
+machine has, so the serial path and the process-pool path both run on any
+runner; with one CPU it also fails the test if a pool is started.
 """
 
 import math
+import multiprocessing.pool
 
 import numpy as np
+import pytest
 from scipy.special import expit, ndtr, stdtr
 from scipy.stats import rankdata
 
+from ratiomarker import parallel
 from ratiomarker.errors import DegenerateDesign, ValidationError
 from ratiomarker.glm import FittedGlm, fit_glm
 from ratiomarker.latent import _init_params, _unpack
 from ratiomarker.metrics import r2_score
 
 ACCEPTANCE_LINES = []
+
+
+@pytest.fixture
+def forbid_pool(monkeypatch):
+    """Fail the test if anything starts a process pool."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", refuse)
+
+
+@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
+def cpus(request, monkeypatch):
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: request.param)
+    if request.param == 1:
+        request.getfixturevalue("forbid_pool")
+    return request.param
 
 
 def reference_fit(z, outcome, spec) -> FittedGlm:

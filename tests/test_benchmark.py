@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ratiomarker import parallel
 from ratiomarker.benchmark import (
     BenchmarkRow,
     benchmark_table,
@@ -21,6 +22,18 @@ def small_pair(seed=0):
     return synthetic_omics_pair(
         n_samples=60, g_t=12, g_u=16, seed=seed, noise_sd=0.3
     )
+
+
+def flat_t_pair():
+    """A constant T block: ten of the twelve rows fail, with four messages."""
+    n = 30
+    flat = StrictlyPositiveMatrix(
+        np.ones((n, 6)),
+        [f"s{i + 1}" for i in range(n)],
+        [f"t{j + 1}" for j in range(6)],
+    )
+    live = synthetic_omics_pair(n_samples=n, g_t=6, g_u=10, seed=3).u
+    return OmicsPair(t=flat, u=live)
 
 
 @pytest.fixture(scope="module")
@@ -102,17 +115,8 @@ class TestRunBenchmark:
 
 class TestErrorIsolation:
     def test_degenerate_block_fails_row_by_row(self):
-        n = 30
-        flat = StrictlyPositiveMatrix(
-            np.ones((n, 6)),
-            [f"s{i + 1}" for i in range(n)],
-            [f"t{j + 1}" for j in range(6)],
-        )
-        live = synthetic_omics_pair(n_samples=n, g_t=6, g_u=10, seed=3).u
         rows = run_benchmark(
-            OmicsPair(t=flat, u=live),
-            config=SMALL_LEARN,
-            nn_config=SMALL_NN,
+            flat_t_pair(), config=SMALL_LEARN, nn_config=SMALL_NN
         )
         assert len(rows) == 12
         bad = [r for r in rows if r.error]
@@ -125,6 +129,22 @@ class TestErrorIsolation:
         # PCA on the live block is untouched by the failure next door.
         assert rows[1].error == ""
         assert np.isfinite(rows[1].rbb_r2)
+
+
+class TestRowsOnEveryCpu:
+    """Rows run in the process pool equal the rows of a serial run, bit for
+    bit, NaNs and error messages included."""
+
+    @pytest.mark.parametrize("make_pair", [small_pair, flat_t_pair])
+    def test_rows_equal_the_serial_rows(self, cpus, make_pair):
+        got = run_benchmark(make_pair(), config=SMALL_LEARN, nn_config=SMALL_NN)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel, "_cpu_count", lambda: 1)
+            serial = run_benchmark(
+                make_pair(), config=SMALL_LEARN, nn_config=SMALL_NN
+            )
+        # repr writes every float exactly, and NaN equal to NaN.
+        assert repr(got) == repr(serial)
 
 
 class TestTableRendering:

@@ -6,8 +6,10 @@ wrote. Nothing here shells out; `main` returns the exit code directly.
 
 import hashlib
 import json
+import multiprocessing
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import fit_glm_by_column
 
-from ratiomarker import glm
+from ratiomarker import composition, glm, parallel
 from ratiomarker.cli import _COMMANDS, main
 from ratiomarker.composition import (
     StrictlyPositiveMatrix,
@@ -120,6 +122,53 @@ class TestTransform:
         assert (out / "pairwise.tsv").read_bytes() == (
             tmp_path / "whole.tsv"
         ).read_bytes()
+
+    # G = 6 gives 15 ratios a row. 45 values make blocks of three rows,
+    # the last one short; 8 values are fewer than one row holds.
+    @pytest.mark.parametrize(
+        "n_samples, block_elements",
+        [(1, 45), (10, 45), (4, 8)],
+        ids=["one-row", "short-last-block", "row-wider-than-block"],
+    )
+    def test_pairwise_bytes_equal_the_serial_run(
+        self, tmp_path, cpus, monkeypatch, n_samples, block_elements
+    ):
+        rng = np.random.default_rng(n_samples)
+        values = np.exp(rng.normal(0.0, 1.0, (n_samples, 6)))
+        ids = [f"s{i + 1}" for i in range(n_samples)]
+        matrix = tmp_path / "m.tsv"
+        matrix.write_text(
+            "sample_id\t" + "\t".join(f"g{j + 1}" for j in range(6)) + "\n"
+            + "".join(
+                "\t".join([sid, *map(repr, row.tolist())]) + "\n"
+                for sid, row in zip(ids, values)
+            )
+        )
+        monkeypatch.setattr(composition, "_BLOCK_ELEMENTS", block_elements)
+        outputs = []
+        for count in (cpus, 1):
+            monkeypatch.setattr(parallel, "_cpu_count", lambda: count)
+            out = tmp_path / f"cpus{count}-{len(outputs)}"
+            rc = run(
+                "transform",
+                "--matrix", str(matrix),
+                "--transform", "pairwise",
+                "--out-dir", str(out),
+            )
+            assert rc == 0
+            outputs.append((out / "pairwise.tsv").read_bytes())
+        assert outputs[0] == outputs[1]
+        ratios, pairs = pairwise_logratios(
+            StrictlyPositiveMatrix(values, ids, [f"g{j + 1}" for j in range(6)])
+        )
+        expected = "sample_id\t" + "\t".join(
+            f"g{j + 1}/g{k + 1}" for j, k in pairs
+        ) + "\n" + "".join(
+            "\t".join([sid, *map(repr, row.tolist())]) + "\n"
+            for sid, row in zip(ids, ratios)
+        )
+        assert outputs[0].decode() == expected
+        assert multiprocessing.active_children() == []
 
     def test_proportions_rows_sum_to_one(self, tmp_path):
         sim = simulate_into(tmp_path, n_samples=10, n_features=5)
@@ -232,6 +281,41 @@ class TestExitCodes:
         )
         assert rc == 3
         assert "learning_rate must be positive" in capsys.readouterr().err
+
+    def run_without_warnings(self, *argv):
+        # pytest captures warnings before they reach stderr; record them.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(*argv)
+        assert [str(w.message) for w in caught] == []
+        return rc
+
+    def test_overflowing_simulation_names_the_cause(self, tmp_path, capsys):
+        rc = self.run_without_warnings(
+            "simulate", "--effect", "1e308", "--out-dir", str(tmp_path)
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "true abundances overflow float64" in err
+        assert "RuntimeWarning" not in err
+
+    def test_diverging_network_names_the_cause(self, tmp_path, capsys):
+        sim = simulate_into(tmp_path, n_samples=24, n_features=6, seed=1)
+        sim2 = simulate_into(tmp_path, "sim2", n_samples=24, n_features=5, seed=2)
+        rc = self.run_without_warnings(
+            "approx",
+            "--matrix", str(sim / "observed.tsv"),
+            "--matrix2", str(sim2 / "observed.tsv"),
+            "--latent", "nn",
+            "--nn-learning-rate", "1e308",
+            "--nn-epochs", "10",
+            "--hidden-units", "4",
+            "--out-dir", str(tmp_path / "o"),
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "network training diverged" in err
+        assert "RuntimeWarning" not in err
 
     def test_config_value_outside_its_range(self, tmp_path, capsys):
         assert self.run_with_config(tmp_path, "simulate", "log_sd=-1\n") == 3

@@ -3,6 +3,7 @@
 Every CLI call pays for the modules `ratiomarker.cli` imports. scipy is used
 only for `scipy.special`; `scipy.stats` alone took about 0.5 s and 45 MB to
 import, so these heavy subpackages must stay out of the import graph.
+`multiprocessing` is imported only when a command starts a process pool.
 """
 
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import ratiomarker
 
-HEAVY = ("scipy.stats", "scipy.optimize", "scipy.sparse")
+HEAVY = ("scipy.stats", "scipy.optimize", "scipy.sparse", "multiprocessing")
 
 
 def test_cli_import_leaves_out_heavy_scipy_subpackages():

@@ -1,10 +1,13 @@
 """File formats: matrices, outcomes, configs, atomic writes."""
 
+import multiprocessing
+import os
 import threading
 
 import numpy as np
 import pytest
 
+from ratiomarker import composition, parallel
 from ratiomarker.composition import StrictlyPositiveMatrix
 from ratiomarker.errors import ParseError, ValidationError
 from ratiomarker.tabular import (
@@ -215,7 +218,7 @@ class TestAtomicWrite:
         assert path.read_text() in texts
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_failed_write_leaves_nothing(self, tmp_path):
+    def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch):
         path = tmp_path / "out.tsv"
 
         def rows():
@@ -225,6 +228,26 @@ class TestAtomicWrite:
         with pytest.raises(RuntimeError):
             write_table(path, ["a", "b"], ["x", "y"], rows())
         assert list(tmp_path.iterdir()) == []
+
+        # A pairwise table formatted by two workers, two rows a block, whose
+        # row function fails in a worker: neither the temp file nor a worker
+        # outlives the error.
+        monkeypatch.setattr(parallel, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(composition, "_BLOCK_ELEMENTS", 6)
+        logs = np.log(small_matrix().values)
+        jj, kk = np.triu_indices(3, k=1)
+
+        def pairwise_row(i):
+            if i == 3:
+                raise RuntimeError("row 3 failed")
+            return logs[i][jj] - logs[i][kk]
+
+        with pytest.raises(RuntimeError, match="row 3 failed"):
+            write_table(
+                tmp_path / "pairwise.tsv", list("abcd"), ["x", "y", "z"], pairwise_row
+            )
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
 
 
 class TestWriteTable:
@@ -239,3 +262,31 @@ class TestWriteTable:
         lines = whole.read_text().splitlines()
         assert lines[0] == "sample_id\tx\ty\tz"
         assert lines[2].split("\t")[1:] == [repr(float(v)) for v in values[1]]
+
+    def test_every_form_and_block_size_writes_one_text(self, tmp_path, cpus, monkeypatch):
+        rng = np.random.default_rng(6)
+        values = rng.normal(0.0, 1.0, (7, 3))
+        values[2, 1] = -0.0
+        expected = "sample_id\tx\ty\tz\n" + "".join(
+            "\t".join([rid, *(repr(float(v)) for v in row)]) + "\n"
+            for rid, row in zip("abcdefg", values)
+        )
+        # A block of 21 values is the whole table; 6 values make blocks of
+        # two rows, the last one short; 2 values is narrower than a row.
+        for block_elements in (21, 6, 2):
+            monkeypatch.setattr(composition, "_BLOCK_ELEMENTS", block_elements)
+            for form in (values, iter(values), lambda i: values[i]):
+                path = tmp_path / "t.tsv"
+                write_table(path, list("abcdefg"), list("xyz"), form)
+                assert path.read_text() == expected
+
+    def test_small_table_starts_no_process(self, tmp_path, monkeypatch, forbid_pool):
+        monkeypatch.setattr(parallel, "_cpu_count", lambda: 2)
+        seen = []
+
+        def row(i):
+            seen.append((os.getpid(), multiprocessing.active_children()))
+            return [float(i), 0.5]
+
+        write_table(tmp_path / "t.tsv", list("abcd"), ["x", "y"], row)
+        assert seen == [(os.getpid(), [])] * 4
