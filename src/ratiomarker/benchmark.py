@@ -120,20 +120,18 @@ def run_benchmark(
     # Each row fits its own latent: a fit returns the latent score
     # and the network that decodes it (None to decode by least squares).
     def pca(label):
-        return lambda: (pca_first_component(clr[label], source=label)[0], None)
+        return lambda: (pca_first_component(clr[label])[0], None)
 
     def pls(side):
         def fit():
-            pls_fit = pls_first_component(clr["T"], clr["U"], source="T,U")
+            pls_fit = pls_first_component(clr["T"], clr["U"])
             return (pls_fit.x_scores if side == "T" else pls_fit.y_scores), None
 
         return fit
 
     def nn(src, dst):
         def fit():
-            network = encoder_decoder_latent(
-                clr[src], clr[dst], nn_config, source=src
-            )
+            network = encoder_decoder_latent(clr[src], clr[dst], nn_config)
             return network.encode(clr[src]), network
 
         return fit

@@ -14,7 +14,6 @@ values and their choice checks all come from those rows. Exit codes:
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 import time
@@ -33,6 +32,8 @@ from .composition import (
     apply_zero_policy,
     clr_transform,
     close_to_proportions,
+    ratio_labels,
+    ratio_pairs,
 )
 from .errors import (
     NotConvergedError,
@@ -68,6 +69,7 @@ from .simulate import (
 from .tabular import (
     _atomic_writer,
     atomic_write_text,
+    json_text,
     outcome_for_matrix,
     read_config,
     read_matrix,
@@ -248,24 +250,8 @@ def _check_inputs_exist(config: dict, keys) -> dict[str, str]:
     return digests
 
 
-def _json_ready(value):
-    if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_json_ready(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, float) and not np.isfinite(value):
-        return None
-    return value
-
-
 def _write_json(path: Path, payload: dict):
-    atomic_write_text(
-        path, json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
-    )
+    atomic_write_text(path, json_text(payload))
 
 
 def _write_rows(path: Path, header: str, rows):
@@ -335,14 +321,12 @@ def _cmd_transform(config: dict, out: Callable[[str], Path]):
     else:
         # Each row is built as it is written, never the whole table; its
         # values are the bits of the matching `pairwise_logratios` row.
-        ids = positive.feature_ids
-        jj, kk = np.triu_indices(positive.n_features, k=1)
-        labels = [f"{ids[j]}/{ids[k]}" for j, k in zip(jj.tolist(), kk.tolist())]
+        jj, kk = ratio_pairs(positive.n_features)
         logs = np.log(positive.values)
         write_table(
             out("pairwise.tsv"),
             positive.sample_ids,
-            labels,
+            ratio_labels(positive.feature_ids, jj, kk),
             lambda i: logs[i][jj] - logs[i][kk],
         )
 
@@ -394,20 +378,19 @@ def _cmd_ratios(config: dict, out: Callable[[str], Path]):
         max_features=config["max_features"],
     )
     ids = result.feature_ids
+    jj, kk = result.numerator, result.denominator
+    # Each row, label and feature ids included, is built as it is written.
     _write_rows(
         out("ratios.tsv"),
         "ratio\tnumerator\tdenominator\tbeta\tp_value\tp_adjusted\tnote",
-        (
-            (
-                result.pair_labels[i],
-                ids[j],
-                ids[k],
-                result.beta[i],
-                result.p_value[i],
-                result.p_adjusted[i],
-                result.notes[i],
-            )
-            for i, (j, k) in enumerate(result.pair_indices)
+        zip(
+            ratio_labels(ids, jj, kk),
+            (ids[j] for j in jj),
+            (ids[k] for k in kk),
+            result.beta,
+            result.p_value,
+            result.p_adjusted,
+            result.notes,
         ),
     )
     _write_rows(
@@ -419,7 +402,7 @@ def _cmd_ratios(config: dict, out: Callable[[str], Path]):
         out("ratios.json"),
         {
             "alpha": result.alpha,
-            "n_ratios": len(result.pair_indices),
+            "n_ratios": len(result.beta),
             "n_significant": result.n_significant,
             "top_features": [
                 ids[int(i)]
@@ -549,15 +532,14 @@ def _cmd_approx(config: dict, out: Callable[[str], Path]):
         OmicsPair(positive, second)
         target = clr_transform(second)
     if latent_kind == "pca":
-        latent, _ = pca_first_component(clr_x, source="matrix")
+        latent, _ = pca_first_component(clr_x)
     elif latent_kind == "pls":
-        latent = pls_first_component(clr_x, target, source="matrix,matrix2").x_scores
+        latent = pls_first_component(clr_x, target).x_scores
     else:
         nn = encoder_decoder_latent(
             clr_x,
             target,
             _from_config(EncoderDecoderConfig, config, "nn_"),
-            source="matrix",
         )
         latent = nn.encode(clr_x)
     approx = approximate_latent_with_rbb(

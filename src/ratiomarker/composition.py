@@ -235,10 +235,17 @@ def clr_transform(matrix: StrictlyPositiveMatrix) -> np.ndarray:
     return logs - logs.mean(axis=1, keepdims=True)
 
 
-def pairwise_logratio_pairs(n_features: int) -> list[tuple[int, int]]:
-    """Index pairs (j, k), j < k, in lexicographic order."""
-    jj, kk = np.triu_indices(n_features, k=1)
-    return list(zip(jj.tolist(), kk.tolist()))
+def ratio_pairs(n_features: int) -> tuple[np.ndarray, np.ndarray]:
+    """The all-pairs layout: index arrays (jj, kk), jj < kk, in
+    lexicographic order. Ratio i is log x_j - log x_k for j = jj[i] and
+    k = kk[i]; `ratio_labels` names it."""
+    return np.triu_indices(n_features, k=1)
+
+
+def ratio_labels(feature_ids, jj, kk):
+    """Yield the "a/b" label of each pair (jj[i], kk[i])."""
+    for j, k in zip(jj, kk):
+        yield f"{feature_ids[j]}/{feature_ids[k]}"
 
 
 def pairwise_logratios(
@@ -247,14 +254,13 @@ def pairwise_logratios(
     """All G(G-1)/2 pairwise log-ratios.
 
     Returns an N x G(G-1)/2 array whose columns are log(x_j / x_k) for
-    j < k in lexicographic order, together with the index pairs. Each
+    the pairs of `ratio_pairs`, together with those pairs as tuples. Each
     column is computed as log x_j - log x_k, so swapping j and k negates
     the column exactly.
     """
     logs = np.log(matrix.values)
-    jj, kk = np.triu_indices(matrix.n_features, k=1)
-    ratios = logs[:, jj] - logs[:, kk]
-    return ratios, list(zip(jj.tolist(), kk.tolist()))
+    jj, kk = ratio_pairs(matrix.n_features)
+    return logs[:, jj] - logs[:, kk], list(zip(jj.tolist(), kk.tolist()))
 
 
 def _column_blocks(n_rows: int, n_cols: int) -> list[slice]:
@@ -264,13 +270,13 @@ def _column_blocks(n_rows: int, n_cols: int) -> list[slice]:
     return [slice(s, s + width) for s in range(0, n_cols, width)]
 
 
-def _pairwise_logratio_blocks(logs: np.ndarray):
+def _pairwise_logratio_blocks(logs: np.ndarray, jj: np.ndarray, kk: np.ndarray):
     """Yield (pair slice, block) over the columns of `pairwise_logratios`.
 
-    `logs` is the N x G matrix of log abundances. Each block is computed
-    as log x_j - log x_k for its pairs, so it holds the same bits as the
-    matching columns of the full table, which is never built.
+    `logs` is the N x G matrix of log abundances and (jj, kk) its
+    `ratio_pairs`. Each block is computed as log x_j - log x_k for its
+    pairs, so it holds the same bits as the matching columns of the full
+    table, which is never built.
     """
-    jj, kk = np.triu_indices(logs.shape[1], k=1)
     for pairs in _column_blocks(logs.shape[0], jj.size):
         yield pairs, logs[:, jj[pairs]] - logs[:, kk[pairs]]

@@ -86,7 +86,6 @@ class ZeroVariance(ValidationError):
 class NotConvergedError(RatiomarkerError):
     """An iterative routine exhausted its iteration budget."""
 
-    def __init__(self, message, n_iter=None, diagnostics=None):
+    def __init__(self, message, n_iter=None):
         super().__init__(message)
         self.n_iter = n_iter
-        self.diagnostics = diagnostics or {}

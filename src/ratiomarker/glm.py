@@ -34,7 +34,7 @@ from .composition import (
     _pairwise_logratio_blocks,
     clr_transform,
     close_to_proportions,
-    pairwise_logratio_pairs,
+    ratio_pairs,
 )
 from .errors import (
     DegenerateDesign,
@@ -345,11 +345,11 @@ def benjamini_hochberg(p_values) -> np.ndarray:
     """
     p = np.asarray(p_values, dtype=float)
     adjusted = np.full(p.shape, np.nan)
-    valid = np.flatnonzero(~np.isnan(p))
-    m = valid.size
+    m = int(np.count_nonzero(~np.isnan(p)))
     if m == 0:
         return adjusted
-    order = valid[np.argsort(p[valid], kind="stable")]
+    # A stable sort puts NaN last and ties in index order.
+    order = np.argsort(p, kind="stable")[:m]
     ranked = p[order] * m / np.arange(1, m + 1)
     ranked = np.minimum.accumulate(ranked[::-1])[::-1]
     adjusted[order] = np.minimum(ranked, 1.0)
@@ -368,8 +368,13 @@ class DaaResult:
     notes: list[str] = field(default_factory=list)
 
     def significant(self, alpha: float = 0.05) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return np.asarray(self.p_adjusted < alpha) & ~np.isnan(self.p_adjusted)
+        return _significant(self.p_adjusted, alpha)
+
+
+def _significant(p_adjusted: np.ndarray, alpha: float) -> np.ndarray:
+    """The tests whose BH-adjusted p-value falls below alpha; a flagged
+    (NaN) test compares false and is never significant."""
+    return p_adjusted < alpha
 
 
 def _daa_result(columns, feature_ids, outcome, spec, notion) -> DaaResult:
@@ -432,11 +437,16 @@ def daa_columns(
 
 @dataclass
 class RatioAnalysis:
-    """All-pairs log-ratio tests plus per-feature attribution scores."""
+    """All-pairs log-ratio tests plus per-feature attribution scores.
+
+    Ratio i is log x_j - log x_k for j = numerator[i], k = denominator[i],
+    the layout of `composition.ratio_pairs`; `composition.ratio_labels`
+    names them.
+    """
 
     feature_ids: list[str]
-    pair_indices: list[tuple[int, int]]
-    pair_labels: list[str]
+    numerator: np.ndarray
+    denominator: np.ndarray
     beta: np.ndarray
     p_value: np.ndarray
     p_adjusted: np.ndarray
@@ -446,13 +456,7 @@ class RatioAnalysis:
 
     @property
     def n_significant(self) -> int:
-        return int(np.sum(self.significant_mask()))
-
-    def significant_mask(self) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return np.asarray(self.p_adjusted < self.alpha) & ~np.isnan(
-                self.p_adjusted
-            )
+        return int(np.sum(_significant(self.p_adjusted, self.alpha)))
 
 
 def differential_ratio_analysis(
@@ -469,7 +473,8 @@ def differential_ratio_analysis(
     only on within-sample ratios, so they are invariant to per-sample
     rescaling. Feature count is capped because the test count grows
     quadratically; the ratio table itself is never held whole, as ratios
-    are built and fitted in blocks of bounded size.
+    are built and fitted in blocks of bounded size, and no Python object
+    is kept per ratio but its note.
     """
     g = matrix.n_features
     if g > max_features:
@@ -480,23 +485,18 @@ def differential_ratio_analysis(
     if outcome.n != matrix.n_samples:
         raise DimensionMismatch("outcome length does not match sample count")
     spec = spec or ModelSpec.for_outcome(outcome)
-    blocks = _pairwise_logratio_blocks(np.log(matrix.values))
+    jj, kk = ratio_pairs(g)
+    blocks = _pairwise_logratio_blocks(np.log(matrix.values), jj, kk)
     beta, p_value, notes = _fit_columns((z for _, z in blocks), outcome, spec)
-    pairs = pairwise_logratio_pairs(g)
     p_adjusted = benjamini_hochberg(p_value)
-    with np.errstate(invalid="ignore"):
-        significant = (p_adjusted < alpha) & ~np.isnan(p_adjusted)
+    significant = _significant(p_adjusted, alpha)
     counts = np.zeros(g)
-    jj, kk = np.triu_indices(g, 1)
     np.add.at(counts, jj[significant], 1.0)
     np.add.at(counts, kk[significant], 1.0)
-    labels = [
-        f"{matrix.feature_ids[j]}/{matrix.feature_ids[k]}" for j, k in pairs
-    ]
     return RatioAnalysis(
         feature_ids=list(matrix.feature_ids),
-        pair_indices=pairs,
-        pair_labels=labels,
+        numerator=jj,
+        denominator=kk,
         beta=beta,
         p_value=p_value,
         p_adjusted=p_adjusted,

@@ -8,7 +8,7 @@ a continuous outcome to the relaxed learner under the identity link, giving
 an interpretable score built from a few features that tracks the latent.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class LatentRepresentation:
 
     scores: np.ndarray
     method: str
-    source: str = "x"
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=float).ravel()
@@ -74,9 +73,7 @@ def _fix_sign(vector: np.ndarray) -> float:
     return -1.0 if vector[idx] < 0.0 else 1.0
 
 
-def pca_first_component(
-    x, source: str = "x"
-) -> tuple[LatentRepresentation, np.ndarray]:
+def pca_first_component(x) -> tuple[LatentRepresentation, np.ndarray]:
     """First principal component scores and unit-norm loading.
 
     Columns are centered, the leading right singular vector is the loading,
@@ -91,10 +88,7 @@ def pca_first_component(
     if singular[0] <= np.finfo(float).eps * max(x.shape) * scale:
         raise RankZero("matrix has no variation to decompose")
     loading = vt[0] * _fix_sign(vt[0])
-    return (
-        LatentRepresentation(centered @ loading, "pca", source),
-        loading,
-    )
+    return LatentRepresentation(centered @ loading, "pca"), loading
 
 
 @dataclass
@@ -109,7 +103,7 @@ class PlsComponent:
 
 
 def pls_first_component(
-    x, y, tol: float = 1e-10, max_iter: int = 500, source: str = "x,y"
+    x, y, tol: float = 1e-10, max_iter: int = 500
 ) -> PlsComponent:
     """One NIPALS round for the first PLS component.
 
@@ -161,8 +155,8 @@ def pls_first_component(
         )
     sign = _fix_sign(w)
     return PlsComponent(
-        x_scores=LatentRepresentation(sign * t, "pls", source),
-        y_scores=LatentRepresentation(sign * u, "pls", source),
+        x_scores=LatentRepresentation(sign * t, "pls"),
+        y_scores=LatentRepresentation(sign * u, "pls"),
         x_weights=sign * w,
         y_weights=sign * c,
         n_iter=n_iter,
@@ -174,7 +168,6 @@ class EncoderDecoderConfig:
     """Bottleneck network settings; the latent width is fixed at 1."""
 
     hidden_units: int = 32
-    activation: str = "relu"
     epochs: int = 1000
     learning_rate: float = 0.01
     seed: int = 0
@@ -182,8 +175,6 @@ class EncoderDecoderConfig:
     def __post_init__(self):
         if self.hidden_units < 1:
             raise ValidationError("hidden_units must be at least 1")
-        if self.activation != "relu":
-            raise ValidationError("only the relu activation is supported")
         if self.epochs < 1:
             raise ValidationError("epochs must be at least 1")
         if not self.learning_rate > 0.0:
@@ -312,7 +303,6 @@ class EncoderDecoderFit:
     loss_curve: np.ndarray
     converged: bool
     final_loss: float
-    source: str = "x"
 
     def encode(self, x) -> LatentRepresentation:
         x = _as_2d(x)
@@ -322,9 +312,7 @@ class EncoderDecoderFit:
             self.params, self.d_in, self.config.hidden_units, self.d_out
         )
         act1 = np.maximum((x - self.x_mean) @ w1 + b1, 0.0)
-        return LatentRepresentation(
-            (act1 @ w2 + b2).ravel(), "nn", self.source
-        )
+        return LatentRepresentation((act1 @ w2 + b2).ravel(), "nn")
 
     def decode(self, scores) -> np.ndarray:
         scores = np.asarray(scores, dtype=float).reshape(-1, 1)
@@ -336,7 +324,7 @@ class EncoderDecoderFit:
 
 
 def encoder_decoder_latent(
-    x, y, config: EncoderDecoderConfig | None = None, source: str = "x"
+    x, y, config: EncoderDecoderConfig | None = None
 ) -> EncoderDecoderFit:
     """Train the bottleneck network x -> h -> y with Adam on MSE.
 
@@ -408,7 +396,6 @@ def encoder_decoder_latent(
         loss_curve=loss_curve,
         converged=converged,
         final_loss=final_loss,
-        source=source,
     )
 
 
@@ -450,7 +437,6 @@ class RbbApproximation:
     latent_r2: float
     active_features: int
     total_features: int
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def sparsity(self) -> float:
@@ -486,5 +472,4 @@ def approximate_latent_with_rbb(
         latent_r2=r2_score(latent.scores, approx),
         active_features=model.biomarker.size,
         total_features=matrix.n_features,
-        diagnostics={"latent_method": latent.method, "mode": mode},
     )

@@ -10,7 +10,6 @@ aggregates, which makes swapping the sides an exact negation and makes a
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,7 @@ from ..errors import (
     ValidationError,
 )
 from ..glm import FittedGlm, ModelSpec
+from ..tabular import json_text
 
 MODES = ("balance", "slr")
 
@@ -194,10 +194,6 @@ def serialize_model(model: LearnedModel) -> str:
     non-finite se, p-value or CV statistic is written as null.
     """
     glm = model.glm
-
-    def finite_or_null(value):
-        return value if math.isfinite(value) else None
-
     payload = {
         "format": "ratiomarker-model",
         "version": 1,
@@ -214,14 +210,14 @@ def serialize_model(model: LearnedModel) -> str:
         "link": glm.link,
         "beta": glm.beta,
         "beta0": glm.beta0,
-        "se": finite_or_null(glm.se),
-        "p_value": finite_or_null(glm.p_value),
+        "se": glm.se,
+        "p_value": glm.p_value,
         "converged": glm.converged,
-        "cv_score": finite_or_null(model.cv_score),
-        "cv_se": finite_or_null(model.cv_se),
+        "cv_score": model.cv_score,
+        "cv_se": model.cv_se,
         "seed": model.seed,
     }
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json_text(payload)
 
 
 def load_model(text: str) -> LearnedModel:

@@ -37,7 +37,7 @@ import numpy as np
 from ..composition import Outcome, StrictlyPositiveMatrix
 from ..errors import DimensionMismatch, ValidationError
 from ..glm import ModelSpec, _fit_rows
-from ..metrics import _auc_rows
+from ..metrics import _auc_rows, _r2_rows
 from .biomarker import LearnerConfig
 
 # How far beyond the fitter's tolerance and ridge the score statistic must
@@ -169,16 +169,8 @@ def _fitted_scores(Z, outcome, spec, folds):
         if outcome.kind == "binary":
             scores[live, f] = _auc_rows(y[test], eta)
         else:
-            scores[live, f] = _r2_rows(eta, y[test])
+            scores[live, f] = _r2_rows(y[test], eta)
     return _mean_and_se(scores, dead)
-
-
-def _r2_rows(predictions, y):
-    """`metrics.r2_score(y, row)` for every row of predictions."""
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        return np.nan
-    return 1.0 - ((y - predictions) ** 2).sum(axis=1) / ss_tot
 
 
 def _mean_and_se(scores, dead):

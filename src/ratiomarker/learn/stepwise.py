@@ -11,7 +11,12 @@ current model's fold scores.
 
 import numpy as np
 
-from ..composition import Outcome, StrictlyPositiveMatrix, _pairwise_logratio_blocks
+from ..composition import (
+    Outcome,
+    StrictlyPositiveMatrix,
+    _pairwise_logratio_blocks,
+    ratio_pairs,
+)
 from ..errors import NoImprovingPair
 from ..glm import ModelSpec
 from .biomarker import (
@@ -39,10 +44,10 @@ def forward_stepwise_balance(
     # Exhaustive 1-vs-1 initialization over pairs in lexicographic order,
     # scored in blocks of bounded size; argmax takes the first maximum, so
     # ties resolve to the smallest (j, k).
-    jj, kk = np.triu_indices(g, 1)
+    jj, kk = ratio_pairs(g)
     means = np.full(jj.size, float("-inf"))
     ses = np.zeros(jj.size)
-    for pairs, z in _pairwise_logratio_blocks(logs):
+    for pairs, z in _pairwise_logratio_blocks(logs, jj, kk):
         means[pairs], ses[pairs] = score_candidates(z, outcome, spec, folds)
     if not np.any(means > float("-inf")):
         raise NoImprovingPair("no feature pair yields a fittable model")

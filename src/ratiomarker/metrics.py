@@ -61,16 +61,21 @@ def auc_score(y, scores) -> float:
     return float(_auc_rows(y, scores))
 
 
+def _r2_rows(y, predictions):
+    """R squared of every slice of `predictions` along its last axis
+    against `y`. NaN for every slice when `y` is constant."""
+    y = np.asarray(y, dtype=float)
+    predictions = np.asarray(predictions, dtype=float)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    if ss_tot == 0.0:
+        return np.full(predictions.shape[:-1], np.nan)
+    return 1.0 - ((y - predictions) ** 2).sum(axis=-1) / ss_tot
+
+
 def r2_score(y, predictions) -> float:
     """Coefficient of determination, 1 - SS_res / SS_tot.
 
     SS_tot is taken about the mean of `y`. Returns NaN when `y` is
     constant (SS_tot = 0), leaving the degenerate case to the caller.
     """
-    y = np.asarray(y, dtype=float)
-    predictions = np.asarray(predictions, dtype=float)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        return float("nan")
-    ss_res = float(np.sum((y - predictions) ** 2))
-    return 1.0 - ss_res / ss_tot
+    return float(_r2_rows(y, predictions))

@@ -195,6 +195,8 @@ def planted_signal_scenario(
         raise InvalidSize("need at least 4 samples")
     if n_features < 4:
         raise InvalidSize("need at least 4 features")
+    if not np.isfinite(effect):
+        raise ValidationError("effect must be finite")
     rng = np.random.default_rng(seed)
     num, den = rng.choice(n_features, size=2, replace=False)
     log_abund = rng.normal(0.0, log_sd, (n_samples, n_features))

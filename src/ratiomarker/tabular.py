@@ -91,8 +91,9 @@ def read_matrix(path) -> CompositionMatrix:
     return CompositionMatrix(np.array(rows, dtype=float), sample_ids, feature_ids)
 
 
-def write_table(path, row_ids, col_ids, values, corner="sample_id", delimiter="\t"):
-    """Write a labelled table; floats are written with full repr precision.
+def write_table(path, row_ids, col_ids, values):
+    """Write a tab-separated table with "sample_id" in its corner; floats
+    are written with full repr precision.
 
     `values` is a 2-d array, any iterable of 1-d rows, or a function from a
     row index to its row, so a caller can build each row only when it is
@@ -102,7 +103,7 @@ def write_table(path, row_ids, col_ids, values, corner="sample_id", delimiter="\
     mask, into the bytes a one-CPU run writes (`taskset -c 0` keeps it to
     one core).
     """
-    header = [corner, *[str(c) for c in col_ids]]
+    header = ["sample_id", *[str(c) for c in col_ids]]
     row_ids = [str(r) for r in row_ids]
     row = values if callable(values) else list(values).__getitem__
 
@@ -110,26 +111,20 @@ def write_table(path, row_ids, col_ids, values, corner="sample_id", delimiter="\
         lines = []
         for i in range(len(row_ids))[block]:
             cells = np.asarray(row(i), dtype=float).tolist()
-            lines.append(delimiter.join([row_ids[i], *map(repr, cells)]) + "\n")
+            lines.append("\t".join([row_ids[i], *map(repr, cells)]) + "\n")
         return "".join(lines)
 
     # Row slices of at most `_BLOCK_ELEMENTS` values each: the column
     # blocks of the transposed table.
     blocks = _column_blocks(max(1, len(header) - 1), len(row_ids))
     with _atomic_writer(path) as f:
-        f.write(delimiter.join(header) + "\n")
+        f.write("\t".join(header) + "\n")
         for text in ordered_map(format_rows, blocks):
             f.write(text)
 
 
-def write_matrix(path, matrix: CompositionMatrix, delimiter="\t"):
-    write_table(
-        path,
-        matrix.sample_ids,
-        matrix.feature_ids,
-        matrix.values,
-        delimiter=delimiter,
-    )
+def write_matrix(path, matrix: CompositionMatrix):
+    write_table(path, matrix.sample_ids, matrix.feature_ids, matrix.values)
 
 
 def read_outcome_pairs(path) -> tuple[list[str], np.ndarray]:
@@ -185,11 +180,8 @@ def outcome_for_matrix(matrix, ids, values, kind=None) -> Outcome:
     return Outcome(kind, ordered)
 
 
-def write_outcome(path, sample_ids, values, delimiter="\t"):
-    lines = [
-        delimiter.join([str(s), repr(float(v))])
-        for s, v in zip(sample_ids, values)
-    ]
+def write_outcome(path, sample_ids, values):
+    lines = [f"{s}\t{float(v)!r}" for s, v in zip(sample_ids, values)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -218,6 +210,32 @@ def read_config(path) -> dict[str, str]:
         key, _, value = line.partition("=")
         config[key.strip()] = value.strip()
     return config
+
+
+def _json_ready(value):
+    if isinstance(value, dict):
+        return {k: _json_ready(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [_json_ready(v) for v in value.tolist()]
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
+
+
+def json_text(payload) -> str:
+    """Strict JSON text of `payload`, keys sorted and indented by two.
+
+    numpy arrays and scalars become lists and numbers, and a non-finite
+    float becomes null, so the text never holds NaN or Infinity.
+    """
+    return (
+        json.dumps(_json_ready(payload), sort_keys=True, indent=2, allow_nan=False)
+        + "\n"
+    )
 
 
 def write_config(path, config: dict):

@@ -29,7 +29,6 @@ from ratiomarker import parallel
 from ratiomarker.errors import DegenerateDesign, ValidationError
 from ratiomarker.glm import FittedGlm, fit_glm
 from ratiomarker.latent import _init_params, _unpack
-from ratiomarker.metrics import r2_score
 
 ACCEPTANCE_LINES = []
 
@@ -186,6 +185,18 @@ def reference_auc(y, scores) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
+def reference_r2(y, predictions) -> float:
+    """R squared, 1 - SS_res / SS_tot with SS_tot about the mean of y, in
+    scalar sums; NaN when y is constant."""
+    y = np.asarray(y, dtype=float)
+    predictions = np.asarray(predictions, dtype=float)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    if ss_tot == 0.0:
+        return float("nan")
+    ss_res = float(np.sum((y - predictions) ** 2))
+    return 1.0 - ss_res / ss_tot
+
+
 def cv_score_values(z, outcome, spec, folds) -> tuple[float, float, list[float]]:
     """Reference for `score_candidates`: the out-of-fold score of one score
     vector, with one `fit_glm` per fold.
@@ -204,7 +215,7 @@ def cv_score_values(z, outcome, spec, folds) -> tuple[float, float, list[float]]
         if outcome.kind == "binary":
             scores.append(reference_auc(outcome.values[test], eta))
         else:
-            scores.append(r2_score(outcome.values[test], eta))
+            scores.append(reference_r2(outcome.values[test], eta))
     arr = np.asarray(scores, dtype=float)
     valid = arr[~np.isnan(arr)]
     if valid.size == 0:

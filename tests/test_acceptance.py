@@ -366,7 +366,7 @@ class TestAcceptance:
                 matrix, outcome, spec=spec, alpha=0.05
             )
             ratio_rates.append(
-                ratio_res.n_significant / len(ratio_res.pair_indices)
+                ratio_res.n_significant / ratio_res.beta.size
             )
         daa_pct = 100.0 * float(np.mean(daa_rates))
         ratio_pct = 100.0 * float(np.mean(ratio_rates))
@@ -447,7 +447,7 @@ class TestAcceptance:
         r2 = {}
         for label, matrix in (("T", microbes), ("U", metabolites)):
             clr_x = clr_transform(matrix)
-            latent, _ = pca_first_component(clr_x, source=label)
+            latent, _ = pca_first_component(clr_x)
             recon = least_squares_decode(clr_x, latent.scores)
             r2[label] = variance_explained(clr_x, recon)
         dims_ok = (

@@ -8,7 +8,6 @@ import pytest
 from ratiomarker.composition import (
     Outcome,
     StrictlyPositiveMatrix,
-    pairwise_logratio_pairs,
     pairwise_logratios,
 )
 from ratiomarker.errors import (

@@ -299,6 +299,16 @@ class TestExitCodes:
         assert "true abundances overflow float64" in err
         assert "RuntimeWarning" not in err
 
+    @pytest.mark.parametrize("effect", ["nan", "inf"])
+    def test_non_finite_effect_names_the_cause(self, tmp_path, capsys, effect):
+        rc = self.run_without_warnings(
+            "simulate", "--effect", effect, "--out-dir", str(tmp_path)
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "effect must be finite" in err
+        assert "RuntimeWarning" not in err
+
     def test_diverging_network_names_the_cause(self, tmp_path, capsys):
         sim = simulate_into(tmp_path, n_samples=24, n_features=6, seed=1)
         sim2 = simulate_into(tmp_path, "sim2", n_samples=24, n_features=5, seed=2)

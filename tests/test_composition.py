@@ -11,8 +11,9 @@ from ratiomarker.composition import (
     apply_zero_policy,
     close_to_proportions,
     clr_transform,
-    pairwise_logratio_pairs,
     pairwise_logratios,
+    ratio_labels,
+    ratio_pairs,
 )
 from ratiomarker.errors import (
     AllFeaturesRemoved,
@@ -127,18 +128,24 @@ class TestClr:
 
 class TestPairwise:
     def test_pair_enumeration(self):
-        pairs = pairwise_logratio_pairs(4)
-        assert pairs == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        jj, kk = ratio_pairs(4)
+        assert jj.tolist() == [0, 0, 0, 1, 1, 2]
+        assert kk.tolist() == [1, 2, 3, 2, 3, 3]
+        assert list(ratio_labels(list("abcd"), jj, kk)) == [
+            "a/b", "a/c", "a/d", "b/c", "b/d", "c/d"
+        ]
 
     def test_pair_count(self):
         for g in [2, 3, 7, 11]:
-            assert len(pairwise_logratio_pairs(g)) == g * (g - 1) // 2
+            jj, kk = ratio_pairs(g)
+            assert jj.size == kk.size == g * (g - 1) // 2
 
     def test_values_against_loops(self):
         rng = np.random.default_rng(6)
         m = make_matrix(random_positive(rng, 8, 5))
         got, pairs = pairwise_logratios(m)
-        assert pairs == pairwise_logratio_pairs(5)
+        jj, kk = ratio_pairs(5)
+        assert pairs == list(zip(jj.tolist(), kk.tolist()))
         for col, (j, k) in enumerate(pairs):
             want = np.log(m.values[:, j]) - np.log(m.values[:, k])
             np.testing.assert_allclose(got[:, col], want, rtol=1e-14)

@@ -6,6 +6,9 @@ checked against a general-purpose optimizer minimizing the identical
 penalized objective.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,8 @@ from ratiomarker.composition import (
     Outcome,
     StrictlyPositiveMatrix,
     pairwise_logratios,
+    ratio_labels,
+    ratio_pairs,
 )
 from ratiomarker.errors import (
     DegenerateDesign,
@@ -330,7 +335,10 @@ class TestBatchedColumnFits:
         ):
             res = differential_ratio_analysis(mat, outcome, spec)
             ratios, pairs = pairwise_logratios(mat)
-            assert res.pair_indices == pairs
+            jj, kk = ratio_pairs(mat.n_features)
+            assert np.array_equal(res.numerator, jj)
+            assert np.array_equal(res.denominator, kk)
+            assert list(zip(jj.tolist(), kk.tolist())) == pairs
             got = (res.beta, res.p_value, res.notes)
             assert_fits_identical(got, fit_glm_by_column([ratios], outcome, spec))
             assert_fits_match(got, reference_by_column([ratios], outcome, spec))
@@ -434,20 +442,44 @@ class TestDifferentialRatioAnalysis:
     def test_pair_count_and_labels(self):
         mat, out = planted_matrix(90, g=6)
         res = differential_ratio_analysis(mat, out)
-        assert len(res.pair_indices) == 15
-        assert res.pair_labels[0] == "f0/f1"
-        assert res.pair_labels[-1] == "f4/f5"
+        jj, kk = ratio_pairs(6)
+        assert np.array_equal(res.numerator, jj)
+        assert np.array_equal(res.denominator, kk)
+        assert res.beta.shape == (15,)
+        labels = list(ratio_labels(res.feature_ids, res.numerator, res.denominator))
+        assert len(labels) == 15
+        assert labels[0] == "f0/f1"
+        assert labels[-1] == "f4/f5"
 
     def test_attribution_fraction_definition(self):
         mat, out = planted_matrix(91, effect=3.0)
         res = differential_ratio_analysis(mat, out)
         g = len(res.feature_ids)
-        sig = res.significant_mask()
+        sig = res.p_adjusted < res.alpha
+        assert res.n_significant == sig.sum()
         counts = np.zeros(g)
-        for (j, k), s in zip(res.pair_indices, sig):
+        for j, k, s in zip(*ratio_pairs(g), sig):
             counts[j] += s
             counts[k] += s
         np.testing.assert_allclose(res.attribution, counts / (g - 1))
+
+    def test_result_holds_arrays_not_an_object_per_ratio(self):
+        # Five arrays of 8-byte values and the notes list are 48 bytes a
+        # ratio; a tuple and a label string per ratio were about 170. The
+        # small first call loads what the analysis loads only once.
+        differential_ratio_analysis(*planted_matrix(97, n=20, g=8))
+        mat, out = planted_matrix(98, n=20, g=300)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = differential_ratio_analysis(mat, out)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert res.beta.size == 300 * 299 // 2
+        assert retained / res.beta.size < 64
 
     def test_planted_features_attract_attribution(self):
         mat, out = planted_matrix(92, effect=3.0)

@@ -318,7 +318,7 @@ class TestRbbApproximation:
 
     def test_latent_recovered_sparsely(self):
         mat = self.planted_latent_matrix(60)
-        latent, _ = pca_first_component(clr_transform(mat), source="T")
+        latent, _ = pca_first_component(clr_transform(mat))
         approx = approximate_latent_with_rbb(latent, mat)
         assert approx.latent_r2 > 0.8
         assert approx.sparsity <= 0.5
@@ -329,7 +329,7 @@ class TestRbbApproximation:
 
     def test_scores_match_model_predictions(self):
         mat = self.planted_latent_matrix(61)
-        latent, _ = pca_first_component(clr_transform(mat), source="T")
+        latent, _ = pca_first_component(clr_transform(mat))
         approx = approximate_latent_with_rbb(latent, mat)
         from ratiomarker.learn.biomarker import predict
 
@@ -339,7 +339,7 @@ class TestRbbApproximation:
 
     def test_length_mismatch_rejected(self):
         mat = self.planted_latent_matrix(62)
-        latent, _ = pca_first_component(clr_transform(mat), source="T")
+        latent, _ = pca_first_component(clr_transform(mat))
         small = mat.take_samples(list(range(10)))
         with pytest.raises(DimensionMismatch):
             approximate_latent_with_rbb(latent, small)

@@ -1,4 +1,5 @@
-"""The midrank kernel and the AUC built on it, against scipy.
+"""The midrank kernel and the AUC built on it, against scipy, and the
+R squared rows against the scalar formula.
 
 `metrics._midranks` replaces `scipy.stats.rankdata` in the package; these
 properties require its bytes to equal scipy's on 1-D and 2-D inputs of every
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import rankdata
 
-from conftest import reference_auc
+from conftest import reference_auc, reference_r2
 
-from ratiomarker.metrics import _auc_rows, _midranks, auc_score
+from ratiomarker.metrics import _auc_rows, _midranks, _r2_rows, auc_score, r2_score
 
 # Few distinct values make heavy ties; -0.0 and 0.0 must tie.
 TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf])
@@ -77,3 +78,27 @@ class TestAuc:
         assert np.isnan(auc_score(np.zeros(4), np.arange(4.0)))
         assert np.isnan(auc_score([0.0, 1.0, 1.0], [0.2, np.nan, 0.9]))
         assert np.isnan(_auc_rows(np.ones(3), np.ones((2, 3)))).all()
+
+
+FINITE = st.floats(-1e6, 1e6, width=64)
+
+
+class TestR2:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 40).flatmap(
+        lambda n: st.tuples(
+            hnp.arrays(np.float64, n, elements=FINITE),
+            hnp.arrays(np.float64, (3, n), elements=FINITE),
+        )
+    ))
+    def test_rows_equal_the_scalar_reference(self, case):
+        y, predictions = case
+        want = np.array([reference_r2(y, row) for row in predictions])
+        # A near-constant y overflows SS_res / SS_tot to inf in both forms.
+        with np.errstate(over="ignore"):
+            assert same_bytes(_r2_rows(y, predictions), want)
+            rows = [r2_score(y, row) for row in predictions]
+        assert same_bytes(np.array(rows), want)
+
+    def test_constant_outcome_gives_nan_in_every_row(self):
+        assert np.isnan(_r2_rows(np.ones(3), np.ones((2, 3)))).all()
