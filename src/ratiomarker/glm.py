@@ -15,17 +15,18 @@ leaves the objective, the ridge on the uncentred intercept and the
 convergence test on the uncentred gradient as they are, and makes the
 determinant n * sum((z - mean(z))^2) rather than a difference of two large
 sums. Every reduction runs along a row (`sum` or `einsum`, never BLAS), so a
-row's result does not depend on the block it is fitted in. The scalar
-two-column fitters in `tests/conftest.py` are the references.
+row's result does not depend on the block it is fitted in. The kernel
+computes no p-values: `fit_glm` and `_fit_columns` each compute the Wald
+p-values once, over their whole result vector, with the tails of
+`special`. The scalar two-column fitters in `tests/conftest.py`, which use
+scipy, are the references; p-values agree with them to rounding level.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, ndtr, stdtr
 
 from .composition import (
     Outcome,
@@ -42,6 +43,7 @@ from .errors import (
     TooManyFeatures,
     ValidationError,
 )
+from .special import expit, ndtr, stdtr
 
 LINKS = ("identity", "logistic")
 
@@ -92,7 +94,10 @@ class FittedGlm:
 
     def predict_response(self, z) -> np.ndarray:
         eta = self.linear_predictor(z)
-        return expit(eta) if self.link == "logistic" else eta
+        if self.link != "logistic":
+            return eta
+        with np.errstate(over="ignore"):
+            return expit(eta)
 
 
 def fit_glm(z, outcome: Outcome, spec: ModelSpec | None = None) -> FittedGlm:
@@ -111,11 +116,12 @@ def fit_glm(z, outcome: Outcome, spec: ModelSpec | None = None) -> FittedGlm:
     fits = _fit_rows(z[None, :], outcome, spec)
     if fits.errors[0] is not None:
         raise fits.errors[0]
+    p_value = _wald_p_values(fits.beta, fits.se, spec.link, outcome.n)
     return FittedGlm(
         beta=float(fits.beta[0]),
         beta0=float(fits.beta0[0]),
         se=float(fits.se[0]),
-        p_value=float(fits.p_value[0]),
+        p_value=float(p_value[0]),
         converged=bool(fits.converged[0]),
         n_iter=int(fits.n_iter[0]),
         link=spec.link,
@@ -130,7 +136,6 @@ class _Fits(NamedTuple):
     beta: np.ndarray
     beta0: np.ndarray
     se: np.ndarray
-    p_value: np.ndarray
     n_iter: np.ndarray
     converged: np.ndarray
     notes: list[str]
@@ -169,7 +174,7 @@ def _fit_rows(zt, outcome: Outcome, spec: ModelSpec) -> _Fits:
             errors[j] = DegenerateDesign("score is constant; nothing to fit")
         elif link_error is not None:
             errors[j] = link_error
-    beta, beta0, se, p_value = (np.full(c, np.nan) for _ in range(4))
+    beta, beta0, se = (np.full(c, np.nan) for _ in range(3))
     n_iter = np.zeros(c, dtype=int)
     converged = np.zeros(c, dtype=bool)
     notes = [""] * c
@@ -177,15 +182,19 @@ def _fit_rows(zt, outcome: Outcome, spec: ModelSpec) -> _Fits:
     if rows.size:
         z = zt if rows.size == c else zt[rows]
         if spec.link == "identity":
-            fit = _fit_identity_rows(z, outcome.values)
-            beta[rows], beta0[rows], se[rows], p_value[rows], singular = fit
+            beta[rows], beta0[rows], se[rows], singular = _fit_identity_rows(
+                z, outcome.values
+            )
             for j in rows[singular]:
                 errors[j] = DegenerateDesign("design matrix is singular")
             converged[rows[~singular]] = True
         else:
-            fit = _fit_logistic_rows(z, outcome.values, spec)
-            beta[rows], beta0[rows], se[rows], p_value[rows] = fit[:4]
-            n_iter[rows], converged[rows], gnorm = fit[4:]
+            # exp(-eta) in expit overflows to inf for eta below about -709,
+            # and expit is then 0, as it should be.
+            with np.errstate(over="ignore"):
+                fit = _fit_logistic_rows(z, outcome.values, spec)
+            beta[rows], beta0[rows], se[rows] = fit[:3]
+            n_iter[rows], converged[rows], gnorm = fit[3:]
             for j, g in zip(rows, gnorm):
                 if not converged[j]:
                     notes[j] = (
@@ -195,14 +204,22 @@ def _fit_rows(zt, outcome: Outcome, spec: ModelSpec) -> _Fits:
     for j, e in enumerate(errors):
         if e is not None:
             notes[j] = str(e)
-    return _Fits(beta, beta0, se, p_value, n_iter, converged, notes, errors)
+    return _Fits(beta, beta0, se, n_iter, converged, notes, errors)
 
 
-def _wald_p_values(beta, se, tail):
-    """Two-sided p-values of beta / se; se == 0 gives 0, or 1 at beta == 0."""
+def _wald_p_values(beta, se, link: str, n: int) -> np.ndarray:
+    """Two-sided Wald p-values of beta / se for fits on n samples: from the
+    normal distribution for the logistic link, from Student's t with n - 2
+    degrees of freedom for the identity link. NaN where beta or se is NaN
+    (a rejected fit, or dof <= 0); se == 0 gives 0, or 1 at beta == 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = 2.0 * tail(-np.abs(beta / se))
-    return np.where(se == 0.0, np.where(beta == 0.0, 1.0, 0.0), p)
+        stat = np.divide(beta, se)
+    np.negative(np.abs(stat, out=stat), out=stat)
+    p = ndtr(stat) if link == "logistic" else stdtr(n - 2, stat)
+    p *= 2.0
+    zero = se == 0.0
+    p[zero] = beta[zero] == 0.0
+    return p
 
 
 def _rowdot(a, b):
@@ -210,9 +227,9 @@ def _rowdot(a, b):
 
 
 def _fit_identity_rows(z, y):
-    """Least squares of y on every row of z: beta, beta0, se, p-value, and
-    the rows whose centred score has no spread left, which are NaN. se and
-    p are NaN when dof <= 0."""
+    """Least squares of y on every row of z: beta, beta0, se, and the rows
+    whose centred score has no spread left, which are NaN. se is NaN when
+    dof <= 0."""
     n = y.size
     zbar = z.mean(axis=1)
     zc = z - zbar[:, None]
@@ -224,11 +241,10 @@ def _fit_identity_rows(z, y):
     beta = np.einsum("ij,j->i", zc, yc) / szz
     beta0 = ybar - beta * zbar
     if n <= 2:
-        nan = np.full(beta.shape, np.nan)
-        return beta, beta0, nan, nan, singular
+        return beta, beta0, np.full(beta.shape, np.nan), singular
     resid = yc - zc * beta[:, None]
     se = np.sqrt(_rowdot(resid, resid) / (n - 2) / szz)
-    return beta, beta0, se, _wald_p_values(beta, se, partial(stdtr, n - 2)), singular
+    return beta, beta0, se, singular
 
 
 def _penalized_nll_rows(eta, y, b1, b0, ridge):
@@ -244,8 +260,8 @@ def _fit_logistic_rows(z, y, spec):
     a - b1 * zbar. Each row converges when the norm of its uncentred
     gradient drops to tol * (1 + |b1|), halves its own step until its
     penalized objective stops increasing, and leaves the active set once
-    it stops. Returns beta, beta0, se, p-value, iterations, converged and
-    the final gradient norm per row.
+    it stops. Returns beta, beta0, se, iterations, converged and the final
+    gradient norm per row.
     """
     c, n = z.shape
     ridge, tol, max_iter = spec.ridge, spec.tol, spec.max_iter
@@ -316,24 +332,32 @@ def _fit_logistic_rows(z, y, spec):
             )
         b1, a, eta, f_cur = t1, ta, trial, f_new
     beta, intercept, se, gnorm = out
-    p_value = _wald_p_values(beta, se, ndtr)
-    return beta, intercept - beta * zbar_all, se, p_value, n_iter, converged, gnorm
+    return beta, intercept - beta * zbar_all, se, n_iter, converged, gnorm
 
 
-def _fit_columns(blocks, outcome: Outcome, spec: ModelSpec):
-    """Fit every column of each n x c block in `blocks` as its own score.
+def _fit_columns(blocks, n_columns: int, outcome: Outcome, spec: ModelSpec):
+    """Fit every column of each n x c block in `blocks`, `n_columns` in
+    all, as its own score.
 
     Returns beta, p-value and note per column, as one `fit_glm` per column
     gives them: a column `fit_glm` rejects is a NaN row whose note is the
     error, and a fit that did not converge keeps its numbers with that note.
+    Each block is written into arrays of the full length, and the p-values
+    are computed once, over the whole vector.
     """
-    betas, p_values, notes = [np.empty(0)], [np.empty(0)], []
+    beta = np.empty(n_columns)
+    se = np.empty(n_columns)
+    notes = [""] * n_columns
+    start = 0
     for z in blocks:
         fits = _fit_rows(z.T, outcome, spec)
-        betas.append(fits.beta)
-        p_values.append(fits.p_value)
-        notes.extend(fits.notes)
-    return np.concatenate(betas), np.concatenate(p_values), notes
+        stop = start + len(fits.notes)
+        beta[start:stop] = fits.beta
+        se[start:stop] = fits.se
+        notes[start:stop] = fits.notes
+        start = stop
+    assert start == n_columns
+    return beta, _wald_p_values(beta, se, spec.link, outcome.n), notes
 
 
 def benjamini_hochberg(p_values) -> np.ndarray:
@@ -384,7 +408,7 @@ def _daa_result(columns, feature_ids, outcome, spec, notion) -> DaaResult:
         raise DimensionMismatch("feature id count does not match columns")
     spec = spec or ModelSpec.for_outcome(outcome)
     blocks = (columns[:, cols] for cols in _column_blocks(*columns.shape))
-    beta, p_value, notes = _fit_columns(blocks, outcome, spec)
+    beta, p_value, notes = _fit_columns(blocks, columns.shape[1], outcome, spec)
     return DaaResult(
         feature_ids=list(feature_ids),
         beta=beta,
@@ -487,7 +511,9 @@ def differential_ratio_analysis(
     spec = spec or ModelSpec.for_outcome(outcome)
     jj, kk = ratio_pairs(g)
     blocks = _pairwise_logratio_blocks(np.log(matrix.values), jj, kk)
-    beta, p_value, notes = _fit_columns((z for _, z in blocks), outcome, spec)
+    beta, p_value, notes = _fit_columns(
+        (z for _, z in blocks), jj.size, outcome, spec
+    )
     p_adjusted = benjamini_hochberg(p_value)
     significant = _significant(p_adjusted, alpha)
     counts = np.zeros(g)

@@ -11,11 +11,11 @@ standard errors of the best, then refits the hard sets.
 """
 
 import numpy as np
-from scipy.special import expit
 
 from ..composition import Outcome, StrictlyPositiveMatrix
 from ..errors import EmptySideAfterDiscretization, ValidationError
 from ..glm import ModelSpec
+from ..special import expit
 from .biomarker import (
     MODES,
     LearnedModel,
@@ -40,7 +40,8 @@ def relaxed_loss_and_grad(
 
     `params` is the flat vector (a_1..a_G, beta, beta0). The loss is the
     mean squared error for the identity link and the mean logistic negative
-    log-likelihood for the logistic link.
+    log-likelihood for the logistic link. Like `special.expit`, this opens
+    no errstate; the training loop opens one around all its calls.
     """
     params = np.asarray(params, dtype=float)
     g = values.shape[1]
@@ -49,11 +50,12 @@ def relaxed_loss_and_grad(
     beta0 = params[g + 1]
     n = values.shape[0]
     s = expit(a)
-    s_prime = s * (1.0 - s)
+    s_other = 1.0 - s
+    s_prime = s * s_other
 
     if mode == "slr":
         s_pos = values @ s
-        s_neg = values @ (1.0 - s)
+        s_neg = values @ s_other
         z = np.log(s_pos) - np.log(s_neg)
         dz_common = 1.0 / s_pos + 1.0 / s_neg
     elif mode == "balance":
@@ -62,18 +64,19 @@ def relaxed_loss_and_grad(
         w_pos = float(s.sum())
         w_neg = float(g - w_pos)
         m_pos = (logs @ s) / w_pos
-        m_neg = (logs @ (1.0 - s)) / w_neg
+        m_neg = (logs @ s_other) / w_neg
         z = m_pos - m_neg
     else:
         raise ValidationError(f"unknown mode {mode!r}")
 
     eta = beta * z + beta0
     if link == "logistic":
-        loss = float(np.mean(np.logaddexp(0.0, eta) - y * eta))
+        # sum / n is np.mean's arithmetic, without its Python overhead.
+        loss = float((np.logaddexp(0.0, eta) - y * eta).sum() / n)
         resid = (expit(eta) - y) / n
     elif link == "identity":
         diff = eta - y
-        loss = float(0.5 * np.mean(diff * diff))
+        loss = float(0.5 * ((diff * diff).sum() / n))
         resid = diff / n
     else:
         raise ValidationError(f"unknown link {link!r}")
@@ -93,8 +96,9 @@ def relaxed_loss_and_grad(
     return loss, grad
 
 
-def _hard_sets(a: np.ndarray, cutoff: float) -> tuple[list[int], list[int]]:
-    distance = np.abs(expit(a) - 0.5)
+def _hard_sets(
+    a: np.ndarray, distance: np.ndarray, cutoff: float
+) -> tuple[list[int], list[int]]:
     num = np.flatnonzero((distance >= cutoff) & (a > 0.0)).tolist()
     den = np.flatnonzero((distance >= cutoff) & (a < 0.0)).tolist()
     if not num or not den:
@@ -150,15 +154,22 @@ def relaxed_gradient_learner(
     velocity = np.zeros_like(params)
     loss_curve = np.empty(config.epochs)
     grad = np.zeros_like(params)
-    for t in range(config.epochs):
-        loss, grad = relaxed_loss_and_grad(
-            params, values, y_fit, mode=mode, link=spec.link, logs=logs
-        )
-        loss_curve[t] = loss
-        velocity = 0.9 * velocity + grad
-        params = params - config.learning_rate * velocity
+    # A step size too large for the data overflows the parameters; that is
+    # reported once, as the error below, not as numpy warnings.
+    with np.errstate(all="ignore"):
+        for t in range(config.epochs):
+            loss, grad = relaxed_loss_and_grad(
+                params, values, y_fit, mode=mode, link=spec.link, logs=logs
+            )
+            loss_curve[t] = loss
+            velocity = 0.9 * velocity + grad
+            params = params - config.learning_rate * velocity
+        if not (np.isfinite(params).all() and np.isfinite(loss_curve).all()):
+            raise ValidationError("relaxed training diverged; lower the learning rate")
+        a = params[:g]
+        # exp(-a) overflows for a below about -709; that side weight is 0.
+        distance = np.abs(expit(a) - 0.5)
 
-    a = params[:g]
     grad_norm = float(np.linalg.norm(grad))
     converged = grad_norm <= 1e-3 * (1.0 + abs(loss_curve[-1]))
 
@@ -184,11 +195,10 @@ def relaxed_gradient_learner(
     # Sweep cutoffs sparsest-first; candidate sets are nested, so set sizes
     # strictly increase and "sparsest within lam SEs of the best" is a
     # deterministic first-hit scan.
-    distance = np.abs(expit(a) - 0.5)
     sets = []
     for cutoff in np.unique(distance)[::-1]:
         try:
-            num, den = _hard_sets(a, float(cutoff))
+            num, den = _hard_sets(a, distance, float(cutoff))
         except EmptySideAfterDiscretization:
             continue
         if sets and len(sets[-1][1]) + len(sets[-1][2]) == len(num) + len(den):

@@ -72,7 +72,8 @@ def read_matrix(path) -> CompositionMatrix:
     if len(lines) < 2:
         raise ParseError("matrix has no sample rows", path=path)
     sample_ids = []
-    rows = []
+    # One row of Python floats at a time, not the whole table.
+    values = np.empty((len(lines) - 1, n_cols - 1))
     for i, line in enumerate(lines[1:], start=2):
         fields = line.split(delim)
         if len(fields) != n_cols:
@@ -82,13 +83,10 @@ def read_matrix(path) -> CompositionMatrix:
                 row=i,
             )
         sample_ids.append(fields[0].strip())
-        rows.append(
-            [
-                _parse_cell(cell, path, i, j)
-                for j, cell in enumerate(fields[1:], start=2)
-            ]
-        )
-    return CompositionMatrix(np.array(rows, dtype=float), sample_ids, feature_ids)
+        values[i - 2] = [
+            _parse_cell(cell, path, i, j) for j, cell in enumerate(fields[1:], start=2)
+        ]
+    return CompositionMatrix(values, sample_ids, feature_ids)
 
 
 def write_table(path, row_ids, col_ids, values):

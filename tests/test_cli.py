@@ -327,6 +327,33 @@ class TestExitCodes:
         assert "network training diverged" in err
         assert "RuntimeWarning" not in err
 
+    @pytest.mark.parametrize("kind", ["binary", "continuous"])
+    def test_diverging_relaxed_training_names_the_cause(self, tmp_path, capsys, kind):
+        sim = simulate_into(tmp_path, n_samples=24, n_features=6, seed=1)
+        outcome = sim / "outcome.tsv"
+        if kind == "continuous":
+            ids, group = read_outcome_pairs(outcome)
+            outcome = tmp_path / "continuous.tsv"
+            outcome.write_text(
+                "".join(
+                    f"{sid}\t{1.0 + g + 0.1 * i!r}\n"
+                    for i, (sid, g) in enumerate(zip(ids, group.tolist()))
+                )
+            )
+        rc = self.run_without_warnings(
+            "learn",
+            "--matrix", str(sim / "observed.tsv"),
+            "--outcome", str(outcome),
+            "--outcome-kind", kind,
+            "--learner", "relaxed",
+            "--learning-rate", "1e300",
+            "--out-dir", str(tmp_path / "o"),
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "relaxed training diverged; lower the learning rate" in err
+        assert "RuntimeWarning" not in err
+
     def test_config_value_outside_its_range(self, tmp_path, capsys):
         assert self.run_with_config(tmp_path, "simulate", "log_sd=-1\n") == 3
         assert "log_sd must be non-negative" in capsys.readouterr().err
@@ -724,7 +751,13 @@ class TestDaaAndRatios:
             "--outcome-kind", kind,
         ]
         assert run(*argv, "--out-dir", str(tmp_path / "batched")) == 0
-        monkeypatch.setattr(glm, "_fit_columns", fit_glm_by_column)
+        monkeypatch.setattr(
+            glm,
+            "_fit_columns",
+            lambda blocks, n_columns, outcome, spec: fit_glm_by_column(
+                blocks, outcome, spec
+            ),
+        )
         assert run(*argv, "--out-dir", str(tmp_path / "by_column")) == 0
         for name in ("attribution.tsv", "ratios.json"):
             assert (tmp_path / "batched" / name).read_bytes() == (

@@ -8,6 +8,7 @@ penalized objective.
 
 import gc
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -170,9 +171,14 @@ class TestLogisticLink:
     def test_probability_predictions_in_range(self):
         z, y = self.make_data(60)
         fit = fit_glm(z, Outcome.binary(y), ModelSpec(link="logistic"))
-        p = fit.predict_response(np.linspace(-50, 50, 101))
+        # Scores far enough out overflow exp inside expit; that is no warning.
+        scores = np.concatenate([np.linspace(-50, 50, 101), [-1e6, 1e6]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = fit.predict_response(scores)
         assert np.all(p >= 0.0)
         assert np.all(p <= 1.0)
+        assert sorted(p[-2:]) == [0.0, 1.0]
 
 
 class TestFitValidation:
@@ -273,6 +279,10 @@ def column_fit_cases(draw):
     return out, spec, blocks
 
 
+def fit_blocks(blocks, outcome, spec):
+    return _fit_columns(blocks, sum(z.shape[1] for z in blocks), outcome, spec)
+
+
 def assert_fits_match(got, want):
     """Equal NaN masks; beta and p within the tolerance of two
     implementations of one fit."""
@@ -307,14 +317,14 @@ class TestBatchedColumnFits:
     def test_matches_fit_glm_column_by_column(self, case):
         out, spec, blocks = case
         assert_fits_identical(
-            _fit_columns(blocks, out, spec), fit_glm_by_column(blocks, out, spec)
+            fit_blocks(blocks, out, spec), fit_glm_by_column(blocks, out, spec)
         )
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(column_fit_cases())
     def test_matches_the_scalar_reference(self, case):
         out, spec, blocks = case
-        got = _fit_columns(blocks, out, spec)
+        got = fit_blocks(blocks, out, spec)
         want = reference_by_column(blocks, out, spec)
         assert_fits_match(got, want)
         # A rejected column's note is its error. Convergence notes are not
