@@ -117,47 +117,40 @@ def run_benchmark(
     clr = {"T": clr_transform(pair.t), "U": clr_transform(pair.u)}
     matrices = {"T": pair.t, "U": pair.u}
 
-    # Each row fits its own latent: a fit returns the latent score
-    # and the network that decodes it (None to decode by least squares).
-    def pca(label):
-        return lambda: (pca_first_component(clr[label])[0], None)
-
-    def pls(side):
-        def fit():
+    def fit_latent(method: str, first: str, second: str):
+        """A row's latent score of clr `first` and the network that decodes
+        it into clr `second` (None to decode by least squares). PCA and PLS
+        rows reconstruct their own side, so for them `second` is `first`."""
+        if method == "pca":
+            return pca_first_component(clr[first])[0], None
+        if method == "pls":
             pls_fit = pls_first_component(clr["T"], clr["U"])
-            return (pls_fit.x_scores if side == "T" else pls_fit.y_scores), None
+            return (pls_fit.x_scores if first == "T" else pls_fit.y_scores), None
+        network = encoder_decoder_latent(clr[first], clr[second], nn_config)
+        return network.encode(clr[first]), network
 
-        return fit
-
-    def nn(src, dst):
-        def fit():
-            network = encoder_decoder_latent(clr[src], clr[dst], nn_config)
-            return network.encode(clr[src]), network
-
-        return fit
-
-    # (objective, method, latent label, latent fit, target label,
-    #  rbb source label)
+    # (objective, method, latent label, latent side, target side,
+    #  rbb source side); each row fits its own latent.
     rows_spec = [
-        ("dimension_reduction", "pca", "PCA1(clr T)", pca("T"), "T", "T"),
-        ("dimension_reduction", "pca", "PCA1(clr U)", pca("U"), "U", "U"),
-        ("dimension_reduction", "pls", "PLS1 t(clr T, clr U)", pls("T"), "T", "T"),
-        ("dimension_reduction", "pls", "PLS1 u(clr T, clr U)", pls("U"), "U", "U"),
-        ("dimension_reduction", "nn", "NN(T>h>T)", nn("T", "T"), "T", "T"),
-        ("dimension_reduction", "nn", "NN(U>h>U)", nn("U", "U"), "U", "U"),
-        ("integration", "pca", "PCA1(clr T)", pca("T"), "T", "U"),
-        ("integration", "pca", "PCA1(clr U)", pca("U"), "U", "T"),
-        ("integration", "pls", "PLS1 t(clr T, clr U)", pls("T"), "T", "U"),
-        ("integration", "pls", "PLS1 u(clr T, clr U)", pls("U"), "U", "T"),
-        ("integration", "nn", "NN(T>h>U)", nn("T", "U"), "U", "T"),
-        ("integration", "nn", "NN(U>h>T)", nn("U", "T"), "T", "U"),
+        ("dimension_reduction", "pca", "PCA1(clr T)", "T", "T", "T"),
+        ("dimension_reduction", "pca", "PCA1(clr U)", "U", "U", "U"),
+        ("dimension_reduction", "pls", "PLS1 t(clr T, clr U)", "T", "T", "T"),
+        ("dimension_reduction", "pls", "PLS1 u(clr T, clr U)", "U", "U", "U"),
+        ("dimension_reduction", "nn", "NN(T>h>T)", "T", "T", "T"),
+        ("dimension_reduction", "nn", "NN(U>h>U)", "U", "U", "U"),
+        ("integration", "pca", "PCA1(clr T)", "T", "T", "U"),
+        ("integration", "pca", "PCA1(clr U)", "U", "U", "T"),
+        ("integration", "pls", "PLS1 t(clr T, clr U)", "T", "T", "U"),
+        ("integration", "pls", "PLS1 u(clr T, clr U)", "U", "U", "T"),
+        ("integration", "nn", "NN(T>h>U)", "T", "U", "T"),
+        ("integration", "nn", "NN(U>h>T)", "U", "T", "U"),
     ]
 
     def evaluate(i: int) -> BenchmarkRow:
-        objective, method, label, fit_latent, target_label, source_label = rows_spec[i]
-        target = clr[target_label]
+        objective, method, label, first, second, source_label = rows_spec[i]
+        target = clr[second]
         try:
-            latent, network = fit_latent()
+            latent, network = fit_latent(method, first, second)
             original_r2 = _reconstruction_r2(target, latent.scores, network)
             approx = approximate_latent_with_rbb(
                 latent,

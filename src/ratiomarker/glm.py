@@ -10,12 +10,14 @@ One kernel, `_fit_rows`, does every fit: it takes a columns x samples
 array and fits each row as its own score. `fit_glm` is its one-row call,
 `_fit_columns` feeds it the blocks of `daa` and `ratios`, and
 `learn.scoring.score_candidates` calls it once per fold. The kernel centres
-each score before forming the 2x2 system, a change of variables that
-leaves the objective, the ridge on the uncentred intercept and the
-convergence test on the uncentred gradient as they are, and makes the
-determinant n * sum((z - mean(z))^2) rather than a difference of two large
-sums. Every reduction runs along a row (`sum` or `einsum`, never BLAS), so a
-row's result does not depend on the block it is fitted in. The kernel
+each score. The logistic ridge is on the slope and on the intercept at the
+mean score, and convergence is tested on the gradient in those
+coordinates, so adding a constant to a score moves beta0 alone (up to
+rounding), as it does for least squares. Centring also makes the
+determinant of the 2x2 system n * sum((z - mean(z))^2) rather than a
+difference of two large sums. Every reduction runs along a row (`sum` or
+`einsum`, never BLAS), so a row's result does not depend on the block it
+is fitted in. The kernel
 computes no p-values: `fit_glm` and `_fit_columns` each compute the Wald
 p-values once, over their whole result vector, with the tails of
 `special`. The scalar two-column fitters in `tests/conftest.py`, which use
@@ -46,26 +48,24 @@ from .errors import (
 from .special import expit, ndtr, stdtr
 
 LINKS = ("identity", "logistic")
+# The logistic fit's ridge on (beta, intercept at the mean score), and its
+# convergence tolerance on the gradient norm.
+RIDGE = 1e-6
+TOL = 1e-8
 
 
 @dataclass
 class ModelSpec:
-    """Link choice and optimizer settings for a single-score GLM."""
+    """Link choice and iteration cap for a single-score GLM."""
 
     link: str = "logistic"
     max_iter: int = 100
-    tol: float = 1e-8
-    ridge: float = 1e-6
 
     def __post_init__(self):
         if self.link not in LINKS:
             raise ValidationError(f"unknown link {self.link!r}")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be at least 1")
-        if not self.tol > 0.0:
-            raise ValidationError("tol must be positive")
-        if not self.ridge >= 0.0:
-            raise ValidationError("ridge must be nonnegative")
 
     @classmethod
     def for_outcome(cls, outcome: Outcome, link: str = "auto") -> "ModelSpec":
@@ -104,9 +104,10 @@ def fit_glm(z, outcome: Outcome, spec: ModelSpec | None = None) -> FittedGlm:
     """Fit y ~ phi(beta * z + beta0).
 
     Identity link: least squares, Wald p-value from the t distribution.
-    Logistic link: ridge-stabilized damped Newton, Wald p-value from the
-    normal distribution. Convergence is declared when the gradient norm
-    drops to tol * (1 + |beta|). Non-convergence is reported on the result,
+    Logistic link: damped Newton with the ridge RIDGE on beta and on the
+    intercept at the mean score, Wald p-value from the normal distribution.
+    Convergence is declared when the gradient norm in those coordinates
+    drops to TOL * (1 + |beta|). Non-convergence is reported on the result,
     not raised; a score that cannot be fitted raises `ValidationError`.
     """
     spec = spec or ModelSpec()
@@ -192,7 +193,7 @@ def _fit_rows(zt, outcome: Outcome, spec: ModelSpec) -> _Fits:
             # exp(-eta) in expit overflows to inf for eta below about -709,
             # and expit is then 0, as it should be.
             with np.errstate(over="ignore"):
-                fit = _fit_logistic_rows(z, outcome.values, spec)
+                fit = _fit_logistic_rows(z, outcome.values, spec.max_iter)
             beta[rows], beta0[rows], se[rows] = fit[:3]
             n_iter[rows], converged[rows], gnorm = fit[3:]
             for j, g in zip(rows, gnorm):
@@ -247,54 +248,48 @@ def _fit_identity_rows(z, y):
     return beta, beta0, se, singular
 
 
-def _penalized_nll_rows(eta, y, b1, b0, ridge):
+def _penalized_nll_rows(eta, y, b1, a):
     nll = np.logaddexp(0.0, eta).sum(axis=1) - np.einsum("ij,j->i", eta, y)
-    return nll + 0.5 * ridge * (b1 * b1 + b0 * b0)
+    return nll + 0.5 * RIDGE * (b1 * b1 + a * a)
 
 
-def _fit_logistic_rows(z, y, spec):
+def _fit_logistic_rows(z, y, max_iter):
     """Damped Newton on every row of z at once.
 
     The state of a row is its slope b1 and its intercept a at the mean
-    score, so eta = b1 * (z - zbar) + a and the uncentred intercept is
-    a - b1 * zbar. Each row converges when the norm of its uncentred
-    gradient drops to tol * (1 + |b1|), halves its own step until its
-    penalized objective stops increasing, and leaves the active set once
-    it stops. Returns beta, beta0, se, iterations, converged and the final
-    gradient norm per row.
+    score, so eta = b1 * (z - zbar) + a, and the ridge is on (b1, a). Each
+    row converges when the norm of its gradient drops to TOL * (1 + |b1|),
+    halves its own step until its penalized objective stops increasing, and
+    leaves the active set once it stops. Returns beta, beta0, se,
+    iterations, converged and the final gradient norm per row.
     """
     c, n = z.shape
-    ridge, tol, max_iter = spec.ridge, spec.tol, spec.max_iter
-    zbar_all = z.mean(axis=1)
-    zc = z - zbar_all[:, None]
+    zbar = z.mean(axis=1)
+    zc = z - zbar[:, None]
     ybar = float(y.mean())
     out = np.empty((4, c))  # slope, intercept at the mean, se, gradient norm
     n_iter = np.empty(c, dtype=int)
     converged = np.zeros(c, dtype=bool)
     # The active rows' state.
     act = np.arange(c)
-    zbar = zbar_all
     b1 = np.zeros(c)
     a = np.full(c, math.log(ybar / (1.0 - ybar)))
     eta = np.repeat(a[:, None], n, axis=1)
-    f_cur = _penalized_nll_rows(eta, y, b1, a, ridge)
+    f_cur = _penalized_nll_rows(eta, y, b1, a)
     for it in range(max_iter + 1):
         mu = expit(eta)
         r = mu - y
-        sr = r.sum(axis=1)
-        b0 = a - b1 * zbar
-        g0 = sr + ridge * b0
-        gc1 = _rowdot(r, zc) + ridge * (b1 - zbar * b0)
-        g1 = gc1 + zbar * g0
+        g0 = r.sum(axis=1) + RIDGE * a
+        g1 = _rowdot(r, zc) + RIDGE * b1
         gnorm = np.sqrt(g1 * g1 + g0 * g0)
         w = mu * (1.0 - mu)
         wz = w * zc
-        h00 = w.sum(axis=1) + ridge
-        h10 = wz.sum(axis=1) - ridge * zbar
-        h11 = _rowdot(wz, zc) + ridge * (1.0 + zbar * zbar)
+        h00 = w.sum(axis=1) + RIDGE
+        h10 = wz.sum(axis=1)
+        h11 = _rowdot(wz, zc) + RIDGE
         det = h11 * h00 - h10 * h10
         last = it == max_iter
-        conv = (gnorm <= tol * (1.0 + np.abs(b1))) & (not last)
+        conv = (gnorm <= TOL * (1.0 + np.abs(b1))) & (not last)
         stop = conv | last
         if stop.any():
             done = act[stop]
@@ -306,16 +301,14 @@ def _fit_logistic_rows(z, y, spec):
             keep = ~stop
             if not keep.any():
                 break
-            act, zc, zbar, eta = act[keep], zc[keep], zbar[keep], eta[keep]
-            b1, a, g0, gc1, f_cur = b1[keep], a[keep], g0[keep], gc1[keep], f_cur[keep]
+            act, zc, eta = act[keep], zc[keep], eta[keep]
+            b1, a, g0, g1, f_cur = b1[keep], a[keep], g0[keep], g1[keep], f_cur[keep]
             h11, h10, h00, det = h11[keep], h10[keep], h00[keep], det[keep]
-        # The Newton step in centred coordinates; it is the uncentred step
-        # under the change of variables.
-        d1 = (h00 * gc1 - h10 * g0) / det
-        d0 = (h11 * g0 - h10 * gc1) / det
+        d1 = (h00 * g1 - h10 * g0) / det
+        d0 = (h11 * g0 - h10 * g1) / det
         t1, ta = b1 - d1, a - d0
         trial = zc * t1[:, None] + ta[:, None]
-        f_new = _penalized_nll_rows(trial, y, t1, ta - t1 * zbar, ridge)
+        f_new = _penalized_nll_rows(trial, y, t1, ta)
         step = np.ones_like(t1)
         # Halve each row's step until its penalized objective stops
         # increasing, at most 50 times.
@@ -327,12 +320,10 @@ def _fit_logistic_rows(z, y, spec):
             t1[up] = b1[up] - step[up] * d1[up]
             ta[up] = a[up] - step[up] * d0[up]
             trial[up] = zc[up] * t1[up, None] + ta[up, None]
-            f_new[up] = _penalized_nll_rows(
-                trial[up], y, t1[up], ta[up] - t1[up] * zbar[up], ridge
-            )
+            f_new[up] = _penalized_nll_rows(trial[up], y, t1[up], ta[up])
         b1, a, eta, f_cur = t1, ta, trial, f_new
     beta, intercept, se, gnorm = out
-    return beta, intercept - beta * zbar_all, se, n_iter, converged, gnorm
+    return beta, intercept - beta * zbar, se, n_iter, converged, gnorm
 
 
 def _fit_columns(blocks, n_columns: int, outcome: Outcome, spec: ModelSpec):

@@ -301,7 +301,6 @@ class EncoderDecoderFit:
     d_in: int
     d_out: int
     loss_curve: np.ndarray
-    converged: bool
     final_loss: float
 
     def encode(self, x) -> LatentRepresentation:
@@ -329,9 +328,10 @@ def encoder_decoder_latent(
     """Train the bottleneck network x -> h -> y with Adam on MSE.
 
     Data are column-centered internally; `decode` adds the target means
-    back. Training is deterministic given the seed. Non-convergence is
-    reported on the fit (converged flag plus final loss), not raised;
-    training that overflows to non-finite weights raises ValidationError.
+    back. Training is deterministic given the seed and runs all
+    `config.epochs` steps; the fit keeps the loss before each step and the
+    loss after the last one. Training that overflows to non-finite weights
+    raises ValidationError.
     """
     if config is None:
         config = EncoderDecoderConfig()
@@ -378,14 +378,13 @@ def encoder_decoder_latent(
             v_hat += eps
             m_hat /= v_hat
             params -= m_hat
-        final_loss, grad = mlp_loss_and_grad(
+        final_loss, _ = mlp_loss_and_grad(
             params, xc, yc, config.hidden_units, workspace
         )
     if not (np.all(np.isfinite(params)) and np.isfinite(final_loss)):
         raise ValidationError(
             "network training diverged; lower the network learning rate"
         )
-    converged = float(np.linalg.norm(grad)) <= 1e-3 * (1.0 + final_loss)
     return EncoderDecoderFit(
         params=params,
         config=config,
@@ -394,7 +393,6 @@ def encoder_decoder_latent(
         d_in=x.shape[1],
         d_out=y.shape[1],
         loss_curve=loss_curve,
-        converged=converged,
         final_loss=final_loss,
     )
 

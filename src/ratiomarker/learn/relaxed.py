@@ -153,7 +153,6 @@ def relaxed_gradient_learner(
     # cutoff ranking stays faithful to signal strength.
     velocity = np.zeros_like(params)
     loss_curve = np.empty(config.epochs)
-    grad = np.zeros_like(params)
     # A step size too large for the data overflows the parameters; that is
     # reported once, as the error below, not as numpy warnings.
     with np.errstate(all="ignore"):
@@ -169,9 +168,6 @@ def relaxed_gradient_learner(
         a = params[:g]
         # exp(-a) overflows for a below about -709; that side weight is 0.
         distance = np.abs(expit(a) - 0.5)
-
-    grad_norm = float(np.linalg.norm(grad))
-    converged = grad_norm <= 1e-3 * (1.0 + abs(loss_curve[-1]))
 
     def scored(sets: list) -> list[dict]:
         """The sweep's table rows for (cutoff, numerator, denominator) sets,
@@ -230,8 +226,6 @@ def relaxed_gradient_learner(
             "learner": "relaxed",
             "mode": mode,
             "loss_curve": loss_curve.tolist(),
-            "grad_norm": grad_norm,
-            "converged": converged,
             "cutoffs": candidates,
             "selected_cutoff": chosen["cutoff"],
         },

@@ -11,8 +11,10 @@ be fitted in some fold scores -inf.
 matrix at once. For a binary outcome with the logistic link, AUC does not
 change under an increasing map, so a fold's AUC depends only on the sign of
 the fitted beta. The penalized profile log-likelihood of beta is concave,
-so that sign is the sign of the score statistic sum((y - mean(y)) * z) on
-the training rows, up to the fitter's tolerance and the ridge. Those
+and the ridge is on beta and on the intercept at the mean score, so its
+slope at beta = 0 is exactly the score statistic
+sum((y - mean(y)) * (z - mean(z))) on the training rows: the sign of beta
+is the sign of that statistic, up to the fitter's tolerance. Those
 columns are therefore not fitted: sign * z is ranked on each test fold for
 all columns together with the rank-sum formula of `metrics.auc_score`.
 The other columns are fitted, once per fold in one call of the GLM kernel
@@ -36,12 +38,12 @@ import numpy as np
 
 from ..composition import Outcome, StrictlyPositiveMatrix
 from ..errors import DimensionMismatch, ValidationError
-from ..glm import ModelSpec, _fit_rows
+from ..glm import TOL, ModelSpec, _fit_rows
 from ..metrics import _auc_rows, _r2_rows
 from .biomarker import LearnerConfig
 
-# How far beyond the fitter's tolerance and ridge the score statistic must
-# lie before its sign is taken as the sign of the fitted beta.
+# How far beyond the fitter's tolerance the score statistic must lie before
+# its sign is taken as the sign of the fitted beta.
 _SIGN_MARGIN = 1e3
 
 
@@ -132,11 +134,7 @@ def score_candidates(
         top = z_train.max(axis=0)
         bottom = z_train.min(axis=0)
         dead |= top == bottom
-        margin = (
-            _SIGN_MARGIN
-            * (spec.tol + spec.ridge * (1.0 + abs(math.log(ybar / (1.0 - ybar)))))
-            * (1.0 + np.maximum(top, -bottom))
-        )
+        margin = _SIGN_MARGIN * TOL * (1.0 + np.maximum(top, -bottom))
         undecided |= np.abs(stat) <= margin
         sign = np.where(stat > 0.0, 1.0, -1.0)
         scores[:, f] = _auc_rows(y[test], (z_all[test] * sign).T)

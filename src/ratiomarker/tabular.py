@@ -25,12 +25,21 @@ def _detect_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
 
 
-def _read_lines(path) -> list[str]:
+def _read_text(path) -> str:
+    """The text of a UTF-8 file. A missing file is a `ValidationError`, and
+    bytes that do not decode are a `ParseError` naming the file."""
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ValidationError(f"input file does not exist: {path}") from None
-    lines = text.splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"not UTF-8 text (byte {exc.start + 1})", path=path
+        ) from None
+
+
+def _read_lines(path) -> list[str]:
+    lines = _read_text(path).splitlines()
     while lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -189,14 +198,17 @@ def read_config(path) -> dict[str, str]:
     A JSON file (for instance a previously written run manifest) is also
     accepted; its "config" object, or the top-level object itself, is used.
     """
-    text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        data = json.loads(text)
-        if isinstance(data, dict) and isinstance(data.get("config"), dict):
+    text = _read_text(path)
+    if text.lstrip().startswith("{"):
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(
+                f"invalid JSON: {exc.msg}", path=path, row=exc.lineno, column=exc.colno
+            ) from None
+        # Text that starts with "{" parses to an object, or not at all.
+        if isinstance(data.get("config"), dict):
             data = data["config"]
-        if not isinstance(data, dict):
-            raise ParseError("JSON config must be an object", path=path)
         return {str(k): str(v) for k, v in data.items() if v is not None}
     config = {}
     for i, line in enumerate(text.splitlines(), start=1):

@@ -27,7 +27,7 @@ from scipy.stats import rankdata
 
 from ratiomarker import parallel
 from ratiomarker.errors import DegenerateDesign, ValidationError
-from ratiomarker.glm import FittedGlm, fit_glm
+from ratiomarker.glm import RIDGE, TOL, FittedGlm, fit_glm
 from ratiomarker.latent import _init_params, _unpack
 
 ACCEPTANCE_LINES = []
@@ -55,9 +55,9 @@ def reference_fit(z, outcome, spec) -> FittedGlm:
     """Fit y ~ phi(beta * z + beta0) with the design [z - mean(z), 1].
 
     The same objective, rules and errors as `fit_glm`: the ridge is on beta
-    and the uncentred beta0, convergence is tested on the uncentred
-    gradient, steps are halved until the objective stops increasing, and
-    se == 0 gives p = 0, or 1 at beta == 0.
+    and the intercept at the mean score, convergence is tested on the
+    gradient in those coordinates, steps are halved until the objective
+    stops increasing, and se == 0 gives p = 0, or 1 at beta == 0.
     """
     z = np.asarray(z, dtype=float).ravel()
     y = outcome.values
@@ -76,7 +76,7 @@ def reference_fit(z, outcome, spec) -> FittedGlm:
     x = np.column_stack([z - zbar, np.ones_like(z)])
     if spec.link == "identity":
         return _fit_identity(x, y, zbar)
-    return _fit_logistic(x, y, zbar, spec)
+    return _fit_logistic(x, y, zbar, spec.max_iter)
 
 
 def _fit_identity(x, y, zbar) -> FittedGlm:
@@ -110,13 +110,10 @@ def _fit_identity(x, y, zbar) -> FittedGlm:
     )
 
 
-def _fit_logistic(x, y, zbar, spec) -> FittedGlm:
-    # theta = (beta, a) with a = beta0 + beta * zbar. The penalty
-    # ridge / 2 * (beta^2 + beta0^2) is theta' P theta / 2, and the uncentred
-    # gradient is `uncentre @` the centred one.
-    ridge = spec.ridge
-    penalty = ridge * np.array([[1.0 + zbar * zbar, -zbar], [-zbar, 1.0]])
-    uncentre = np.array([[1.0, zbar], [0.0, 1.0]])
+def _fit_logistic(x, y, zbar, max_iter) -> FittedGlm:
+    # theta = (beta, a) with a = beta0 + beta * zbar; the penalty is
+    # RIDGE / 2 * theta' theta.
+    penalty = RIDGE * np.eye(2)
 
     def objective(theta):
         eta = x @ theta
@@ -134,9 +131,9 @@ def _fit_logistic(x, y, zbar, spec) -> FittedGlm:
     f_cur = objective(theta)
     converged = False
     n_iter = 0
-    for n_iter in range(1, spec.max_iter + 1):
+    for n_iter in range(1, max_iter + 1):
         grad, hess = gradient_and_hessian(theta)
-        if np.linalg.norm(uncentre @ grad) <= spec.tol * (1.0 + abs(theta[0])):
+        if np.linalg.norm(grad) <= TOL * (1.0 + abs(theta[0])):
             converged = True
             break
         direction = np.linalg.solve(hess, grad)
@@ -158,8 +155,8 @@ def _fit_logistic(x, y, zbar, spec) -> FittedGlm:
     else:
         p_value = float(2.0 * ndtr(-abs(theta[0] / se)))
     note = "" if converged else (
-        f"did not converge in {spec.max_iter} iterations"
-        f" (gradient norm {np.linalg.norm(uncentre @ grad):.3g})"
+        f"did not converge in {max_iter} iterations"
+        f" (gradient norm {np.linalg.norm(grad):.3g})"
     )
     return FittedGlm(
         beta=float(theta[0]),

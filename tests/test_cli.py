@@ -253,6 +253,37 @@ class TestExitCodes:
     def test_config_value_outside_choices(self, tmp_path):
         assert self.run_with_config(tmp_path, "transform", "transform=alr\n") == 3
 
+    def assert_one_line_error(self, capsys, *parts):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert all(part in err for part in parts), err
+
+    def test_malformed_json_config(self, tmp_path, capsys):
+        assert self.run_with_config(tmp_path, "transform", '{"seed": 1,') == 2
+        self.assert_one_line_error(capsys, "c.cfg", "invalid JSON")
+
+    @pytest.mark.parametrize("name", ["matrix", "outcome", "config"])
+    def test_input_that_is_not_utf8(self, tmp_path, capsys, name):
+        sim = simulate_into(tmp_path, n_samples=24, n_features=6)
+        paths = {
+            "matrix": sim / "observed.tsv",
+            "outcome": sim / "outcome.tsv",
+            "config": tmp_path / "c.cfg",
+        }
+        paths["config"].write_text("seed=1\n")
+        bad = paths[name]
+        bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
+        capsys.readouterr()
+        rc = run(
+            "ratios",
+            "--matrix", str(paths["matrix"]),
+            "--outcome", str(paths["outcome"]),
+            "--config", str(paths["config"]),
+            "--out-dir", str(tmp_path / "o"),
+        )
+        assert rc == 2
+        self.assert_one_line_error(capsys, str(bad), "not UTF-8")
+
     def run_on_simulated(self, tmp_path, command, *argv):
         sim = simulate_into(tmp_path, n_samples=24, n_features=6)
         return run(

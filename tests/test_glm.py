@@ -7,6 +7,7 @@ penalized objective.
 """
 
 import gc
+import itertools
 import tracemalloc
 import warnings
 
@@ -33,6 +34,7 @@ from ratiomarker.errors import (
     ValidationError,
 )
 from ratiomarker.glm import (
+    RIDGE,
     ModelSpec,
     _fit_columns,
     benjamini_hochberg,
@@ -57,22 +59,27 @@ def identity_oracle(z, y):
     return beta[0], beta[1], se, p
 
 
-def logistic_oracle(x, y, ridge):
-    """Minimize the ridge-penalized logistic negative log-likelihood."""
+def logistic_oracle(z, y):
+    """Minimize the logistic negative log-likelihood on the design
+    [z - mean(z), 1] with the ridge RIDGE on both coefficients; returns
+    (beta, beta0)."""
+    zbar = z.mean()
+    x = np.column_stack([z - zbar, np.ones_like(z)])
 
     def nll(beta):
         eta = x @ beta
-        return np.sum(np.logaddexp(0.0, eta)) - y @ eta + 0.5 * ridge * beta @ beta
+        return np.sum(np.logaddexp(0.0, eta)) - y @ eta + 0.5 * RIDGE * beta @ beta
 
     def grad(beta):
         eta = x @ beta
-        return x.T @ (special.expit(eta) - y) + ridge * beta
+        return x.T @ (special.expit(eta) - y) + RIDGE * beta
 
     result = optimize.minimize(
         nll, np.zeros(x.shape[1]), jac=grad, method="BFGS",
         options={"gtol": 1e-12, "maxiter": 500},
     )
-    return result.x
+    beta, a = result.x
+    return beta, a - beta * zbar
 
 
 def bh_oracle(p):
@@ -129,12 +136,12 @@ class TestLogisticLink:
         return z, y
 
     def test_matches_reference_optimizer(self):
-        for seed in range(8):
+        # The fit does not depend on where the score sits.
+        for seed, shift in itertools.product(range(8), [0.0, 1e4]):
             z, y = self.make_data(seed + 30)
-            spec = ModelSpec(link="logistic")
-            fit = fit_glm(z, Outcome.binary(y), spec)
-            x = np.column_stack([z, np.ones_like(z)])
-            want = logistic_oracle(x, y, spec.ridge)
+            z = z + shift
+            fit = fit_glm(z, Outcome.binary(y), ModelSpec(link="logistic"))
+            want = logistic_oracle(z, y)
             np.testing.assert_allclose(fit.beta, want[0], rtol=1e-6)
             np.testing.assert_allclose(fit.beta0, want[1], rtol=1e-6, atol=1e-8)
             assert fit.converged
@@ -179,6 +186,41 @@ class TestLogisticLink:
         assert np.all(p >= 0.0)
         assert np.all(p <= 1.0)
         assert sorted(p[-2:]) == [0.0, 1.0]
+
+
+@st.composite
+def shifted_score_cases(draw):
+    """An outcome, its link, a score on a grid of step 2**-10 and a shift c
+    with |c| <= 1e8 on the same grid, so that z + c is exact in float64."""
+    n = draw(st.integers(4, 60))
+
+    def draw_vector(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=float)
+
+    link = draw(st.sampled_from(["identity", "logistic"]))
+    if link == "logistic":
+        y = draw_vector(st.sampled_from([0.0, 1.0]))
+        y[draw(st.integers(0, n - 1))] = 1.0 - y[0]  # both classes present
+        out = Outcome.binary(y)
+    else:
+        y = draw_vector(st.integers(-20, 20)) / 4.0
+        out = Outcome.continuous(y)
+    z = y * draw(st.integers(0, 8)) + draw_vector(st.integers(-4096, 4096)) / 1024.0
+    z[0] = z.max() + 1.0 / 1024.0  # never constant
+    shift = draw(st.integers(-(10**8) * 1024, 10**8 * 1024)) / 1024.0
+    return out, ModelSpec(link=link), z, shift
+
+
+class TestLocationInvariance:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(shifted_score_cases())
+    def test_shifting_the_score_leaves_beta_and_p(self, case):
+        out, spec, z, shift = case
+        assert np.all(z + shift - shift == z)
+        want = fit_glm(z, out, spec)
+        got = fit_glm(z + shift, out, spec)
+        assert abs(got.beta - want.beta) <= 1e-8 * abs(want.beta)
+        assert abs(got.p_value - want.p_value) <= 1e-8 * want.p_value
 
 
 class TestFitValidation:

@@ -202,6 +202,7 @@ def scoring_cases(draw):
             "constant",
             "constant_in_one_fold",
             "zero_statistic",
+            "far_from_zero",
         ]
     )
     for kind in draw(st.lists(kinds, min_size=1, max_size=8)):
@@ -210,6 +211,9 @@ def scoring_cases(draw):
         elif kind in ("informative", "negated"):
             z = y * draw(st.integers(1, 16)) / 8.0 + free() / 4.0
             z = -z if kind == "negated" else z
+        elif kind == "far_from_zero":
+            z = y * draw(st.integers(1, 16)) / 8.0 + free() / 4.0
+            z = z + draw(st.sampled_from([-1e6, -1e4, 1e4, 1e6]))
         elif kind == "constant":
             z = np.full(n, draw(grid) / 8.0)
         else:
