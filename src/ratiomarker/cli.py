@@ -152,6 +152,16 @@ _LINK = _Option("--link", str, "auto", ("auto", "identity", "logistic"))
 _OUTCOME_KIND = _Option(
     "--outcome-kind", str, "auto", ("auto", "binary", "continuous")
 )
+# The planted preset's knobs; the depth_confounded preset is fixed.
+_PLANTED = (
+    _Option("--n-samples", int, 100),
+    _Option("--n-features", int, 20),
+    _Option("--effect", float, 2.0),
+    _Option("--log-sd", float, 0.5, domain=_NON_NEGATIVE),
+    _Option("--theta-sd", float, 0.5, domain=_NON_NEGATIVE),
+    _Option("--depth-sd", float, 0.5, domain=_NON_NEGATIVE),
+    _Option("--noise-sd", float, 0.1, domain=_NON_NEGATIVE),
+)
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
@@ -467,6 +477,9 @@ def _cmd_learn(config: dict, out: Callable[[str], Path]):
 
 def _cmd_simulate(config: dict, out: Callable[[str], Path]):
     if config["preset"] == "depth_confounded":
+        for opt in _PLANTED:
+            if config[opt.key] != opt.default:
+                raise ValidationError(f"{opt.flag} applies to the planted preset only")
         scenario = depth_confounded_scenario()
         bias = BiasModel.identity(scenario.n_samples, scenario.n_features)
         report_feature = "a"
@@ -652,13 +665,7 @@ _COMMANDS = {
         (
             *_COMMON,
             _Option("--preset", str, "planted", ("planted", "depth_confounded")),
-            _Option("--n-samples", int, 100),
-            _Option("--n-features", int, 20),
-            _Option("--effect", float, 2.0),
-            _Option("--log-sd", float, 0.5, domain=_NON_NEGATIVE),
-            _Option("--theta-sd", float, 0.5, domain=_NON_NEGATIVE),
-            _Option("--depth-sd", float, 0.5, domain=_NON_NEGATIVE),
-            _Option("--noise-sd", float, 0.1, domain=_NON_NEGATIVE),
+            *_PLANTED,
         ),
     ),
     "approx": (

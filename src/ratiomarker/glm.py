@@ -196,12 +196,18 @@ def _fit_rows(zt, outcome: Outcome, spec: ModelSpec) -> _Fits:
                 fit = _fit_logistic_rows(z, outcome.values, spec.max_iter)
             beta[rows], beta0[rows], se[rows] = fit[:3]
             n_iter[rows], converged[rows], gnorm = fit[3:]
-            for j, g in zip(rows, gnorm):
+            # Without overlap of the classes there is no finite maximum.
+            pos, neg = z[:, outcome.values == 1.0], z[:, outcome.values == 0.0]
+            separated = neg.max(axis=1) <= pos.min(axis=1)
+            separated |= pos.max(axis=1) <= neg.min(axis=1)
+            for j, g, sep in zip(rows, gnorm, separated):
                 if not converged[j]:
                     notes[j] = (
                         f"did not converge in {spec.max_iter} iterations"
                         f" (gradient norm {g:.3g})"
                     )
+                elif sep:
+                    notes[j] = "outcome is separated by the score; beta is set by the ridge"
     for j, e in enumerate(errors):
         if e is not None:
             notes[j] = str(e)

@@ -6,6 +6,13 @@ lam * (active features / G), so sparser chromosomes win ties. Selection is
 tournament (size 3 by default) with single-elite carryover, uniform
 crossover, and per-gene mutation at rate 1/G. Chromosomes with an empty
 side are never evaluated; they get the worst possible fitness.
+
+The draw order is a contract, since it fixes the search a seed gives.
+Child by child, a generation asks the generator for `integers(0, P, 2t)`
+(both tournaments), `random(2G)` (crossover uniforms, then mutation
+uniforms) and, when n > 0 genes mutate, `integers(0, 3, n)`: the draws of
+breeding one child at a time, merged. The breeding itself then runs on the
+whole generation at once.
 """
 
 import numpy as np
@@ -35,20 +42,16 @@ def evolutionary_slr(
     values = matrix.values
     rng = np.random.default_rng(config.seed)
     folds = make_folds(outcome, config.cv_folds, rng)
-    mutation_rate = (
-        config.mutation_rate if config.mutation_rate is not None else 1.0 / g
-    )
+    rate = 1.0 / g if config.mutation_rate is None else config.mutation_rate
 
     # Chromosome bytes -> (penalized fitness, CV mean, CV SE).
     cache: dict[bytes, tuple[float, float, float]] = {}
     worst = (float("-inf"), float("-inf"), 0.0)
 
     def fitness(chroms) -> np.ndarray:
-        """Penalized fitness of each chromosome.
-
-        The uncached ones are scored together in one batch, each distinct
-        chromosome once, in order of first appearance.
-        """
+        """Penalized fitness of each chromosome. The uncached ones are
+        scored in one batch, each distinct one once, in order of first
+        appearance."""
         todo = {}
         for chrom in chroms:
             key = chrom.tobytes()
@@ -65,37 +68,17 @@ def evolutionary_slr(
                 [slr_from_values(values, num, den) for num, den in todo.values()]
             )
             means, ses = score_candidates(z, outcome, spec, folds)
+            # An unusable candidate scores -inf with SE 0: `worst`.
             for (key, (num, den)), mean, se in zip(todo.items(), means, ses):
-                if mean == float("-inf"):
-                    cache[key] = worst
-                else:
-                    penalty = config.lam * (num.size + den.size) / g
-                    cache[key] = (float(mean) - penalty, float(mean), float(se))
+                penalty = config.lam * (num.size + den.size) / g
+                cache[key] = (float(mean) - penalty, float(mean), float(se))
         return np.array([cache[chrom.tobytes()][0] for chrom in chroms])
 
-    population = rng.choice(
-        _GENES, size=(config.population, g), p=[0.6, 0.2, 0.2]
-    ).astype(np.int8)
+    population = rng.choice(_GENES, size=(config.population, g), p=[0.6, 0.2, 0.2])
     fits = fitness(population)
     best_curve = [float(fits.max())]
-
-    def tournament() -> np.ndarray:
-        idx = rng.integers(0, config.population, config.tournament_size)
-        return population[idx[np.argmax(fits[idx])]]
-
     for _ in range(config.generations):
-        new_pop = [population[int(np.argmax(fits))].copy()]  # elite
-        while len(new_pop) < config.population:
-            parent_a = tournament()
-            parent_b = tournament()
-            mask = rng.random(g) < 0.5
-            child = np.where(mask, parent_a, parent_b).astype(np.int8)
-            mut = rng.random(g) < mutation_rate
-            n_mut = int(mut.sum())
-            if n_mut:
-                child[mut] = _GENES[rng.integers(0, 3, n_mut)]
-            new_pop.append(child)
-        population = np.array(new_pop, dtype=np.int8)
+        population = _next_generation(population, fits, rng, config.tournament_size, rate)
         fits = fitness(population)
         best_curve.append(float(fits.max()))
 
@@ -103,14 +86,10 @@ def evolutionary_slr(
     # A degenerate winner can only happen with a tiny population and no
     # working chromosome; repair it so the returned model is a real ratio.
     repaired = False
-    for side, gene in (("num", 1), ("den", -1)):
+    for gene in (1, -1):
         if not np.any(best == gene):
             free = np.flatnonzero(best == 0)
-            pick = (
-                int(free[rng.integers(0, free.size)])
-                if free.size
-                else int(rng.integers(0, g))
-            )
+            pick = free[rng.integers(0, free.size)] if free.size else rng.integers(0, g)
             best[pick] = gene
             repaired = True
     fitness([best])
@@ -137,3 +116,25 @@ def evolutionary_slr(
             "repaired": repaired,
         },
     )
+
+
+def _next_generation(population, fits, rng, tournament_size, mutation_rate):
+    """The elite, then population - 1 children, each bred from the winners
+    of two tournaments (the first of the fittest, as `np.argmax` picks it)
+    by uniform crossover and per-gene mutation."""
+    size, g = population.shape
+    picks = np.empty((size - 1, 2, tournament_size), dtype=np.int64)
+    uniforms = np.empty((size - 1, 2 * g))
+    new_genes = []
+    for c in range(size - 1):
+        picks[c] = rng.integers(0, size, (2, tournament_size))
+        rng.random(out=uniforms[c])
+        n_mut = np.count_nonzero(uniforms[c, g:] < mutation_rate)
+        if n_mut:
+            new_genes.append(rng.integers(0, 3, n_mut))
+    won = np.argmax(fits[picks], axis=-1)[..., None]
+    parents = population[np.take_along_axis(picks, won, axis=-1)[..., 0]]
+    children = np.where(uniforms[:, :g] < 0.5, parents[:, 0], parents[:, 1])
+    if new_genes:
+        children[uniforms[:, g:] < mutation_rate] = _GENES[np.concatenate(new_genes)]
+    return np.concatenate([population[None, np.argmax(fits)], children])

@@ -12,18 +12,17 @@ matrix at once. For a binary outcome with the logistic link, AUC does not
 change under an increasing map, so a fold's AUC depends only on the sign of
 the fitted beta. The penalized profile log-likelihood of beta is concave,
 and the ridge is on beta and on the intercept at the mean score, so its
-slope at beta = 0 is exactly the score statistic
-sum((y - mean(y)) * (z - mean(z))) on the training rows: the sign of beta
-is the sign of that statistic, up to the fitter's tolerance. Those
-columns are therefore not fitted: sign * z is ranked on each test fold for
-all columns together with the rank-sum formula of `metrics.auc_score`.
-The other columns are fitted, once per fold in one call of the GLM kernel
-on the training rows, and beta * z + beta0 is scored on the test rows:
-those whose statistic is too close to zero to fix the sign
-against the fitter's tolerance (the fitter stops at beta = 0 on some of
-them, with AUC 0.5), those with non-finite values, every column when a
-training fold lacks a class, and every column of a continuous outcome or
-of another link.
+slope at beta = 0 is the score statistic sum((y - mean(y)) * (z - mean(z)))
+on the training rows, and the sign of beta is the sign of that statistic,
+up to the fitter's tolerance. Those columns are not fitted: sign * z of
+every fold's test rows goes into one folds x C x (largest test fold) array,
+short folds padded with +inf and the label -1, and one `metrics._auc_rows`
+call ranks them all. The other columns are fitted, once per fold in one
+call of the GLM kernel on the training rows, and beta * z + beta0 is scored
+on the test rows: those whose statistic is too close to zero to fix the
+sign against the fitter's tolerance, those with non-finite values, every
+column when a training fold lacks a class, and every column of a
+continuous outcome or of another link.
 
 The reference, `cv_score_values` in `tests/conftest.py`, fits one GLM per
 fold and column. The scorer equals it bit for bit except in one case: two
@@ -125,7 +124,9 @@ def score_candidates(
     z_all = Z if finite.all() else np.where(finite, Z, 0.0)
     undecided = ~finite
     dead = np.zeros(Z.shape[1], dtype=bool)
-    scores = np.full((Z.shape[1], len(folds)), np.nan)
+    width = max(test.size for _, test in folds)
+    signed = np.full((len(folds), Z.shape[1], width), np.inf)
+    labels = np.full((len(folds), 1, width), -1.0)
     for f, (train, test) in enumerate(folds):
         z_train = z_all[train]
         y_train = y[train]
@@ -137,9 +138,10 @@ def score_candidates(
         margin = _SIGN_MARGIN * TOL * (1.0 + np.maximum(top, -bottom))
         undecided |= np.abs(stat) <= margin
         sign = np.where(stat > 0.0, 1.0, -1.0)
-        scores[:, f] = _auc_rows(y[test], (z_all[test] * sign).T)
+        signed[f, :, : test.size] = (z_all[test] * sign).T
+        labels[f, 0, : test.size] = y[test]
     dead &= finite
-    mean, se = _mean_and_se(scores, dead)
+    mean, se = _mean_and_se(_auc_rows(labels, signed).T, dead)
     to_fit = np.flatnonzero(undecided & ~dead)
     if to_fit.size:
         mean[to_fit], se[to_fit] = _fitted_scores(Z[:, to_fit], outcome, spec, folds)
@@ -178,13 +180,19 @@ def _mean_and_se(scores, dead):
     mean = np.full(len(scores), float("-inf"))
     se = np.zeros(len(scores))
     scored = ~np.isnan(scores)
-    for pattern in np.unique(scored[~dead], axis=0):
-        k = int(pattern.sum())
+    # Live rows sorted by their scored-fold mask; each run of one mask is
+    # reduced as one sub-array.
+    rows = np.flatnonzero(~dead)
+    rows = rows[np.lexsort(scored[rows].T)]
+    masks = scored[rows]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (masks[1:] != masks[:-1]).any(axis=1)
+    for group, mask in zip(np.split(rows, np.flatnonzero(first)[1:]), masks[first]):
+        k = int(mask.sum())
         if k == 0:
             continue
-        rows = np.flatnonzero(~dead & (scored == pattern).all(axis=1))
-        valid = scores[np.ix_(rows, np.flatnonzero(pattern))]
-        mean[rows] = valid.mean(axis=1)
+        valid = scores[np.ix_(group, np.flatnonzero(mask))]
+        mean[group] = valid.mean(axis=1)
         if k >= 2:
-            se[rows] = valid.std(axis=1, ddof=1) / math.sqrt(k)
+            se[group] = valid.std(axis=1, ddof=1) / math.sqrt(k)
     return mean, se

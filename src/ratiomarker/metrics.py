@@ -40,15 +40,21 @@ def _auc_rows(y, scores):
     The rank-sum (Mann-Whitney) form: the probability that a random
     positive outscores a random negative, counting ties as one half. NaN
     when either class is absent, and for a slice that holds a NaN.
+
+    `y` may be stacked labels, (folds x 1 x width) against scores of
+    (folds x C x width), to rank every fold in one pass. A short fold is
+    padded with the label -1 and finite scores with +inf, which ranks last
+    and so leaves the real ranks alone; midranks are half-integers, so the
+    rank sums are exact.
     """
     y = np.asarray(y, dtype=float)
     positive = y == 1.0
-    n_pos = int(np.sum(positive))
-    n_neg = int(np.sum(y == 0.0))
-    if n_pos == 0 or n_neg == 0:
-        return np.full(np.shape(scores)[:-1], np.nan)
-    rank_sum = _midranks(scores)[..., positive].sum(axis=-1)
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    n_pos = positive.sum(axis=-1)
+    n_neg = (y == 0.0).sum(axis=-1)
+    rank_sum = np.where(positive, _midranks(scores), 0.0).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return np.where((n_pos == 0) | (n_neg == 0), np.nan, auc)
 
 
 def auc_score(y, scores) -> float:

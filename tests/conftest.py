@@ -9,8 +9,11 @@ checked against: `reference_fit` is a scalar two-column GLM fitter written
 with matrix arithmetic, independent of the block kernel in `glm.py`, and
 `cv_score_values` scores one candidate with one `fit_glm` per fold.
 `reference_auc` ranks with `scipy.stats.rankdata`, which the package does
-not import. `reference_mlp_loss_and_grad` and `reference_encoder_decoder`
-train the bottleneck network with a new array for every intermediate.
+not import. `reference_mean_and_se` groups candidates by their scored-fold
+pattern with `np.unique(axis=0)`, and `reference_next_generation` breeds
+one child at a time. `reference_mlp_loss_and_grad` and
+`reference_encoder_decoder` train the bottleneck network with a new array
+for every intermediate.
 
 The `cpus` fixture makes `ordered_map` see one CPU or two, whatever the
 machine has, so the serial path and the process-pool path both run on any
@@ -235,6 +238,49 @@ def column_by_column(z_matrix, outcome, spec, folds):
         np.array([m for m, _ in scored], dtype=float),
         np.array([s for _, s in scored], dtype=float),
     )
+
+
+def reference_mean_and_se(scores, dead):
+    """Reference for `learn.scoring._mean_and_se`: one reduction per
+    distinct scored-fold pattern of the live rows."""
+    mean = np.full(len(scores), float("-inf"))
+    se = np.zeros(len(scores))
+    scored = ~np.isnan(scores)
+    for pattern in np.unique(scored[~dead], axis=0):
+        k = int(pattern.sum())
+        if k == 0:
+            continue
+        rows = np.flatnonzero(~dead & (scored == pattern).all(axis=1))
+        valid = scores[np.ix_(rows, np.flatnonzero(pattern))]
+        mean[rows] = valid.mean(axis=1)
+        if k >= 2:
+            se[rows] = valid.std(axis=1, ddof=1) / math.sqrt(k)
+    return mean, se
+
+
+def reference_next_generation(population, fits, rng, tournament_size, mutation_rate):
+    """Reference for `learn.evolutionary._next_generation`: the elite, then
+    one child at a time from two tournaments, uniform crossover and
+    per-gene mutation, each draw made as the child needs it."""
+    size, g = population.shape
+    genes = np.array([0, 1, -1], dtype=np.int8)
+
+    def tournament():
+        idx = rng.integers(0, size, tournament_size)
+        return population[idx[np.argmax(fits[idx])]]
+
+    new_pop = [population[int(np.argmax(fits))].copy()]
+    while len(new_pop) < size:
+        parent_a = tournament()
+        parent_b = tournament()
+        mask = rng.random(g) < 0.5
+        child = np.where(mask, parent_a, parent_b).astype(np.int8)
+        mut = rng.random(g) < mutation_rate
+        n_mut = int(mut.sum())
+        if n_mut:
+            child[mut] = genes[rng.integers(0, 3, n_mut)]
+        new_pop.append(child)
+    return np.array(new_pop, dtype=np.int8)
 
 
 def fit_glm_by_column(blocks, outcome, spec, fit=fit_glm):

@@ -645,6 +645,38 @@ class TestSimulate:
         assert rows["a"][0] == "1"
         assert rows["a"][1] == "-1"
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--n-samples", "120"),
+            ("--n-features", "30"),
+            ("--effect", "1.5"),
+            ("--log-sd", "0.9"),
+            ("--theta-sd", "0"),
+            ("--depth-sd", "1"),
+            ("--noise-sd", "0.3"),
+        ],
+    )
+    def test_depth_confounded_rejects_planted_options(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "d"
+        rc = run("simulate", "--preset", "depth_confounded", flag, value, "--out-dir", str(out))
+        assert rc == 3
+        assert flag in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_depth_confounded_rejects_planted_options_from_a_config(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("preset=depth_confounded\nnoise_sd=0.3\n")
+        assert run("simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "d")) == 3
+
+    def test_depth_confounded_accepts_the_planted_defaults(self, tmp_path):
+        rc = run(
+            "simulate", "--preset", "depth_confounded",
+            "--n-samples", "100", "--effect", "2", "--noise-sd", "0.1",
+            "--out-dir", str(tmp_path / "d"),
+        )
+        assert rc == 0
+
     def test_deterministic_given_seed(self, tmp_path):
         a = simulate_into(tmp_path, name="a", n_samples=12, n_features=6, seed=9)
         b = simulate_into(tmp_path, name="b", n_samples=12, n_features=6, seed=9)
@@ -807,6 +839,27 @@ class TestDaaAndRatios:
                 np.array(got[3:6], dtype=float), np.array(want[3:6], dtype=float),
                 rtol=1e-9, atol=1e-9,
             )
+
+    def test_separated_ratios_are_noted(self, tmp_path):
+        # Two samples per class, and two of the three ratios split them.
+        sim = tmp_path / "sim"
+        assert run("simulate", "--preset", "depth_confounded", "--out-dir", str(sim)) == 0
+        out = tmp_path / "ratios"
+        rc = run(
+            "ratios",
+            "--matrix", str(sim / "observed.tsv"),
+            "--outcome", str(sim / "outcome.tsv"),
+            "--out-dir", str(out),
+        )
+        assert rc == 0
+        lines = (out / "ratios.tsv").read_text().splitlines()
+        notes = {line.split("\t")[0]: line.split("\t")[6] for line in lines[1:]}
+        separated = "outcome is separated by the score; beta is set by the ridge"
+        assert notes == {
+            "a/b": separated,
+            "a/c": separated,
+            "b/c": "score is constant; nothing to fit",
+        }
 
     def test_ratio_feature_cap(self, tmp_path):
         sim = simulate_into(tmp_path, n_samples=30, n_features=12)

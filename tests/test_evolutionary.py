@@ -1,12 +1,13 @@
 """Evolutionary search over summed-log-ratio biomarkers."""
 
 import numpy as np
+import pytest
 
-from conftest import column_by_column
+from conftest import column_by_column, reference_next_generation
 from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
 from ratiomarker.learn import evolutionary
 from ratiomarker.learn.biomarker import LearnerConfig
-from ratiomarker.learn.evolutionary import evolutionary_slr
+from ratiomarker.learn.evolutionary import _next_generation, evolutionary_slr
 from ratiomarker.simulate import (
     BiasModel,
     group_outcome,
@@ -98,17 +99,25 @@ class TestSparsityPressure:
         assert sizes[4.0] <= sizes[0.0]
 
 
+def assert_same_model(monkeypatch, name, reference, matrix, outcome, config):
+    """The learner gives the same model with `evolutionary.<name>` replaced
+    by its slow reference."""
+    fast = evolutionary_slr(matrix, outcome, config)
+    monkeypatch.setattr(evolutionary, name, reference)
+    slow = evolutionary_slr(matrix, outcome, config)
+    assert fast.biomarker == slow.biomarker
+    assert fast.cv_score == slow.cv_score
+    assert fast.cv_se == slow.cv_se
+    assert fast.diagnostics == slow.diagnostics
+
+
 class TestBatchedScoring:
     """Scoring a generation at once must keep the search and its cache."""
 
     def assert_same_model(self, monkeypatch, matrix, outcome, config):
-        fast = evolutionary_slr(matrix, outcome, config)
-        monkeypatch.setattr(evolutionary, "score_candidates", column_by_column)
-        slow = evolutionary_slr(matrix, outcome, config)
-        assert fast.biomarker == slow.biomarker
-        assert fast.cv_score == slow.cv_score
-        assert fast.cv_se == slow.cv_se
-        assert fast.diagnostics == slow.diagnostics
+        assert_same_model(
+            monkeypatch, "score_candidates", column_by_column, matrix, outcome, config
+        )
 
     def test_planted_signal(self, monkeypatch):
         sc, obs, out = observed_planted(14)
@@ -144,3 +153,89 @@ class TestBatchedScoring:
             Outcome.binary(y),
             LearnerConfig(seed=16, population=12, generations=10),
         )
+
+
+@pytest.mark.parametrize("population", [1, 2, 12, 40])
+@pytest.mark.parametrize("tournament_size", [1, 3, 5])
+@pytest.mark.parametrize(
+    "mutation_rate", [0.0, None, 0.5], ids=["no_mutation", "1_over_G", "half"]
+)
+class TestBulkBreeding:
+    """Breeding a generation at once must draw and breed exactly as
+    breeding one child at a time does."""
+
+    def test_model_equals_the_one_child_reference(
+        self, monkeypatch, population, tournament_size, mutation_rate
+    ):
+        sc, obs, out = observed_planted(40, n=40, g=8)
+        config = LearnerConfig(
+            seed=40,
+            population=population,
+            generations=5,
+            tournament_size=tournament_size,
+            mutation_rate=mutation_rate,
+        )
+        assert_same_model(
+            monkeypatch,
+            "_next_generation",
+            reference_next_generation,
+            obs,
+            out,
+            config,
+        )
+
+    def test_generation_and_generator_state_equal_the_reference(
+        self, population, tournament_size, mutation_rate
+    ):
+        g = 9
+        rate = 1.0 / g if mutation_rate is None else mutation_rate
+        setup = np.random.default_rng(population * 100 + tournament_size)
+        pop = setup.integers(-1, 2, (population, g)).astype(np.int8)
+        # Few fitness levels, -inf among them, make tournament ties common.
+        fits = setup.choice([-np.inf, 0.5, 0.75, 0.75, 1.0], population)
+        fast_rng = np.random.default_rng(3)
+        slow_rng = np.random.default_rng(3)
+        for _ in range(3):
+            got = _next_generation(pop, fits, fast_rng, tournament_size, rate)
+            want = reference_next_generation(pop, fits, slow_rng, tournament_size, rate)
+            assert got.dtype == want.dtype == np.int8
+            np.testing.assert_array_equal(got, want)
+            assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+            pop = got
+
+
+class TestDrawOrder:
+    """The numpy behaviour that lets `_next_generation` merge draws."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 40])
+    @pytest.mark.parametrize("t", [1, 2, 3, 5])
+    def test_one_integers_call_equals_two_of_half_the_size(self, size, t):
+        # The generator keeps the spare 32-bit half of a 64-bit word
+        # between calls, whatever doubles and odd-sized draws come between.
+        merged = np.random.default_rng(size * 10 + t)
+        split = np.random.default_rng(size * 10 + t)
+        for step in range(30):
+            got = merged.integers(0, size, 2 * t)
+            want = np.concatenate(
+                [split.integers(0, size, t), split.integers(0, size, t)]
+            )
+            np.testing.assert_array_equal(got, want)
+            assert merged.random(2 * step + 1).tobytes() == split.random(
+                2 * step + 1
+            ).tobytes()
+            odd = step % 4 + 1
+            np.testing.assert_array_equal(
+                merged.integers(0, 3, odd), split.integers(0, 3, odd)
+            )
+            assert merged.bit_generator.state == split.bit_generator.state
+
+    def test_random_into_a_row_equals_a_fresh_draw(self):
+        into = np.random.default_rng(5)
+        fresh = np.random.default_rng(5)
+        rows = np.zeros((4, 14))
+        for row in range(4):
+            into.integers(0, 7, 3)
+            fresh.integers(0, 7, 3)
+            into.random(out=rows[row])
+            assert rows[row].tobytes() == fresh.random(14).tobytes()
+        assert into.bit_generator.state == fresh.bit_generator.state

@@ -175,6 +175,22 @@ class TestLogisticLink:
         assert np.isfinite(fit.beta)
         assert np.isfinite(fit.p_value)
 
+    @pytest.mark.parametrize(
+        "z, y, separated",
+        [
+            ([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 1.0, 1.0], True),
+            ([4.0, 3.0, 2.0, 1.0], [0.0, 0.0, 1.0, 1.0], True),
+            # Quasi-complete: one tie where the classes meet.
+            ([1.0, 2.0, 2.0, 3.0], [0.0, 0.0, 1.0, 1.0], True),
+            ([1.0, 3.0, 2.0, 4.0], [0.0, 0.0, 1.0, 1.0], False),
+        ],
+    )
+    def test_separated_classes_are_noted(self, z, y, separated):
+        fit = fit_glm(np.array(z), Outcome.binary(np.array(y)))
+        assert fit.converged
+        want = "outcome is separated by the score; beta is set by the ridge"
+        assert fit.note == (want if separated else "")
+
     def test_probability_predictions_in_range(self):
         z, y = self.make_data(60)
         fit = fit_glm(z, Outcome.binary(y), ModelSpec(link="logistic"))

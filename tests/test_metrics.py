@@ -59,6 +59,27 @@ class TestMidranks:
         np.testing.assert_array_equal(got, [6.0, 2.5, 4.0, 2.5, 6.0, 6.0, 1.0])
 
 
+FINITE = st.floats(-1e6, 1e6, width=64)
+FINITE_TIED = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), FINITE)
+
+
+@st.composite
+def stacked_folds(draw):
+    """Per-fold labels and finite C x m score blocks of unequal m; some
+    folds have one class, and some slices hold a NaN."""
+    n_folds = draw(st.integers(1, 5))
+    c = draw(st.integers(1, 6))
+    folds = []
+    for _ in range(n_folds):
+        m = draw(st.integers(1, 12))
+        y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=m, max_size=m)))
+        scores = draw(hnp.arrays(np.float64, (c, m), elements=FINITE_TIED))
+        if draw(st.booleans()):
+            scores[draw(st.integers(0, c - 1)), draw(st.integers(0, m - 1))] = np.nan
+        folds.append((y, scores))
+    return folds
+
+
 class TestAuc:
     @settings(max_examples=200, deadline=None)
     @given(arrays(2), st.data())
@@ -74,13 +95,24 @@ class TestAuc:
         assert same_bytes(got, want)
         assert same_bytes(np.array([auc_score(y, row) for row in scores]), want)
 
+    @settings(max_examples=300, deadline=None)
+    @given(stacked_folds())
+    def test_stacked_folds_equal_one_call_per_fold(self, folds):
+        # Short folds padded with label -1 and score +inf, as the scorer
+        # stacks them.
+        width = max(y.size for y, _ in folds)
+        labels = np.full((len(folds), 1, width), -1.0)
+        stacked = np.full((len(folds), folds[0][1].shape[0], width), np.inf)
+        for f, (y, scores) in enumerate(folds):
+            labels[f, 0, : y.size] = y
+            stacked[f, :, : y.size] = scores
+        want = np.array([_auc_rows(y, scores) for y, scores in folds])
+        assert same_bytes(_auc_rows(labels, stacked), want)
+
     def test_absent_class_and_nan_scores_give_nan(self):
         assert np.isnan(auc_score(np.zeros(4), np.arange(4.0)))
         assert np.isnan(auc_score([0.0, 1.0, 1.0], [0.2, np.nan, 0.9]))
         assert np.isnan(_auc_rows(np.ones(3), np.ones((2, 3)))).all()
-
-
-FINITE = st.floats(-1e6, 1e6, width=64)
 
 
 class TestR2:

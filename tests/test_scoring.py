@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import column_by_column, cv_score_values
+from conftest import column_by_column, cv_score_values, reference_mean_and_se
 
 from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
 from ratiomarker.errors import DimensionMismatch, ValidationError
@@ -16,6 +17,7 @@ from ratiomarker.learn import (
     relaxed_gradient_learner,
 )
 from ratiomarker.learn.scoring import (
+    _mean_and_se,
     check_learnable,
     make_folds,
     score_candidates,
@@ -275,3 +277,36 @@ class TestScoreCandidates:
         folds = make_folds(out, 4, np.random.default_rng(0))
         with pytest.raises(DimensionMismatch):
             score_candidates(np.zeros((19, 2)), out, ModelSpec(), folds)
+
+
+@st.composite
+def fold_score_tables(draw):
+    """Candidates x folds tables of fold scores with NaN patterns, and
+    dead rows; more than 63 folds would overflow a 64-bit mask code."""
+    c = draw(st.integers(0, 15))
+    n_folds = draw(st.one_of(st.integers(2, 7), st.integers(62, 70)))
+    nan_share = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    scores = draw(
+        hnp.arrays(
+            np.float64,
+            (c, n_folds),
+            elements=st.one_of(
+                st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0)
+            ),
+        )
+    )
+    blank = draw(hnp.arrays(np.float64, (c, n_folds), elements=st.floats(0.0, 1.0)))
+    scores[blank < nan_share] = np.nan
+    dead = np.array(draw(st.lists(st.booleans(), min_size=c, max_size=c)), dtype=bool)
+    return scores, dead
+
+
+class TestMeanAndSe:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(fold_score_tables())
+    def test_equals_the_reference_bit_for_bit(self, case):
+        scores, dead = case
+        mean, se = _mean_and_se(scores, dead)
+        want_mean, want_se = reference_mean_and_se(scores, dead)
+        assert mean.tobytes() == want_mean.tobytes()
+        assert se.tobytes() == want_se.tobytes()
