@@ -7,12 +7,13 @@ tournament (size 3 by default) with single-elite carryover, uniform
 crossover, and per-gene mutation at rate 1/G. Chromosomes with an empty
 side are never evaluated; they get the worst possible fitness.
 
-The draw order is a contract, since it fixes the search a seed gives.
-Child by child, a generation asks the generator for `integers(0, P, 2t)`
-(both tournaments), `random(2G)` (crossover uniforms, then mutation
-uniforms) and, when n > 0 genes mutate, `integers(0, 3, n)`: the draws of
-breeding one child at a time, merged. The breeding itself then runs on the
-whole generation at once.
+The draw order is a contract, since it fixes the search a seed gives. A
+generation of P chromosomes makes three generator calls, in this order:
+`integers(0, P, (P - 1, 2, t))` (both tournaments of every child),
+`random((P - 1, 2G))` (each child's crossover uniforms, then its mutation
+uniforms) and, when n > 0 genes mutate, `integers(0, 3, n)` (the new genes,
+in the row-major order of the mutation mask). Versions that drew child by
+child give a different search for the same seed.
 """
 
 import numpy as np
@@ -123,18 +124,12 @@ def _next_generation(population, fits, rng, tournament_size, mutation_rate):
     of two tournaments (the first of the fittest, as `np.argmax` picks it)
     by uniform crossover and per-gene mutation."""
     size, g = population.shape
-    picks = np.empty((size - 1, 2, tournament_size), dtype=np.int64)
-    uniforms = np.empty((size - 1, 2 * g))
-    new_genes = []
-    for c in range(size - 1):
-        picks[c] = rng.integers(0, size, (2, tournament_size))
-        rng.random(out=uniforms[c])
-        n_mut = np.count_nonzero(uniforms[c, g:] < mutation_rate)
-        if n_mut:
-            new_genes.append(rng.integers(0, 3, n_mut))
+    picks = rng.integers(0, size, (size - 1, 2, tournament_size))
+    uniforms = rng.random((size - 1, 2 * g))
     won = np.argmax(fits[picks], axis=-1)[..., None]
     parents = population[np.take_along_axis(picks, won, axis=-1)[..., 0]]
     children = np.where(uniforms[:, :g] < 0.5, parents[:, 0], parents[:, 1])
-    if new_genes:
-        children[uniforms[:, g:] < mutation_rate] = _GENES[np.concatenate(new_genes)]
+    mutated = uniforms[:, g:] < mutation_rate
+    if mutated.any():
+        children[mutated] = _GENES[rng.integers(0, 3, np.count_nonzero(mutated))]
     return np.concatenate([population[None, np.argmax(fits)], children])

@@ -15,14 +15,15 @@ and the ridge is on beta and on the intercept at the mean score, so its
 slope at beta = 0 is the score statistic sum((y - mean(y)) * (z - mean(z)))
 on the training rows, and the sign of beta is the sign of that statistic,
 up to the fitter's tolerance. Those columns are not fitted: sign * z of
-every fold's test rows goes into one folds x C x (largest test fold) array,
-short folds padded with +inf and the label -1, and one `metrics._auc_rows`
-call ranks them all. The other columns are fitted, once per fold in one
-call of the GLM kernel on the training rows, and beta * z + beta0 is scored
-on the test rows: those whose statistic is too close to zero to fix the
-sign against the fitter's tolerance, those with non-finite values, every
-column when a training fold lacks a class, and every column of a
-continuous outcome or of another link.
+every fold's test rows goes into (a chunk of columns) x folds x (largest
+test fold) arrays, short folds padded with +inf and the label -1, and one
+`metrics._auc_rows` call per chunk ranks every fold of it. The other
+columns are fitted, once per fold in one call of the GLM kernel on the
+training rows, and beta * z + beta0 is scored on the test rows: those
+whose statistic is too close to zero to fix the sign against the fitter's
+tolerance, those with non-finite values, every column when a training fold
+lacks a class, and every column of a continuous outcome or of another
+link.
 
 The reference, `cv_score_values` in `tests/conftest.py`, fits one GLM per
 fold and column. The scorer equals it bit for bit except in one case: two
@@ -44,6 +45,10 @@ from .biomarker import LearnerConfig
 # How far beyond the fitter's tolerance the score statistic must lie before
 # its sign is taken as the sign of the fitted beta.
 _SIGN_MARGIN = 1e3
+# Stacked values per chunk of the sign path's ranking. Each ranking
+# temporary is then at most 64 KiB, below glibc's 128 KiB mmap threshold,
+# so the chunks reuse heap memory instead of faulting in fresh pages.
+_RANK_ELEMENTS = 1 << 13
 
 
 def make_folds(outcome: Outcome, n_folds: int, rng) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -125,8 +130,10 @@ def score_candidates(
     undecided = ~finite
     dead = np.zeros(Z.shape[1], dtype=bool)
     width = max(test.size for _, test in folds)
-    signed = np.full((len(folds), Z.shape[1], width), np.inf)
-    labels = np.full((len(folds), 1, width), -1.0)
+    signs = np.empty((Z.shape[1], len(folds)))
+    # Each fold's test rows; a short fold is padded with row 0, masked below.
+    rows = np.zeros((len(folds), width), dtype=np.intp)
+    labels = np.full((len(folds), width), -1.0)
     for f, (train, test) in enumerate(folds):
         z_train = z_all[train]
         y_train = y[train]
@@ -137,11 +144,20 @@ def score_candidates(
         dead |= top == bottom
         margin = _SIGN_MARGIN * TOL * (1.0 + np.maximum(top, -bottom))
         undecided |= np.abs(stat) <= margin
-        sign = np.where(stat > 0.0, 1.0, -1.0)
-        signed[f, :, : test.size] = (z_all[test] * sign).T
-        labels[f, 0, : test.size] = y[test]
+        signs[:, f] = np.where(stat > 0.0, 1.0, -1.0)
+        rows[f, : test.size] = test
+        labels[f, : test.size] = y[test]
     dead &= finite
-    mean, se = _mean_and_se(_auc_rows(labels, signed).T, dead)
+    pad = labels == -1.0
+    aucs = np.empty((Z.shape[1], len(folds)))
+    step = max(1, _RANK_ELEMENTS // (len(folds) * width))
+    for lo in range(0, Z.shape[1], step):
+        cols = slice(lo, lo + step)
+        # columns x folds x width: every fold's signed test scores.
+        signed = z_all.T[cols, rows] * signs[cols, :, None]
+        signed[:, pad] = np.inf
+        aucs[cols] = _auc_rows(labels, signed)
+    mean, se = _mean_and_se(aucs, dead)
     to_fit = np.flatnonzero(undecided & ~dead)
     if to_fit.size:
         mean[to_fit], se[to_fit] = _fitted_scores(Z[:, to_fit], outcome, spec, folds)

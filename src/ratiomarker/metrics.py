@@ -41,8 +41,8 @@ def _auc_rows(y, scores):
     positive outscores a random negative, counting ties as one half. NaN
     when either class is absent, and for a slice that holds a NaN.
 
-    `y` may be stacked labels, (folds x 1 x width) against scores of
-    (folds x C x width), to rank every fold in one pass. A short fold is
+    `y` may be stacked labels, (folds x width) against scores of
+    (C x folds x width), to rank every fold in one pass. A short fold is
     padded with the label -1 and finite scores with +inf, which ranks last
     and so leaves the real ranks alone; midranks are half-integers, so the
     rank sums are exact.

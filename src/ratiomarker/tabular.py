@@ -92,9 +92,17 @@ def read_matrix(path) -> CompositionMatrix:
                 row=i,
             )
         sample_ids.append(fields[0].strip())
-        values[i - 2] = [
-            _parse_cell(cell, path, i, j) for j, cell in enumerate(fields[1:], start=2)
-        ]
+        row = values[i - 2]
+        try:
+            row[:] = list(map(float, fields[1:]))
+            # A NaN makes min and max NaN, which fails both tests.
+            valid = row.min() >= 0.0 and row.max() < np.inf
+        except ValueError:
+            valid = False
+        if not valid:
+            # `_parse_cell` raises at the row's first bad cell.
+            for j, cell in enumerate(fields[1:], start=2):
+                _parse_cell(cell, path, i, j)
     return CompositionMatrix(values, sample_ids, feature_ids)
 
 

@@ -10,10 +10,11 @@ with matrix arithmetic, independent of the block kernel in `glm.py`, and
 `cv_score_values` scores one candidate with one `fit_glm` per fold.
 `reference_auc` ranks with `scipy.stats.rankdata`, which the package does
 not import. `reference_mean_and_se` groups candidates by their scored-fold
-pattern with `np.unique(axis=0)`, and `reference_next_generation` breeds
-one child at a time. `reference_mlp_loss_and_grad` and
-`reference_encoder_decoder` train the bottleneck network with a new array
-for every intermediate.
+pattern with `np.unique(axis=0)`, and `reference_next_generation` makes
+a generation's three draws, then breeds one child at a time from them.
+`reference_mlp_loss_and_grad` and `reference_encoder_decoder` train the
+bottleneck network with a new array for every intermediate, and
+`reference_read_matrix` parses a matrix one `_parse_cell` call per cell.
 
 The `cpus` fixture makes `ordered_map` see one CPU or two, whatever the
 machine has, so the serial path and the process-pool path both run on any
@@ -29,9 +30,11 @@ from scipy.special import expit, ndtr, stdtr
 from scipy.stats import rankdata
 
 from ratiomarker import parallel
-from ratiomarker.errors import DegenerateDesign, ValidationError
+from ratiomarker.composition import CompositionMatrix
+from ratiomarker.errors import DegenerateDesign, ParseError, ValidationError
 from ratiomarker.glm import RIDGE, TOL, FittedGlm, fit_glm
 from ratiomarker.latent import _init_params, _unpack
+from ratiomarker.tabular import _detect_delimiter, _parse_cell, _read_lines
 
 ACCEPTANCE_LINES = []
 
@@ -259,28 +262,72 @@ def reference_mean_and_se(scores, dead):
 
 
 def reference_next_generation(population, fits, rng, tournament_size, mutation_rate):
-    """Reference for `learn.evolutionary._next_generation`: the elite, then
-    one child at a time from two tournaments, uniform crossover and
-    per-gene mutation, each draw made as the child needs it."""
+    """Reference for `learn.evolutionary._next_generation`: the same three
+    draws (every tournament, every uniform, then the mutated genes), then
+    the elite and one child at a time in plain Python, each tournament won
+    by its first fittest pick and each gene crossed over and mutated on its
+    own."""
     size, g = population.shape
-    genes = np.array([0, 1, -1], dtype=np.int8)
+    picks = rng.integers(0, size, (size - 1, 2, tournament_size)).tolist()
+    uniforms = rng.random((size - 1, 2 * g)).tolist()
+    n_mut = sum(u < mutation_rate for row in uniforms for u in row[g:])
+    new_genes = iter(rng.integers(0, 3, n_mut).tolist() if n_mut else [])
+    genes = (0, 1, -1)
+    rows = population.tolist()
 
-    def tournament():
-        idx = rng.integers(0, size, tournament_size)
-        return population[idx[np.argmax(fits[idx])]]
+    def winner(idx):
+        best = idx[0]
+        for i in idx[1:]:
+            if fits[i] > fits[best]:
+                best = i
+        return rows[best]
 
-    new_pop = [population[int(np.argmax(fits))].copy()]
-    while len(new_pop) < size:
-        parent_a = tournament()
-        parent_b = tournament()
-        mask = rng.random(g) < 0.5
-        child = np.where(mask, parent_a, parent_b).astype(np.int8)
-        mut = rng.random(g) < mutation_rate
-        n_mut = int(mut.sum())
-        if n_mut:
-            child[mut] = genes[rng.integers(0, 3, n_mut)]
+    new_pop = [winner(range(size))]
+    for (picks_a, picks_b), u in zip(picks, uniforms):
+        parent_a, parent_b = winner(picks_a), winner(picks_b)
+        child = []
+        for j in range(g):
+            gene = parent_a[j] if u[j] < 0.5 else parent_b[j]
+            if u[g + j] < mutation_rate:
+                gene = genes[next(new_genes)]
+            child.append(gene)
         new_pop.append(child)
+    assert next(new_genes, None) is None
     return np.array(new_pop, dtype=np.int8)
+
+
+def reference_read_matrix(path) -> CompositionMatrix:
+    """Reference for `tabular.read_matrix`: every cell parsed and checked by
+    its own `_parse_cell` call, row by row, so the first error raised is
+    the first bad cell in reading order."""
+    lines = _read_lines(path)
+    delim = _detect_delimiter(lines[0])
+    header = lines[0].split(delim)
+    n_cols = len(header)
+    if n_cols < 3:
+        raise ParseError(
+            "matrix needs a sample-id column and at least two features",
+            path=path,
+            row=1,
+        )
+    if len(lines) < 2:
+        raise ParseError("matrix has no sample rows", path=path)
+    sample_ids, rows = [], []
+    for i, line in enumerate(lines[1:], start=2):
+        fields = line.split(delim)
+        if len(fields) != n_cols:
+            raise ParseError(
+                f"ragged row: expected {n_cols} cells, got {len(fields)}",
+                path=path,
+                row=i,
+            )
+        sample_ids.append(fields[0].strip())
+        rows.append(
+            [_parse_cell(cell, path, i, j) for j, cell in enumerate(fields[1:], start=2)]
+        )
+    return CompositionMatrix(
+        np.array(rows, dtype=float), sample_ids, [h.strip() for h in header[1:]]
+    )
 
 
 def fit_glm_by_column(blocks, outcome, spec, fit=fit_glm):

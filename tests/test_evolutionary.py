@@ -161,8 +161,8 @@ class TestBatchedScoring:
     "mutation_rate", [0.0, None, 0.5], ids=["no_mutation", "1_over_G", "half"]
 )
 class TestBulkBreeding:
-    """Breeding a generation at once must draw and breed exactly as
-    breeding one child at a time does."""
+    """Breeding a generation at once must make the contract's three draws
+    and breed from them exactly as one child at a time does."""
 
     def test_model_equals_the_one_child_reference(
         self, monkeypatch, population, tournament_size, mutation_rate
@@ -204,38 +204,55 @@ class TestBulkBreeding:
             pop = got
 
 
+class CountingGenerator:
+    """A generator proxy that records the name of every method called."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("population", [1, 2, 12, 40])
+@pytest.mark.parametrize("mutation_rate", [0.0, 0.1, 1.0])
 class TestDrawOrder:
-    """The numpy behaviour that lets `_next_generation` merge draws."""
+    """A generation draws its randomness in the contract's three calls."""
 
-    @pytest.mark.parametrize("size", [1, 2, 7, 40])
-    @pytest.mark.parametrize("t", [1, 2, 3, 5])
-    def test_one_integers_call_equals_two_of_half_the_size(self, size, t):
-        # The generator keeps the spare 32-bit half of a 64-bit word
-        # between calls, whatever doubles and odd-sized draws come between.
-        merged = np.random.default_rng(size * 10 + t)
-        split = np.random.default_rng(size * 10 + t)
-        for step in range(30):
-            got = merged.integers(0, size, 2 * t)
-            want = np.concatenate(
-                [split.integers(0, size, t), split.integers(0, size, t)]
-            )
-            np.testing.assert_array_equal(got, want)
-            assert merged.random(2 * step + 1).tobytes() == split.random(
-                2 * step + 1
-            ).tobytes()
-            odd = step % 4 + 1
-            np.testing.assert_array_equal(
-                merged.integers(0, 3, odd), split.integers(0, 3, odd)
-            )
-            assert merged.bit_generator.state == split.bit_generator.state
+    def generation(self, population, seed):
+        g = 11
+        setup = np.random.default_rng(seed)
+        pop = setup.integers(-1, 2, (population, g)).astype(np.int8)
+        fits = setup.choice([-np.inf, 0.25, 0.5, 0.5], population)
+        return pop, fits
 
-    def test_random_into_a_row_equals_a_fresh_draw(self):
-        into = np.random.default_rng(5)
-        fresh = np.random.default_rng(5)
-        rows = np.zeros((4, 14))
-        for row in range(4):
-            into.integers(0, 7, 3)
-            fresh.integers(0, 7, 3)
-            into.random(out=rows[row])
-            assert rows[row].tobytes() == fresh.random(14).tobytes()
-        assert into.bit_generator.state == fresh.bit_generator.state
+    def test_generator_state_follows_the_three_calls(self, population, mutation_rate):
+        t = 3
+        pop, fits = self.generation(population, population)
+        g = pop.shape[1]
+        rng = np.random.default_rng(8)
+        copy = np.random.default_rng(8)
+        for _ in range(4):
+            pop = _next_generation(pop, fits, rng, t, mutation_rate)
+            copy.integers(0, population, (population - 1, 2, t))
+            uniforms = copy.random((population - 1, 2 * g))
+            n = np.count_nonzero(uniforms[:, g:] < mutation_rate)
+            if n:
+                copy.integers(0, 3, n)
+            assert rng.bit_generator.state == copy.bit_generator.state
+
+    def test_a_generation_makes_at_most_three_calls(self, population, mutation_rate):
+        pop, fits = self.generation(population, population + 50)
+        rng = CountingGenerator(np.random.default_rng(9))
+        for _ in range(4):
+            rng.calls.clear()
+            pop = _next_generation(pop, fits, rng, 3, mutation_rate)
+            assert len(rng.calls) <= 3
+            assert rng.calls[:2] == ["integers", "random"]

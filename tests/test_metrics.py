@@ -101,12 +101,12 @@ class TestAuc:
         # Short folds padded with label -1 and score +inf, as the scorer
         # stacks them.
         width = max(y.size for y, _ in folds)
-        labels = np.full((len(folds), 1, width), -1.0)
-        stacked = np.full((len(folds), folds[0][1].shape[0], width), np.inf)
+        labels = np.full((len(folds), width), -1.0)
+        stacked = np.full((folds[0][1].shape[0], len(folds), width), np.inf)
         for f, (y, scores) in enumerate(folds):
-            labels[f, 0, : y.size] = y
-            stacked[f, :, : y.size] = scores
-        want = np.array([_auc_rows(y, scores) for y, scores in folds])
+            labels[f, : y.size] = y
+            stacked[:, f, : y.size] = scores
+        want = np.array([_auc_rows(y, scores) for y, scores in folds]).T
         assert same_bytes(_auc_rows(labels, stacked), want)
 
     def test_absent_class_and_nan_scores_give_nan(self):

@@ -16,6 +16,7 @@ from ratiomarker.learn import (
     forward_stepwise_balance,
     relaxed_gradient_learner,
 )
+from ratiomarker.learn import scoring
 from ratiomarker.learn.scoring import (
     _mean_and_se,
     check_learnable,
@@ -246,7 +247,12 @@ class TestScoreCandidates:
         assert mean.tobytes() == want_mean.tobytes()
         assert se.tobytes() == want_se.tobytes()
 
-    def test_planted_pairs_match_the_oracle_and_its_winner(self):
+    @pytest.mark.parametrize("chunk", [1, 250, None], ids=["column", "few", "default"])
+    def test_planted_pairs_match_the_oracle_and_its_winner(self, monkeypatch, chunk):
+        # 66 columns of 5 folds x 12 rows: one column per ranked chunk, four
+        # columns per chunk, and the default chunk that holds them all.
+        if chunk is not None:
+            monkeypatch.setattr(scoring, "_RANK_ELEMENTS", chunk)
         rng = np.random.default_rng(11)
         n, g = 60, 12
         logs = rng.normal(0.0, 1.0, (n, g))

@@ -6,7 +6,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_read_matrix
 from ratiomarker import composition, parallel
 from ratiomarker.composition import StrictlyPositiveMatrix
 from ratiomarker.errors import ParseError, ValidationError
@@ -97,6 +100,54 @@ class TestMatrixParseErrors:
     def test_missing_file_is_validation_error(self, tmp_path):
         with pytest.raises(ValidationError):
             read_matrix(tmp_path / "nope.tsv")
+
+
+# Cells that parse, cells each error names (NaN, infinite, negative, not a
+# number) and cells that `float` reads in its own way: signed zero,
+# overflow to inf, underscores, padding and a subnormal.
+CELLS = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    st.sampled_from(
+        [
+            "0", "-0.0", "2.5", " 3.5 ", "1_0", "1e-320", "+7", "1e400", "-1e400",
+            "inf", "-inf", "nan", "-nan", "NaN", "-1", "-1e-300", "abc", "", " ",
+            "1__0", "0x10",
+        ]
+    ),
+)
+
+
+@st.composite
+def matrix_texts(draw):
+    """Matrix text of up to 6 rows, some cells bad and some rows ragged."""
+    g = draw(st.integers(2, 4))
+    lines = ["sample_id\t" + "\t".join(f"f{j}" for j in range(g))]
+    for i in range(draw(st.integers(1, 6))):
+        width = g + draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1]))
+        cells = draw(st.lists(CELLS, min_size=width, max_size=width))
+        lines.append("\t".join([f"s{i}", *cells]))
+    return "\n".join(lines) + "\n"
+
+
+class TestReadMatrixReference:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(matrix_texts())
+    def test_equals_the_cell_by_cell_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("m") / "m.tsv"
+        path.write_text(text)
+        try:
+            want = reference_read_matrix(path)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                read_matrix(path)
+            assert str(got.value) == str(exc)
+            assert (got.value.row, got.value.column) == (exc.row, exc.column)
+            return
+        got = read_matrix(path)
+        assert got.sample_ids == want.sample_ids
+        assert got.feature_ids == want.feature_ids
+        assert got.values.dtype == want.values.dtype
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestOutcomeIo:
