@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .benchmark import benchmark_table, run_benchmark, synthetic_omics_pair
 from .composition import (
+    CompositionMatrix,
     Outcome,
     ZeroPolicy,
     apply_zero_policy,
@@ -465,7 +466,14 @@ def _cmd_learn(config: dict, out: Callable[[str], Path]):
     }
     if config["test_matrix"] is not None:
         _require(config, "test_outcome")
-        test_matrix, _ = _load_positive_matrix(config, "test_matrix")
+        # The model's features, found by id; zeros are replaced with no
+        # zero-fraction filter, so no model feature is dropped.
+        raw = read_matrix(config["test_matrix"])
+        cols = [raw.feature_index(f) for f in model.feature_ids]
+        test_matrix, _ = apply_zero_policy(
+            CompositionMatrix(raw.values[:, cols], raw.sample_ids, model.feature_ids),
+            ZeroPolicy(1.0, config["zero_replacement"]),
+        )
         test_outcome = _load_outcome(config, test_matrix, "test_outcome")
         predictions = predict(model, test_matrix)
         metrics["test_score"] = score(test_outcome, predictions)

@@ -207,8 +207,10 @@ def apply_zero_policy(
                 "zeros remain after feature removal and replacement is disabled"
             )
         # Detection limit: smallest positive entry of the filtered matrix.
-        limit = sub[sub > 0.0].min()
-        sub[sub == 0.0] = 0.5 * limit
+        positive = sub[sub > 0.0]
+        if not positive.size:
+            raise ZeroRemains("no positive entry sets a detection limit")
+        sub[sub == 0.0] = 0.5 * positive.min()
     return (
         StrictlyPositiveMatrix(sub, list(matrix.sample_ids), kept_ids),
         removed,

@@ -32,7 +32,8 @@ class AllFeaturesRemoved(ValidationError):
 
 
 class ZeroRemains(ValidationError):
-    """Zeros survive zero handling but replacement is disabled."""
+    """Zeros survive zero handling: replacement is disabled, or no entry is
+    positive."""
 
 
 class DimensionMismatch(ValidationError):
@@ -65,10 +66,6 @@ class OverlappingSets(ValidationError):
 
 class NoImprovingPair(ValidationError):
     """No candidate pair produces a fittable, scoreable model."""
-
-
-class EmptySideAfterDiscretization(ValidationError):
-    """A cutoff left the numerator or denominator side empty."""
 
 
 class FeatureMismatch(ValidationError):

@@ -23,6 +23,7 @@ from .errors import (
 from .glm import ModelSpec
 from .learn.biomarker import LearnedModel, LearnerConfig, predict
 from .learn.relaxed import relaxed_gradient_learner
+from .metrics import r2_score
 
 
 @dataclass
@@ -462,8 +463,6 @@ def approximate_latent_with_rbb(
         matrix, outcome, config=config, spec=spec, mode=mode
     )
     approx = predict(model, matrix)
-    from .metrics import r2_score
-
     return RbbApproximation(
         model=model,
         approx_scores=approx,

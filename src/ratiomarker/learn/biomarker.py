@@ -21,7 +21,7 @@ from ..errors import (
     OverlappingSets,
     ValidationError,
 )
-from ..glm import FittedGlm, ModelSpec
+from ..glm import FittedGlm, ModelSpec, fit_glm
 from ..tabular import json_text
 
 MODES = ("balance", "slr")
@@ -168,22 +168,29 @@ def orient_and_fit(
     matrix: StrictlyPositiveMatrix,
     outcome: Outcome,
     spec: ModelSpec,
-) -> tuple[RatioBiomarker, FittedGlm, np.ndarray]:
-    """Full-data fit with the sign convention beta >= 0.
+    cv_score: float,
+    cv_se: float,
+    seed: int,
+    diagnostics: dict,
+) -> LearnedModel:
+    """The learned model of `biomarker`: a full-data fit with the sign
+    convention beta >= 0, and the search's CV statistics, seed and
+    diagnostics.
 
     If the fitted coefficient is negative the sides are swapped and the
     model refitted, so reported numerator features always push the score
     up together with the outcome.
     """
-    from ..glm import fit_glm
-
     z = evaluate_biomarker(biomarker, matrix)
     fit = fit_glm(z, outcome, spec)
     if fit.beta < 0.0:
         biomarker = biomarker.swapped()
         z = evaluate_biomarker(biomarker, matrix)
         fit = fit_glm(z, outcome, spec)
-    return biomarker, fit, fit.predict_response(z)
+    return LearnedModel(
+        biomarker, fit, list(matrix.feature_ids), cv_score, cv_se,
+        fit.predict_response(z), seed, diagnostics,
+    )
 
 
 def serialize_model(model: LearnedModel) -> str:

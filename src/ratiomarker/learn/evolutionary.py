@@ -20,14 +20,8 @@ import numpy as np
 
 from ..composition import Outcome, StrictlyPositiveMatrix
 from ..glm import ModelSpec
-from .biomarker import (
-    LearnedModel,
-    LearnerConfig,
-    RatioBiomarker,
-    orient_and_fit,
-    slr_from_values,
-)
-from .scoring import _learner_setup, make_folds, score_candidates
+from .biomarker import LearnedModel, LearnerConfig, RatioBiomarker, orient_and_fit
+from .scoring import _learner_setup, _score_sets, make_folds
 
 _GENES = np.array([0, 1, -1], dtype=np.int8)
 
@@ -65,10 +59,7 @@ def evolutionary_slr(
             else:
                 todo[key] = (num, den)
         if todo:
-            z = np.column_stack(
-                [slr_from_values(values, num, den) for num, den in todo.values()]
-            )
-            means, ses = score_candidates(z, outcome, spec, folds)
+            means, ses = _score_sets(values, "slr", todo.values(), outcome, spec, folds)
             # An unusable candidate scores -inf with SE 0: `worst`.
             for (key, (num, den)), mean, se in zip(todo.items(), means, ses):
                 penalty = config.lam * (num.size + den.size) / g
@@ -101,16 +92,9 @@ def evolutionary_slr(
         tuple(np.flatnonzero(best == -1).tolist()),
         "slr",
     )
-    biomarker, fit, fitted = orient_and_fit(biomarker, matrix, outcome, spec)
-    return LearnedModel(
-        biomarker=biomarker,
-        glm=fit,
-        feature_ids=list(matrix.feature_ids),
-        cv_score=cv_mean,
-        cv_se=cv_se,
-        training_scores=fitted,
-        seed=config.seed,
-        diagnostics={
+    return orient_and_fit(
+        biomarker, matrix, outcome, spec, cv_mean, cv_se, config.seed,
+        {
             "learner": "evolutionary",
             "best_fitness_curve": best_curve,
             "evaluations": len(cache),

@@ -13,7 +13,7 @@ standard errors of the best, then refits the hard sets.
 import numpy as np
 
 from ..composition import Outcome, StrictlyPositiveMatrix
-from ..errors import EmptySideAfterDiscretization, ValidationError
+from ..errors import ValidationError
 from ..glm import ModelSpec
 from ..special import expit
 from .biomarker import (
@@ -21,11 +21,9 @@ from .biomarker import (
     LearnedModel,
     LearnerConfig,
     RatioBiomarker,
-    balance_from_logs,
     orient_and_fit,
-    slr_from_values,
 )
-from .scoring import _learner_setup, make_folds, score_candidates
+from .scoring import _learner_setup, _score_sets, make_folds
 
 
 def relaxed_loss_and_grad(
@@ -96,16 +94,22 @@ def relaxed_loss_and_grad(
     return loss, grad
 
 
-def _hard_sets(
-    a: np.ndarray, distance: np.ndarray, cutoff: float
-) -> tuple[list[int], list[int]]:
-    num = np.flatnonzero((distance >= cutoff) & (a > 0.0)).tolist()
-    den = np.flatnonzero((distance >= cutoff) & (a < 0.0)).tolist()
-    if not num or not den:
-        raise EmptySideAfterDiscretization(
-            f"cutoff {cutoff:.6g} leaves an empty side"
-        )
-    return num, den
+def _cutoff_sets(a: np.ndarray) -> list[tuple[float, list[int], list[int]]]:
+    """(cutoff, numerator, denominator) at each distinct cutoff on
+    |sigmoid(a_j) - 0.5|, sparsest first, where both sides are nonempty and
+    the set is larger than the last one kept."""
+    # exp(-a) overflows for a below about -709; that side weight is 0.
+    with np.errstate(over="ignore"):
+        distance = np.abs(expit(a) - 0.5)
+    sets, size = [], 0
+    for cutoff in np.unique(distance)[::-1]:
+        kept = distance >= cutoff
+        num = np.flatnonzero(kept & (a > 0.0)).tolist()
+        den = np.flatnonzero(kept & (a < 0.0)).tolist()
+        if num and den and len(num) + len(den) > size:
+            sets.append((float(cutoff), num, den))
+            size = len(num) + len(den)
+    return sets
 
 
 def _fallback_sets(a: np.ndarray) -> tuple[list[int], list[int]]:
@@ -166,16 +170,14 @@ def relaxed_gradient_learner(
         if not (np.isfinite(params).all() and np.isfinite(loss_curve).all()):
             raise ValidationError("relaxed training diverged; lower the learning rate")
         a = params[:g]
-        # exp(-a) overflows for a below about -709; that side weight is 0.
-        distance = np.abs(expit(a) - 0.5)
 
     def scored(sets: list) -> list[dict]:
         """The sweep's table rows for (cutoff, numerator, denominator) sets,
         all scored in one call."""
-        score = balance_from_logs if mode == "balance" else slr_from_values
-        data = logs if mode == "balance" else values
-        z = np.column_stack([score(data, num, den) for _, num, den in sets])
-        means, ses = score_candidates(z, outcome, spec, folds)
+        means, ses = _score_sets(
+            logs if mode == "balance" else values, mode,
+            [(num, den) for _, num, den in sets], outcome, spec, folds,
+        )
         return [
             {
                 "cutoff": cutoff,
@@ -188,20 +190,10 @@ def relaxed_gradient_learner(
             for (cutoff, num, den), mean, se in zip(sets, means, ses)
         ]
 
-    # Sweep cutoffs sparsest-first; candidate sets are nested, so set sizes
-    # strictly increase and "sparsest within lam SEs of the best" is a
-    # deterministic first-hit scan.
-    sets = []
-    for cutoff in np.unique(distance)[::-1]:
-        try:
-            num, den = _hard_sets(a, distance, float(cutoff))
-        except EmptySideAfterDiscretization:
-            continue
-        if sets and len(sets[-1][1]) + len(sets[-1][2]) == len(num) + len(den):
-            continue
-        sets.append((float(cutoff), num, den))
+    # Candidate sets are nested, so set sizes strictly increase and
+    # "sparsest within lam SEs of the best" is a deterministic first-hit scan.
+    sets = _cutoff_sets(a)
     candidates = scored(sets) if sets else []
-
     if all(c["cv_score"] == float("-inf") for c in candidates):
         candidates = scored([(float("nan"), *_fallback_sets(a))])
         chosen = candidates[0]
@@ -213,16 +205,10 @@ def relaxed_gradient_learner(
     biomarker = RatioBiomarker(
         tuple(chosen["numerator"]), tuple(chosen["denominator"]), mode
     )
-    biomarker, fit, fitted = orient_and_fit(biomarker, matrix, outcome, spec)
-    return LearnedModel(
-        biomarker=biomarker,
-        glm=fit,
-        feature_ids=list(matrix.feature_ids),
-        cv_score=chosen["cv_score"],
-        cv_se=chosen["cv_se"],
-        training_scores=fitted,
-        seed=config.seed,
-        diagnostics={
+    return orient_and_fit(
+        biomarker, matrix, outcome, spec, chosen["cv_score"], chosen["cv_se"],
+        config.seed,
+        {
             "learner": "relaxed",
             "mode": mode,
             "loss_curve": loss_curve.tolist(),

@@ -40,7 +40,7 @@ from ..composition import Outcome, StrictlyPositiveMatrix
 from ..errors import DimensionMismatch, ValidationError
 from ..glm import TOL, ModelSpec, _fit_rows
 from ..metrics import _auc_rows, _r2_rows
-from .biomarker import LearnerConfig
+from .biomarker import LearnerConfig, balance_from_logs, slr_from_values
 
 # How far beyond the fitter's tolerance the score statistic must lie before
 # its sign is taken as the sign of the fitted beta.
@@ -71,8 +71,8 @@ def make_folds(outcome: Outcome, n_folds: int, rng) -> list[tuple[np.ndarray, np
     ]
 
 
-def check_learnable(outcome: Outcome, n_folds: int):
-    """Preconditions every learner shares."""
+def check_learnable(outcome: Outcome):
+    """Preconditions every learner shares; `make_folds` bounds the folds."""
     if outcome.kind == "binary":
         n_pos = int(np.sum(outcome.values == 1.0))
         n_neg = outcome.n - n_pos
@@ -80,8 +80,6 @@ def check_learnable(outcome: Outcome, n_folds: int):
             raise ValidationError(
                 "binary outcome needs at least 2 samples per class"
             )
-    if n_folds > outcome.n:
-        raise ValidationError("more CV folds than samples")
 
 
 def _learner_setup(
@@ -96,8 +94,16 @@ def _learner_setup(
     spec = spec or ModelSpec.for_outcome(outcome)
     if outcome.n != matrix.n_samples:
         raise DimensionMismatch("outcome length does not match sample count")
-    check_learnable(outcome, config.cv_folds)
+    check_learnable(outcome)
     return config, spec
+
+
+def _score_sets(data, mode, sets, outcome, spec, folds):
+    """`score_candidates` of the biomarker of each (numerator, denominator)
+    set: `data` is the log matrix in "balance" mode, the values in "slr"."""
+    score = balance_from_logs if mode == "balance" else slr_from_values
+    z = np.column_stack([score(data, num, den) for num, den in sets])
+    return score_candidates(z, outcome, spec, folds)
 
 
 def score_candidates(

@@ -19,14 +19,8 @@ from ..composition import (
 )
 from ..errors import NoImprovingPair
 from ..glm import ModelSpec
-from .biomarker import (
-    LearnedModel,
-    LearnerConfig,
-    RatioBiomarker,
-    balance_from_logs,
-    orient_and_fit,
-)
-from .scoring import _learner_setup, make_folds, score_candidates
+from .biomarker import LearnedModel, LearnerConfig, RatioBiomarker, orient_and_fit
+from .scoring import _learner_setup, _score_sets, make_folds, score_candidates
 
 
 def forward_stepwise_balance(
@@ -54,11 +48,9 @@ def forward_stepwise_balance(
     best = int(np.argmax(means))
     numerator = [int(jj[best])]
     denominator = [int(kk[best])]
-    current_mean = float(means[best])
-    current_se = float(ses[best])
     trace = []
-
-    def record_step():
+    while True:
+        current_mean, current_se = float(means[best]), float(ses[best])
         trace.append(
             {
                 "numerator": sorted(numerator),
@@ -67,48 +59,30 @@ def forward_stepwise_balance(
                 "cv_se": current_se,
             }
         )
-
-    record_step()
-
-    while len(numerator) + len(denominator) < g:
         in_use = set(numerator) | set(denominator)
+        if len(in_use) == g:
+            break
+        # Each free feature added to the numerator, then to the denominator.
         additions = [
-            (f, side)
+            sides
             for f in range(g)
             if f not in in_use
-            for side in ("numerator", "denominator")
+            for sides in (
+                (numerator + [f], denominator),
+                (numerator, denominator + [f]),
+            )
         ]
-        z = np.column_stack(
-            [
-                balance_from_logs(logs, numerator + [f], denominator)
-                if side == "numerator"
-                else balance_from_logs(logs, numerator, denominator + [f])
-                for f, side in additions
-            ]
-        )
-        means, ses = score_candidates(z, outcome, spec, folds)
+        means, ses = _score_sets(logs, "balance", additions, outcome, spec, folds)
         best = int(np.argmax(means))
-        add_mean = float(means[best])
         # One-standard-error stop: the addition must beat the current
         # score by more than the current model's fold-level SE. An
         # unfittable (-inf) best addition never does.
-        if add_mean <= current_mean + current_se:
+        if means[best] <= current_mean + current_se:
             break
-        f, side = additions[best]
-        (numerator if side == "numerator" else denominator).append(f)
-        current_mean = add_mean
-        current_se = float(ses[best])
-        record_step()
+        numerator, denominator = additions[best]
 
     biomarker = RatioBiomarker(tuple(numerator), tuple(denominator), "balance")
-    biomarker, fit, fitted = orient_and_fit(biomarker, matrix, outcome, spec)
-    return LearnedModel(
-        biomarker=biomarker,
-        glm=fit,
-        feature_ids=list(matrix.feature_ids),
-        cv_score=current_mean,
-        cv_se=current_se,
-        training_scores=fitted,
-        seed=config.seed,
-        diagnostics={"steps": trace, "learner": "stepwise"},
+    return orient_and_fit(
+        biomarker, matrix, outcome, spec, current_mean, current_se, config.seed,
+        {"steps": trace, "learner": "stepwise"},
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .composition import CompositionMatrix, StrictlyPositiveMatrix
+from .composition import CompositionMatrix, Outcome, StrictlyPositiveMatrix
 from .errors import DimensionMismatch, InvalidSize, ValidationError
 from .learn.biomarker import RatioBiomarker
 
@@ -132,8 +132,6 @@ def observe(
 
 
 def group_outcome(scenario: GroundTruthScenario):
-    from .composition import Outcome
-
     return Outcome.binary(scenario.group.astype(float))
 
 

@@ -2,9 +2,9 @@
 
 Matrix files carry feature ids in the first row and sample ids in the first
 column; the corner cell is ignored on read. Tab and comma delimiters are
-auto-detected from the header line. Parsers reject NaN, infinities,
-negatives, and ragged rows with 1-based row/column positions in the error
-message.
+auto-detected from the header line. Parsers reject NaN, infinities and
+ragged rows, and the matrix parser negative cells too, with 1-based
+row/column positions in the error message. Outcome values may be negative.
 """
 
 import json
@@ -58,10 +58,6 @@ def _parse_cell(text: str, path, row: int, column: int) -> float:
         raise ParseError("cell is NaN", path=path, row=row, column=column)
     if math.isinf(value):
         raise ParseError("cell is infinite", path=path, row=row, column=column)
-    if value < 0.0:
-        raise ParseError(
-            f"cell {text!r} is negative", path=path, row=row, column=column
-        )
     return value
 
 
@@ -100,9 +96,12 @@ def read_matrix(path) -> CompositionMatrix:
         except ValueError:
             valid = False
         if not valid:
-            # `_parse_cell` raises at the row's first bad cell.
+            # Raise at the row's first bad cell.
             for j, cell in enumerate(fields[1:], start=2):
-                _parse_cell(cell, path, i, j)
+                if _parse_cell(cell, path, i, j) < 0.0:
+                    raise ParseError(
+                        f"cell {cell!r} is negative", path=path, row=i, column=j
+                    )
     return CompositionMatrix(values, sample_ids, feature_ids)
 
 
@@ -143,7 +142,7 @@ def write_matrix(path, matrix: CompositionMatrix):
 
 
 def read_outcome_pairs(path) -> tuple[list[str], np.ndarray]:
-    """Read (sample id, value) pairs; values must be nonnegative finite."""
+    """Read (sample id, value) pairs; values must be finite."""
     lines = _read_lines(path)
     delim = _detect_delimiter(lines[0])
     ids = []

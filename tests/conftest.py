@@ -14,7 +14,9 @@ pattern with `np.unique(axis=0)`, and `reference_next_generation` makes
 a generation's three draws, then breeds one child at a time from them.
 `reference_mlp_loss_and_grad` and `reference_encoder_decoder` train the
 bottleneck network with a new array for every intermediate, and
-`reference_read_matrix` parses a matrix one `_parse_cell` call per cell.
+`reference_read_matrix` parses a matrix one `_parse_cell` call per cell,
+and `reference_cutoff_sets` is the relaxed learner's cutoff sweep written
+with the old `_hard_sets` rule, whose empty side raised and was caught.
 
 The `cpus` fixture makes `ordered_map` see one CPU or two, whatever the
 machine has, so the serial path and the process-pool path both run on any
@@ -29,7 +31,7 @@ import pytest
 from scipy.special import expit, ndtr, stdtr
 from scipy.stats import rankdata
 
-from ratiomarker import parallel
+from ratiomarker import parallel, special
 from ratiomarker.composition import CompositionMatrix
 from ratiomarker.errors import DegenerateDesign, ParseError, ValidationError
 from ratiomarker.glm import RIDGE, TOL, FittedGlm, fit_glm
@@ -296,10 +298,19 @@ def reference_next_generation(population, fits, rng, tournament_size, mutation_r
     return np.array(new_pop, dtype=np.int8)
 
 
+def _matrix_cell(text, path, row, column) -> float:
+    value = _parse_cell(text, path, row, column)
+    if value < 0.0:
+        raise ParseError(
+            f"cell {text!r} is negative", path=path, row=row, column=column
+        )
+    return value
+
+
 def reference_read_matrix(path) -> CompositionMatrix:
-    """Reference for `tabular.read_matrix`: every cell parsed and checked by
-    its own `_parse_cell` call, row by row, so the first error raised is
-    the first bad cell in reading order."""
+    """Reference for `tabular.read_matrix`: every cell parsed by its own
+    `_parse_cell` call and checked to be non-negative, row by row, so the
+    first error raised is the first bad cell in reading order."""
     lines = _read_lines(path)
     delim = _detect_delimiter(lines[0])
     header = lines[0].split(delim)
@@ -323,11 +334,39 @@ def reference_read_matrix(path) -> CompositionMatrix:
             )
         sample_ids.append(fields[0].strip())
         rows.append(
-            [_parse_cell(cell, path, i, j) for j, cell in enumerate(fields[1:], start=2)]
+            [_matrix_cell(cell, path, i, j) for j, cell in enumerate(fields[1:], start=2)]
         )
     return CompositionMatrix(
         np.array(rows, dtype=float), sample_ids, [h.strip() for h in header[1:]]
     )
+
+
+def reference_hard_sets(a, distance, cutoff):
+    """The old `learn.relaxed._hard_sets`: the sides at one cutoff, or an
+    error when one is empty."""
+    num = np.flatnonzero((distance >= cutoff) & (a > 0.0)).tolist()
+    den = np.flatnonzero((distance >= cutoff) & (a < 0.0)).tolist()
+    if not num or not den:
+        raise ValidationError(f"cutoff {cutoff:.6g} leaves an empty side")
+    return num, den
+
+
+def reference_cutoff_sets(a):
+    """Reference for `learn.relaxed._cutoff_sets`: every distinct cutoff
+    from the largest, an empty side skipped through `reference_hard_sets`'s
+    error, and a set the size of the last one kept skipped."""
+    with np.errstate(all="ignore"):
+        distance = np.abs(special.expit(a) - 0.5)
+    sets = []
+    for cutoff in np.unique(distance)[::-1]:
+        try:
+            num, den = reference_hard_sets(a, distance, float(cutoff))
+        except ValidationError:
+            continue
+        if sets and len(sets[-1][1]) + len(sets[-1][2]) == len(num) + len(den):
+            continue
+        sets.append((float(cutoff), num, den))
+    return sets
 
 
 def fit_glm_by_column(blocks, outcome, spec, fit=fit_glm):

@@ -18,7 +18,6 @@ from ratiomarker.errors import (
 )
 from ratiomarker.glm import ModelSpec, fit_glm
 from ratiomarker.learn.biomarker import (
-    LearnedModel,
     RatioBiomarker,
     balance_from_logs,
     evaluate_biomarker,
@@ -201,6 +200,13 @@ class TestMetrics:
         assert np.isnan(r2_score(np.full(5, 3.0), np.arange(5.0)))
 
 
+def oriented(biomarker, matrix, outcome):
+    """`orient_and_fit` under the logistic link with a blank search record."""
+    return orient_and_fit(
+        biomarker, matrix, outcome, ModelSpec(link="logistic"), 0.0, 0.0, 0, {}
+    )
+
+
 class TestModelSerialization:
     def fitted_model(self, seed=12):
         m = random_matrix(seed, n=20)
@@ -209,13 +215,9 @@ class TestModelSerialization:
         y[:3] = 0.0
         y[-3:] = 1.0
         out = Outcome.binary(y)
-        bio, fit, scores = orient_and_fit(
+        model = orient_and_fit(
             RatioBiomarker((0, 2), (5,), "balance"),
-            m, out, ModelSpec(link="logistic"),
-        )
-        model = LearnedModel(
-            biomarker=bio, glm=fit, feature_ids=list(m.feature_ids),
-            cv_score=0.8, cv_se=0.05, training_scores=scores, seed=seed,
+            m, out, ModelSpec(link="logistic"), 0.8, 0.05, seed, {},
         )
         return model, m
 
@@ -290,10 +292,7 @@ class TestOrientation:
                 RatioBiomarker((0,), (1,), "balance"),
                 RatioBiomarker((1,), (0,), "balance"),
             ]:
-                _, fit, _ = orient_and_fit(
-                    bio, m, out, ModelSpec(link="logistic")
-                )
-                assert fit.beta >= 0.0
+                assert oriented(bio, m, out).glm.beta >= 0.0
 
     def test_swap_preserves_predictions(self):
         rng = np.random.default_rng(14)
@@ -301,16 +300,28 @@ class TestOrientation:
         z = balance_from_logs(np.log(m.values), [2], [3])
         y = (z > np.median(z)).astype(float)
         out = Outcome.binary(y)
-        ba, fa, _ = orient_and_fit(
-            RatioBiomarker((2,), (3,), "balance"), m, out,
-            ModelSpec(link="logistic"),
-        )
-        bb, fb, _ = orient_and_fit(
-            RatioBiomarker((3,), (2,), "balance"), m, out,
-            ModelSpec(link="logistic"),
-        )
-        assert ba == bb
-        za = evaluate_biomarker(ba, m)
+        a = oriented(RatioBiomarker((2,), (3,), "balance"), m, out)
+        b = oriented(RatioBiomarker((3,), (2,), "balance"), m, out)
+        assert a.biomarker == b.biomarker
+        za = evaluate_biomarker(a.biomarker, m)
         np.testing.assert_allclose(
-            fa.predict_response(za), fb.predict_response(za), rtol=1e-8
+            a.glm.predict_response(za), b.glm.predict_response(za), rtol=1e-8
         )
+
+    def test_model_carries_the_fit_and_the_search_record(self):
+        m = random_matrix(45, n=24)
+        z = balance_from_logs(np.log(m.values), [1], [4])
+        out = Outcome.binary((z < np.median(z)).astype(float))
+        model = orient_and_fit(
+            RatioBiomarker((1,), (4,), "balance"), m, out,
+            ModelSpec(link="logistic"), 0.7, 0.1, 5, {"learner": "x"},
+        )
+        # The outcome falls with z, so the sides were swapped.
+        assert model.biomarker == RatioBiomarker((4,), (1,), "balance")
+        assert model.glm.beta >= 0.0
+        assert model.training_scores.tobytes() == model.glm.predict_response(
+            evaluate_biomarker(model.biomarker, m)
+        ).tobytes()
+        assert model.feature_ids == m.feature_ids
+        assert (model.cv_score, model.cv_se, model.seed) == (0.7, 0.1, 5)
+        assert model.diagnostics == {"learner": "x"}

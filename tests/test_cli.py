@@ -22,7 +22,9 @@ from conftest import fit_glm_by_column
 from ratiomarker import composition, glm, parallel
 from ratiomarker.cli import _COMMANDS, main
 from ratiomarker.composition import (
+    CompositionMatrix,
     StrictlyPositiveMatrix,
+    ZeroPolicy,
     apply_zero_policy,
     clr_transform,
     pairwise_logratios,
@@ -32,6 +34,7 @@ from ratiomarker.tabular import (
     read_config,
     read_matrix,
     read_outcome_pairs,
+    write_matrix,
     write_table,
 )
 
@@ -748,6 +751,51 @@ class TestLearn:
         np.testing.assert_allclose(metrics["test_score"], metrics["train_score"])
         assert (out / "test_predictions.tsv").is_file()
 
+    def with_test_matrix(self, tmp_path, edit):
+        """Learn on one simulation with another, its matrix passed through
+        `edit`, as the test set; the exit code and the held-out matrix."""
+        sim = simulate_into(tmp_path, n_samples=40, n_features=8, seed=4)
+        held = simulate_into(tmp_path, "held", n_samples=40, n_features=8, seed=5)
+        raw = read_matrix(held / "observed.tsv")
+        test = edit(raw)
+        write_matrix(tmp_path / "test.tsv", test)
+        rc = run(
+            "learn",
+            "--matrix", str(sim / "observed.tsv"),
+            "--outcome", str(sim / "outcome.tsv"),
+            "--test-matrix", str(tmp_path / "test.tsv"),
+            "--test-outcome", str(held / "outcome.tsv"),
+            "--out-dir", str(tmp_path / "learned"),
+        )
+        return rc, test
+
+    def test_zero_heavy_test_feature_is_kept(self, tmp_path):
+        # Feature 3 is zero in 60% of the test rows, which the training
+        # zero filter would drop; the model still finds every feature.
+        def zero_feature_3(raw):
+            values = raw.values.copy()
+            values[:24, 3] = 0.0
+            return CompositionMatrix(values, raw.sample_ids, raw.feature_ids)
+
+        rc, test = self.with_test_matrix(tmp_path, zero_feature_3)
+        assert rc == 0
+        out = tmp_path / "learned"
+        model = load_model((out / "model.json").read_text())
+        positive, removed = apply_zero_policy(test, ZeroPolicy(max_zero_fraction=1.0))
+        assert removed == []
+        _, written = read_outcome_pairs(out / "test_predictions.tsv")
+        np.testing.assert_array_equal(written, predict(model, positive))
+
+    def test_missing_test_feature_is_named(self, tmp_path, capsys):
+        def drop_feature_3(raw):
+            keep = [j for j in range(raw.n_features) if j != 3]
+            ids = [raw.feature_ids[j] for j in keep]
+            return CompositionMatrix(raw.values[:, keep], raw.sample_ids, ids)
+
+        rc, test = self.with_test_matrix(tmp_path, drop_feature_3)
+        assert rc == 3
+        assert "'g4'" in capsys.readouterr().err
+
     def test_learner_mode_mismatch(self, tmp_path):
         sim = simulate_into(tmp_path, n_samples=30, n_features=8)
         rc = run(
@@ -890,13 +938,36 @@ class TestApproxAndBenchmark:
         assert 0 < summary["active_features"] <= summary["total_features"]
         assert summary["total_features"] == 12
         assert 0.0 < summary["sparsity"] <= 1.0
-        # Latent scores are centered, so this file is a score listing, not
-        # a readable outcome file.
         lines = (out / "latent.tsv").read_text().splitlines()
         assert len(lines) == 60
         assert all(len(line.split("\t")) == 2 for line in lines)
         model = load_model((out / "model.json").read_text())
         assert model.biomarker.mode == "balance"
+
+    def test_latent_is_a_learnable_outcome(self, tmp_path):
+        # Latent scores are centered, so some are negative; the outcome
+        # reader takes them.
+        sim = simulate_into(tmp_path, n_samples=40, n_features=8, seed=7)
+        approx = tmp_path / "approx"
+        assert run(
+            "approx",
+            "--matrix", str(sim / "observed.tsv"),
+            "--epochs", "100",
+            "--out-dir", str(approx),
+        ) == 0
+        _, latent = read_outcome_pairs(approx / "latent.tsv")
+        assert latent.min() < 0.0
+        out = tmp_path / "learned"
+        assert run(
+            "learn",
+            "--learner", "relaxed",
+            "--epochs", "100",
+            "--matrix", str(sim / "observed.tsv"),
+            "--outcome", str(approx / "latent.tsv"),
+            "--out-dir", str(out),
+        ) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert np.isfinite(metrics["cv_score"])
 
     def test_synthetic_benchmark(self, tmp_path):
         out = tmp_path / "bench"

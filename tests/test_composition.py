@@ -200,6 +200,11 @@ class TestZeroPolicy:
         with pytest.raises(ZeroRemains):
             apply_zero_policy(m, ZeroPolicy(replacement="none"))
 
+    def test_all_zero_matrix_has_no_detection_limit(self):
+        m = self.matrix_with_zero_fractions([1.0, 1.0, 1.0])
+        with pytest.raises(ZeroRemains, match="no positive entry"):
+            apply_zero_policy(m, ZeroPolicy(max_zero_fraction=1.0))
+
     def test_strict_threshold_zero(self):
         m = self.matrix_with_zero_fractions([0.0, 0.1, 0.0])
         pos, removed = apply_zero_policy(

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import column_by_column, reference_next_generation
 from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
-from ratiomarker.learn import evolutionary
+from ratiomarker.learn import scoring
 from ratiomarker.learn.biomarker import LearnerConfig
 from ratiomarker.learn.evolutionary import _next_generation, evolutionary_slr
 from ratiomarker.simulate import (
@@ -99,11 +99,11 @@ class TestSparsityPressure:
         assert sizes[4.0] <= sizes[0.0]
 
 
-def assert_same_model(monkeypatch, name, reference, matrix, outcome, config):
-    """The learner gives the same model with `evolutionary.<name>` replaced
-    by its slow reference."""
+def assert_same_model(monkeypatch, target, reference, matrix, outcome, config):
+    """The learner gives the same model with `target` (a dotted name)
+    replaced by its slow reference."""
     fast = evolutionary_slr(matrix, outcome, config)
-    monkeypatch.setattr(evolutionary, name, reference)
+    monkeypatch.setattr(target, reference)
     slow = evolutionary_slr(matrix, outcome, config)
     assert fast.biomarker == slow.biomarker
     assert fast.cv_score == slow.cv_score
@@ -116,7 +116,12 @@ class TestBatchedScoring:
 
     def assert_same_model(self, monkeypatch, matrix, outcome, config):
         assert_same_model(
-            monkeypatch, "score_candidates", column_by_column, matrix, outcome, config
+            monkeypatch,
+            "ratiomarker.learn.scoring.score_candidates",
+            column_by_column,
+            matrix,
+            outcome,
+            config,
         )
 
     def test_planted_signal(self, monkeypatch):
@@ -129,7 +134,7 @@ class TestBatchedScoring:
             return column_by_column(z_matrix, outcome, spec, folds)
 
         columns = []
-        monkeypatch.setattr(evolutionary, "score_candidates", recording)
+        monkeypatch.setattr(scoring, "score_candidates", recording)
         sc, obs, out = observed_planted(17)
         model = evolutionary_slr(obs, out, small_config(17))
         assert len(set(columns)) == len(columns)
@@ -177,7 +182,7 @@ class TestBulkBreeding:
         )
         assert_same_model(
             monkeypatch,
-            "_next_generation",
+            "ratiomarker.learn.evolutionary._next_generation",
             reference_next_generation,
             obs,
             out,

@@ -5,16 +5,22 @@ both score modes and both links. The discretization sweep and the sparsity
 selection rule are exercised on planted data.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import column_by_column
+from conftest import column_by_column, reference_cutoff_sets
 from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
 from ratiomarker.errors import ValidationError
 from ratiomarker.glm import ModelSpec
-from ratiomarker.learn import relaxed
+from ratiomarker.learn import scoring
 from ratiomarker.learn.biomarker import LearnerConfig
 from ratiomarker.learn.relaxed import (
+    _cutoff_sets,
     relaxed_gradient_learner,
     relaxed_loss_and_grad,
 )
@@ -206,6 +212,36 @@ class TestCutoffSweep:
         assert model.biomarker.size == min(c["size"] for c in finite)
 
 
+# Coefficients the sweep sees: exact zeros of either sign, saturated ones
+# (exp(800) overflows, so expit(-800) is 0) and a small pool, so that
+# distances tie.
+COEFFICIENTS = st.one_of(
+    st.floats(-1000.0, 1000.0),
+    st.sampled_from([0.0, -0.0, 800.0, -800.0, 710.0, -710.0, 40.0, 0.01, -0.01, 1e-300]),
+)
+
+
+class TestCutoffSets:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        hnp.arrays(float, st.integers(1, 12), elements=COEFFICIENTS),
+        st.sampled_from([0, 0, 1, -1]),
+    )
+    @example(np.array([0.0, 0.0, 0.5, -0.5]), 0)
+    @example(np.array([800.0, -800.0, 800.0, -800.0, 0.0]), 0)
+    @example(np.array([0.3, 0.3, 0.2, 0.1]), 1)
+    def test_equals_the_hard_sets_rule(self, a, side):
+        # `side` = +1 or -1 puts every coefficient on one side.
+        if side:
+            a = side * np.abs(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _cutoff_sets(a)
+        assert got == reference_cutoff_sets(a)
+        sizes = [len(num) + len(den) for _, num, den in got]
+        assert sizes == sorted(set(sizes))
+
+
 class TestIdentityLinkPath:
     def test_continuous_outcome_runs_and_fits(self):
         rng = np.random.default_rng(60)
@@ -250,7 +286,7 @@ class TestBatchedScoring:
 
     def assert_same_model(self, monkeypatch, matrix, outcome, config, spec=None):
         fast = relaxed_gradient_learner(matrix, outcome, config, spec)
-        monkeypatch.setattr(relaxed, "score_candidates", column_by_column)
+        monkeypatch.setattr(scoring, "score_candidates", column_by_column)
         slow = relaxed_gradient_learner(matrix, outcome, config, spec)
         assert len(fast.diagnostics["cutoffs"]) > 1
         assert fast.biomarker == slow.biomarker

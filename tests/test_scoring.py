@@ -12,6 +12,7 @@ from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
 from ratiomarker.errors import DimensionMismatch, ValidationError
 from ratiomarker.glm import ModelSpec
 from ratiomarker.learn import (
+    LearnerConfig,
     evolutionary_slr,
     forward_stepwise_balance,
     relaxed_gradient_learner,
@@ -71,15 +72,8 @@ class TestMakeFolds:
 class TestCheckLearnable:
     def test_needs_two_per_class(self):
         with pytest.raises(ValidationError):
-            check_learnable(
-                Outcome.binary(np.array([0.0, 1.0, 1.0, 1.0])), 2
-            )
-        check_learnable(Outcome.binary(np.array([0.0, 0.0, 1.0, 1.0])), 2)
-
-    def test_fold_count_bound(self):
-        out = Outcome.continuous(np.arange(3.0))
-        with pytest.raises(ValidationError):
-            check_learnable(out, 4)
+            check_learnable(Outcome.binary(np.array([0.0, 1.0, 1.0, 1.0])))
+        check_learnable(Outcome.binary(np.array([0.0, 0.0, 1.0, 1.0])))
 
 
 @pytest.mark.parametrize(
@@ -104,6 +98,14 @@ class TestLearnerPreconditions:
         y[0] = 1.0
         with pytest.raises(ValidationError, match="2 samples per class"):
             learner(self.matrix, Outcome.binary(y))
+
+    def test_more_folds_than_samples(self, learner):
+        # `make_folds` is the one check of the fold count.
+        out = Outcome.continuous(np.arange(10.0))
+        with pytest.raises(ValidationError, match="cannot make 11 folds from 10"):
+            learner(
+                self.matrix, out, LearnerConfig(cv_folds=11), ModelSpec(link="identity")
+            )
 
 
 class TestCvScore:

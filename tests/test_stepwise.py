@@ -12,7 +12,7 @@ from conftest import column_by_column, cv_score_values
 from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
 from ratiomarker.errors import NoImprovingPair
 from ratiomarker.glm import ModelSpec
-from ratiomarker.learn import stepwise
+from ratiomarker.learn import scoring, stepwise
 from ratiomarker.learn.biomarker import LearnerConfig
 from ratiomarker.learn.scoring import make_folds
 from ratiomarker.learn.stepwise import forward_stepwise_balance
@@ -165,12 +165,19 @@ class TestDegenerateInputs:
         np.testing.assert_allclose(a.cv_score, b.cv_score, rtol=0)
 
 
+def patch_scorer(monkeypatch, scorer):
+    """Replace `score_candidates` for the whole search: growth scores through
+    `scoring._score_sets`, and the 1-vs-1 initialization calls it directly."""
+    monkeypatch.setattr(scoring, "score_candidates", scorer)
+    monkeypatch.setattr(stepwise, "score_candidates", scorer)
+
+
 class TestBatchedScoring:
     """The batched kernel must not change a single decision of the search."""
 
     def assert_same_model(self, monkeypatch, matrix, outcome, config):
         fast = forward_stepwise_balance(matrix, outcome, config)
-        monkeypatch.setattr(stepwise, "score_candidates", column_by_column)
+        patch_scorer(monkeypatch, column_by_column)
         slow = forward_stepwise_balance(matrix, outcome, config)
         assert fast.biomarker == slow.biomarker
         assert fast.cv_score == slow.cv_score
@@ -191,7 +198,7 @@ class TestBatchedScoring:
             return np.full(z_matrix.shape[1], level), np.zeros(z_matrix.shape[1])
 
         scans = []
-        monkeypatch.setattr(stepwise, "score_candidates", all_tied)
+        patch_scorer(monkeypatch, all_tied)
         sc, obs, out = observed_planted(16, g=5)
         model = forward_stepwise_balance(obs, out, LearnerConfig(seed=16))
         steps = model.diagnostics["steps"]

@@ -164,13 +164,14 @@ class TestOutcomeIo:
         ids, values = read_outcome_pairs(path)
         assert ids == ["s1", "s2"]
 
-    def test_negative_value_rejected(self, tmp_path):
-        # The file format carries abundance-like values only; negative
-        # continuous outcomes must be constructed through the API.
+    def test_negative_value_accepted(self, tmp_path):
+        # A continuous outcome, such as a latent score, may be negative;
+        # only matrix cells must not be.
         path = tmp_path / "y.tsv"
-        path.write_text("s1\t0.5\ns2\t-1.0\n")
-        with pytest.raises(ParseError):
-            read_outcome_pairs(path)
+        path.write_text("s1\t-0.5\ns2\t-1e-300\n")
+        ids, values = read_outcome_pairs(path)
+        assert ids == ["s1", "s2"]
+        assert values.tolist() == [-0.5, -1e-300]
 
     def test_nan_outcome_rejected(self, tmp_path):
         path = tmp_path / "y.tsv"
