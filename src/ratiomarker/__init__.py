@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .benchmark import (
     BenchmarkRow,
     benchmark_table,
@@ -61,51 +63,9 @@ from .simulate import (
     planted_signal_scenario,
 )
 
-__all__ = [
-    "BenchmarkRow",
-    "BiasModel",
-    "CompositionMatrix",
-    "DaaResult",
-    "EncoderDecoderConfig",
-    "FittedGlm",
-    "GroundTruthScenario",
-    "LatentRepresentation",
-    "LearnedModel",
-    "LearnerConfig",
-    "ModelSpec",
-    "OmicsPair",
-    "Outcome",
-    "RatioAnalysis",
-    "RatioBiomarker",
-    "StrictlyPositiveMatrix",
-    "ZeroPolicy",
-    "apply_zero_policy",
-    "approximate_latent_with_rbb",
-    "benchmark_table",
-    "benjamini_hochberg",
-    "close_to_proportions",
-    "clr_transform",
-    "da_notion_report",
-    "daa",
-    "depth_confounded_scenario",
-    "differential_ratio_analysis",
-    "encoder_decoder_latent",
-    "evaluate_biomarker",
-    "evolutionary_slr",
-    "fit_glm",
-    "forward_stepwise_balance",
-    "group_outcome",
-    "least_squares_decode",
-    "load_model",
-    "observe",
-    "pairwise_logratios",
-    "pca_first_component",
-    "planted_signal_scenario",
-    "pls_first_component",
-    "predict",
-    "relaxed_gradient_learner",
-    "run_benchmark",
-    "serialize_model",
-    "synthetic_omics_pair",
-    "variance_explained",
-]
+# Every public name imported above; submodules are left out.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

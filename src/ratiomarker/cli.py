@@ -59,6 +59,7 @@ from .learn import (
     relaxed_gradient_learner,
     serialize_model,
 )
+from .learn.biomarker import side_features
 from .metrics import auc_score, r2_score
 from .simulate import (
     BiasModel,
@@ -275,14 +276,6 @@ def _write_rows(path: Path, header: str, rows):
             f.write("\t".join(cells) + "\n")
 
 
-def _side_features(model) -> dict:
-    ids = model.feature_ids
-    return {
-        "numerator_features": [ids[i] for i in model.biomarker.numerator],
-        "denominator_features": [ids[i] for i in model.biomarker.denominator],
-    }
-
-
 def _load_positive_matrix(config: dict, key: str = "matrix"):
     matrix = read_matrix(config[key])
     policy = ZeroPolicy(
@@ -425,6 +418,8 @@ def _cmd_ratios(config: dict, out: Callable[[str], Path]):
 
 
 def _cmd_learn(config: dict, out: Callable[[str], Path]):
+    if config["test_outcome"] is not None and config["test_matrix"] is None:
+        raise ValidationError("--test-outcome needs --test-matrix")
     positive, removed = _load_positive_matrix(config)
     outcome = _load_outcome(config, positive)
     learner_config = _from_config(LearnerConfig, config)
@@ -454,7 +449,7 @@ def _cmd_learn(config: dict, out: Callable[[str], Path]):
     metrics = {
         "learner": learner,
         "mode": model.biomarker.mode,
-        **_side_features(model),
+        **side_features(model),
         "beta": model.glm.beta,
         "beta0": model.glm.beta0,
         "converged": model.glm.converged,
@@ -577,7 +572,7 @@ def _cmd_approx(config: dict, out: Callable[[str], Path]):
             "total_features": approx.total_features,
             "sparsity": approx.sparsity,
             "cv_score": approx.model.cv_score,
-            **_side_features(approx.model),
+            **side_features(approx.model),
         },
     )
 
@@ -724,7 +719,10 @@ def main(argv=None) -> int:
         if config_path is not None:
             digests.update(_check_inputs_exist({"config": config_path}, ("config",)))
         out_dir = Path(config["out_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"--out-dir {out_dir}: {exc.strerror}") from None
         outputs: list[str] = []
 
         def out(name: str) -> Path:

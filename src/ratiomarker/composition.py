@@ -47,6 +47,9 @@ class CompositionMatrix:
     sample_ids: list[str]
     feature_ids: list[str]
 
+    _min_allowed = 0.0
+    _bound_message = "matrix entries must be nonnegative"
+
     def __post_init__(self):
         self.values = _as_float_matrix(self.values)
         n, g = self.values.shape
@@ -68,16 +71,8 @@ class CompositionMatrix:
         _check_unique(self.feature_ids, "feature")
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("matrix entries must be finite")
-        if np.any(self.values < self._min_allowed()):
-            raise ValidationError(self._bound_message())
-
-    @staticmethod
-    def _min_allowed() -> float:
-        return 0.0
-
-    @staticmethod
-    def _bound_message() -> str:
-        return "matrix entries must be nonnegative"
+        if np.any(self.values < self._min_allowed):
+            raise ValidationError(self._bound_message)
 
     @property
     def n_samples(self) -> int:
@@ -93,15 +88,6 @@ class CompositionMatrix:
         except ValueError:
             raise UnknownFeature(f"feature {label!r} not in matrix") from None
 
-    def take_samples(self, idx):
-        """Row subset as a new matrix; `idx` is any integer index array."""
-        idx = np.asarray(idx, dtype=int)
-        return type(self)(
-            self.values[idx],
-            [self.sample_ids[i] for i in idx],
-            list(self.feature_ids),
-        )
-
 
 class StrictlyPositiveMatrix(CompositionMatrix):
     """A composition matrix with every entry strictly positive.
@@ -110,13 +96,8 @@ class StrictlyPositiveMatrix(CompositionMatrix):
     here from raw counts that contain zeros.
     """
 
-    @staticmethod
-    def _min_allowed() -> float:
-        return np.nextafter(0.0, 1.0)
-
-    @staticmethod
-    def _bound_message() -> str:
-        return "matrix entries must be strictly positive"
+    _min_allowed = np.nextafter(0.0, 1.0)
+    _bound_message = "matrix entries must be strictly positive"
 
 
 @dataclass
@@ -163,9 +144,10 @@ class ZeroPolicy:
     """How zeros are handled before log-ratio work.
 
     Features whose zero fraction exceeds `max_zero_fraction` (strictly) are
-    removed. Remaining zeros are replaced by half the detection limit, i.e.
-    half the smallest positive entry of the matrix after removal, or left in
-    place (and reported as an error) when `replacement` is "none".
+    removed. Each remaining zero is replaced by half the smallest positive
+    kept entry of its own sample, which scales with the sample and so keeps
+    every log-ratio invariant to per-sample rescaling, or left in place
+    (and reported as an error) when `replacement` is "none".
     """
 
     max_zero_fraction: float = 0.5
@@ -200,17 +182,21 @@ def apply_zero_policy(
         )
     removed = [f for f, k in zip(matrix.feature_ids, keep) if not k]
     kept_ids = [f for f, k in zip(matrix.feature_ids, keep) if k]
-    sub = vals[:, keep].copy()
-    if np.any(sub == 0.0):
+    # C order: a column selection is Fortran-ordered, and row sums round by layout.
+    sub = np.ascontiguousarray(vals[:, keep])
+    zero = sub == 0.0
+    if np.any(zero):
         if policy.replacement == "none":
             raise ZeroRemains(
                 "zeros remain after feature removal and replacement is disabled"
             )
-        # Detection limit: smallest positive entry of the filtered matrix.
-        positive = sub[sub > 0.0]
-        if not positive.size:
-            raise ZeroRemains("no positive entry sets a detection limit")
-        sub[sub == 0.0] = 0.5 * positive.min()
+        # Each sample's detection limit: its smallest positive kept entry.
+        limit = np.where(zero, np.inf, sub).min(axis=1, keepdims=True)
+        empty = np.flatnonzero(np.isinf(limit))
+        if empty.size:
+            sample = matrix.sample_ids[empty[0]]
+            raise ZeroRemains(f"sample {sample!r} has no positive entry")
+        sub = np.where(zero, 0.5 * limit, sub)
     return (
         StrictlyPositiveMatrix(sub, list(matrix.sample_ids), kept_ids),
         removed,

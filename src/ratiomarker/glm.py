@@ -398,24 +398,6 @@ def _significant(p_adjusted: np.ndarray, alpha: float) -> np.ndarray:
     return p_adjusted < alpha
 
 
-def _daa_result(columns, feature_ids, outcome, spec, notion) -> DaaResult:
-    if columns.shape[0] != outcome.n:
-        raise DimensionMismatch("outcome length does not match column rows")
-    if columns.shape[1] != len(feature_ids):
-        raise DimensionMismatch("feature id count does not match columns")
-    spec = spec or ModelSpec.for_outcome(outcome)
-    blocks = (columns[:, cols] for cols in _column_blocks(*columns.shape))
-    beta, p_value, notes = _fit_columns(blocks, columns.shape[1], outcome, spec)
-    return DaaResult(
-        feature_ids=list(feature_ids),
-        beta=beta,
-        p_value=p_value,
-        p_adjusted=benjamini_hochberg(p_value),
-        notion=notion,
-        notes=notes,
-    )
-
-
 def daa(
     matrix: StrictlyPositiveMatrix,
     outcome: Outcome,
@@ -425,7 +407,7 @@ def daa(
     """Differential abundance analysis under a chosen data notion.
 
     `transform` selects what "abundance" means: "clr" tests centered
-    log-ratio columns, "proportions" tests closed proportions directly.
+    log-ratio columns, "prop" tests closed proportions directly.
     The two notions can disagree in sign; that disagreement is real and
     is the reason both are offered. Features whose column cannot be fitted
     (constant, for example) are flagged via a note and get NaN statistics;
@@ -437,23 +419,22 @@ def daa(
     if transform == "clr":
         columns = clr_transform(matrix)
         notion = "clr"
-    elif transform in ("proportions", "prop"):
+    elif transform == "prop":
         columns = close_to_proportions(matrix).values
         notion = "relative"
     else:
         raise ValidationError(f"unknown transform {transform!r}")
-    return _daa_result(columns, matrix.feature_ids, outcome, spec, notion)
-
-
-def daa_columns(
-    columns,
-    feature_ids,
-    outcome: Outcome,
-    spec: ModelSpec | None = None,
-) -> DaaResult:
-    """Differential analysis of caller-supplied transformed columns."""
-    columns = np.asarray(columns, dtype=float)
-    return _daa_result(columns, feature_ids, outcome, spec, "user_supplied")
+    spec = spec or ModelSpec.for_outcome(outcome)
+    blocks = (columns[:, cols] for cols in _column_blocks(*columns.shape))
+    beta, p_value, notes = _fit_columns(blocks, columns.shape[1], outcome, spec)
+    return DaaResult(
+        feature_ids=list(matrix.feature_ids),
+        beta=beta,
+        p_value=p_value,
+        p_adjusted=benjamini_hochberg(p_value),
+        notion=notion,
+        notes=notes,
+    )
 
 
 @dataclass

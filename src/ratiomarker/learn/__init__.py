@@ -1,3 +1,5 @@
+from types import ModuleType as _ModuleType
+
 from .biomarker import (
     LearnedModel,
     LearnerConfig,
@@ -11,16 +13,9 @@ from .evolutionary import evolutionary_slr
 from .relaxed import relaxed_gradient_learner, relaxed_loss_and_grad
 from .stepwise import forward_stepwise_balance
 
-__all__ = [
-    "LearnedModel",
-    "LearnerConfig",
-    "RatioBiomarker",
-    "evaluate_biomarker",
-    "evolutionary_slr",
-    "forward_stepwise_balance",
-    "load_model",
-    "predict",
-    "relaxed_gradient_learner",
-    "relaxed_loss_and_grad",
-    "serialize_model",
-]
+# Every public name imported above; submodules are left out.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

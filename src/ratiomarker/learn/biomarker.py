@@ -193,6 +193,15 @@ def orient_and_fit(
     )
 
 
+def side_features(model: LearnedModel) -> dict:
+    """The ids of the model's numerator and denominator features."""
+    ids = model.feature_ids
+    return {
+        "numerator_features": [ids[i] for i in model.biomarker.numerator],
+        "denominator_features": [ids[i] for i in model.biomarker.denominator],
+    }
+
+
 def serialize_model(model: LearnedModel) -> str:
     """Deterministic JSON text sufficient to re-evaluate the model.
 
@@ -207,12 +216,7 @@ def serialize_model(model: LearnedModel) -> str:
         "mode": model.biomarker.mode,
         "numerator_indices": list(model.biomarker.numerator),
         "denominator_indices": list(model.biomarker.denominator),
-        "numerator_features": [
-            model.feature_ids[i] for i in model.biomarker.numerator
-        ],
-        "denominator_features": [
-            model.feature_ids[i] for i in model.biomarker.denominator
-        ],
+        **side_features(model),
         "feature_ids": list(model.feature_ids),
         "link": glm.link,
         "beta": glm.beta,

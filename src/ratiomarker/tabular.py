@@ -109,17 +109,16 @@ def write_table(path, row_ids, col_ids, values):
     """Write a tab-separated table with "sample_id" in its corner; floats
     are written with full repr precision.
 
-    `values` is a 2-d array, any iterable of 1-d rows, or a function from a
-    row index to its row, so a caller can build each row only when it is
-    written. Rows are formatted in blocks of at most `_BLOCK_ELEMENTS`
-    values (at least one row each) through `ordered_map`: a table of more
-    than one block is formatted on every CPU in the process's affinity
-    mask, into the bytes a one-CPU run writes (`taskset -c 0` keeps it to
-    one core).
+    `values` is a 2-d array or a function from a row index to its row, so
+    a caller can build each row only when it is written. Rows are
+    formatted in blocks of at most `_BLOCK_ELEMENTS` values (at least one
+    row each) through `ordered_map`: a table of more than one block is
+    formatted on every CPU in the process's affinity mask, into the bytes
+    a one-CPU run writes (`taskset -c 0` keeps it to one core).
     """
     header = ["sample_id", *[str(c) for c in col_ids]]
     row_ids = [str(r) for r in row_ids]
-    row = values if callable(values) else list(values).__getitem__
+    row = values if callable(values) else values.__getitem__
 
     def format_rows(block: slice) -> str:
         lines = []

@@ -229,6 +229,16 @@ class TestExitCodes:
         rc = run("transform", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
         assert rc == 3
 
+    @pytest.mark.parametrize("sub", ["", "x"])
+    def test_out_dir_that_cannot_be_made(self, tmp_path, capsys, sub):
+        # A file where the directory, or one of its parents, should be.
+        taken = tmp_path / "afile"
+        taken.write_text("")
+        out_dir = taken / sub if sub else taken
+        assert run("simulate", "--out-dir", str(out_dir)) == 3
+        assert f"--out-dir {out_dir}: " in capsys.readouterr().err
+        assert taken.read_text() == ""
+
     def test_config_file_missing(self, tmp_path):
         rc = run(
             "transform",
@@ -795,6 +805,19 @@ class TestLearn:
         rc, test = self.with_test_matrix(tmp_path, drop_feature_3)
         assert rc == 3
         assert "'g4'" in capsys.readouterr().err
+
+    def test_test_outcome_needs_test_matrix(self, tmp_path, capsys):
+        sim = simulate_into(tmp_path, n_samples=30, n_features=8)
+        rc = run(
+            "learn",
+            "--matrix", str(sim / "observed.tsv"),
+            "--outcome", str(sim / "outcome.tsv"),
+            "--test-outcome", str(sim / "outcome.tsv"),
+            "--out-dir", str(tmp_path / "o"),
+        )
+        assert rc == 3
+        assert "--test-outcome needs --test-matrix" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_learner_mode_mismatch(self, tmp_path):
         sim = simulate_into(tmp_path, n_samples=30, n_features=8)

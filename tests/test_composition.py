@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratiomarker.composition import (
     CompositionMatrix,
@@ -21,6 +23,7 @@ from ratiomarker.errors import (
     ValidationError,
     ZeroRemains,
 )
+from ratiomarker.glm import differential_ratio_analysis
 
 
 def random_positive(rng, n, g, scale=10.0):
@@ -76,10 +79,12 @@ class TestMatrixValidation:
         with pytest.raises(DimensionMismatch):
             StrictlyPositiveMatrix(np.ones((2, 2)), ["a"], ["x", "y"])
 
-    def test_take_samples_preserves_order(self):
+    def test_row_subset_keeps_the_given_order(self):
         rng = np.random.default_rng(0)
         m = make_matrix(random_positive(rng, 5, 3))
-        sub = m.take_samples([3, 1])
+        sub = StrictlyPositiveMatrix(
+            m.values[[3, 1]], [m.sample_ids[i] for i in (3, 1)], m.feature_ids
+        )
         assert sub.sample_ids == ["s3", "s1"]
         np.testing.assert_array_equal(sub.values, m.values[[3, 1]])
 
@@ -175,12 +180,17 @@ class TestZeroPolicy:
         assert pos.feature_ids == ["f0", "f2"]
 
     def test_replacement_is_half_min_positive(self):
-        m = self.matrix_with_zero_fractions([0.0, 0.2])
+        # Each zero becomes half the smallest positive kept entry of its
+        # own sample.
+        m = self.matrix_with_zero_fractions([0.0, 0.2, 0.3])
         pos, _ = apply_zero_policy(m, ZeroPolicy())
-        kept = m.values[:, [0, 1]]
-        half_min = kept[kept > 0].min() / 2.0
-        filled = pos.values[m.values[:, 1] == 0.0, 1]
-        np.testing.assert_allclose(filled, half_min, rtol=1e-14)
+        zero = m.values == 0.0
+        for i in range(m.n_samples):
+            row = m.values[i]
+            half_min = row[row > 0].min() / 2.0
+            np.testing.assert_allclose(pos.values[i, zero[i]], half_min, rtol=1e-14)
+        # Samples 0, 1 and 2 hold zeros, and each gets its own value.
+        assert len(set(pos.values[zero].tolist())) == 3
 
     def test_positive_entries_untouched(self):
         m = self.matrix_with_zero_fractions([0.0, 0.3, 0.9])
@@ -204,6 +214,44 @@ class TestZeroPolicy:
         m = self.matrix_with_zero_fractions([1.0, 1.0, 1.0])
         with pytest.raises(ZeroRemains, match="no positive entry"):
             apply_zero_policy(m, ZeroPolicy(max_zero_fraction=1.0))
+
+    def test_sample_without_positive_entry_is_named(self):
+        # Each feature is one-third zeros and kept, and sample s1 has no
+        # positive entry to set its detection limit.
+        vals = np.array([[2.0, 3.0], [0.0, 0.0], [5.0, 6.0]])
+        m = make_matrix(vals, cls=CompositionMatrix)
+        with pytest.raises(ZeroRemains, match="sample 's1' has no positive entry"):
+            apply_zero_policy(m, ZeroPolicy())
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(4, 24),
+        g=st.integers(2, 7),
+        lam=st.floats(0.5, 6.0),
+        power=st.sampled_from([-3, -1, 1, 2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_imputation_commutes_with_per_sample_rescaling(
+        self, n, g, lam, power, seed
+    ):
+        # Poisson counts whose first two features stay positive but in
+        # samples 0 and 1, where feature 0 is zero; every other sample,
+        # sample 0 among them, is rescaled.
+        rng = np.random.default_rng(seed)
+        counts = rng.poisson(lam, (n, g + 2)).astype(float)
+        counts[:, :2] += 1.0
+        counts[:2, 0] = 0.0
+        scale = np.where(np.arange(n) % 2 == 0, 10.0**power, 1.0)[:, None]
+        m = make_matrix(counts, cls=CompositionMatrix)
+        scaled = make_matrix(counts * scale, cls=CompositionMatrix)
+        pos, removed = apply_zero_policy(m, ZeroPolicy())
+        pos_scaled, removed_scaled = apply_zero_policy(scaled, ZeroPolicy())
+        assert removed_scaled == removed
+        np.testing.assert_allclose(pos_scaled.values, pos.values * scale, rtol=1e-14)
+        outcome = Outcome.binary(np.arange(n) % 3 == 0)
+        res = differential_ratio_analysis(pos, outcome)
+        res_scaled = differential_ratio_analysis(pos_scaled, outcome)
+        np.testing.assert_allclose(res_scaled.beta, res.beta, rtol=0.0, atol=1e-10)
 
     def test_strict_threshold_zero(self):
         m = self.matrix_with_zero_fractions([0.0, 0.1, 0.0])

@@ -11,8 +11,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import ratiomarker
+import ratiomarker.learn
 
 HEAVY = ("scipy", "scipy.stats", "scipy.optimize", "scipy.sparse", "multiprocessing")
 
@@ -36,3 +38,13 @@ def test_cli_import_leaves_out_heavy_scipy_subpackages():
         env=env,
     )
     assert done.stdout.split() == []
+
+
+def test_all_lists_the_public_names_of_each_package():
+    for package, count in ((ratiomarker, 46), (ratiomarker.learn, 11)):
+        names = package.__all__
+        assert len(names) == count
+        assert names == sorted(set(names))
+        for name in names:
+            assert not name.startswith("_")
+            assert not isinstance(getattr(package, name), ModuleType)

@@ -340,7 +340,9 @@ class TestRbbApproximation:
     def test_length_mismatch_rejected(self):
         mat = self.planted_latent_matrix(62)
         latent, _ = pca_first_component(clr_transform(mat))
-        small = mat.take_samples(list(range(10)))
+        small = StrictlyPositiveMatrix(
+            mat.values[:10], mat.sample_ids[:10], mat.feature_ids
+        )
         with pytest.raises(DimensionMismatch):
             approximate_latent_with_rbb(latent, small)
 
@@ -349,6 +351,8 @@ class TestRbbApproximation:
         b = self.planted_latent_matrix(64, n=80, g=9)
         pair = OmicsPair(a, b)
         assert pair.n_samples == 80
-        shuffled = b.take_samples(list(range(79, -1, -1)))
+        shuffled = StrictlyPositiveMatrix(
+            b.values[::-1], b.sample_ids[::-1], b.feature_ids
+        )
         with pytest.raises(DimensionMismatch):
             OmicsPair(a, shuffled)

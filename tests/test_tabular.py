@@ -273,12 +273,13 @@ class TestAtomicWrite:
     def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch):
         path = tmp_path / "out.tsv"
 
-        def rows():
-            yield [1.0, 2.0]
-            raise RuntimeError("row source failed")
+        def row(i):
+            if i == 1:
+                raise RuntimeError("row source failed")
+            return [1.0, 2.0]
 
-        with pytest.raises(RuntimeError):
-            write_table(path, ["a", "b"], ["x", "y"], rows())
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_table(path, ["a", "b"], ["x", "y"], row)
         assert list(tmp_path.iterdir()) == []
 
         # A pairwise table formatted by two workers, two rows a block, whose
@@ -303,13 +304,13 @@ class TestAtomicWrite:
 
 
 class TestWriteTable:
-    def test_rows_from_an_iterable_equal_the_array(self, tmp_path):
+    def test_rows_from_a_function_equal_the_array(self, tmp_path):
         rng = np.random.default_rng(5)
         values = rng.normal(0.0, 1.0, (4, 3))
         values[1, 2] = -0.0
         whole, rows = tmp_path / "whole.tsv", tmp_path / "rows.tsv"
         write_table(whole, list("abcd"), list("xyz"), values)
-        write_table(rows, list("abcd"), list("xyz"), (r for r in values))
+        write_table(rows, list("abcd"), list("xyz"), lambda i: values[i])
         assert rows.read_bytes() == whole.read_bytes()
         lines = whole.read_text().splitlines()
         assert lines[0] == "sample_id\tx\ty\tz"
@@ -327,7 +328,7 @@ class TestWriteTable:
         # two rows, the last one short; 2 values is narrower than a row.
         for block_elements in (21, 6, 2):
             monkeypatch.setattr(composition, "_BLOCK_ELEMENTS", block_elements)
-            for form in (values, iter(values), lambda i: values[i]):
+            for form in (values, lambda i: values[i]):
                 path = tmp_path / "t.tsv"
                 write_table(path, list("abcdefg"), list("xyz"), form)
                 assert path.read_text() == expected
