@@ -23,7 +23,6 @@ from .composition import (
 from .glm import (
     DaaResult,
     FittedGlm,
-    ModelSpec,
     RatioAnalysis,
     benjamini_hochberg,
     daa,

@@ -53,15 +53,15 @@ def synthetic_omics_pair(
     g_t: int = 50,
     g_u: int = 80,
     seed: int = 0,
-    strength: float = 1.0,
     noise_sd: float = 0.3,
 ) -> OmicsPair:
     """Two matrices sharing one latent factor through sparse log loadings.
 
     A standard-normal factor drives a block of features up and an equally
-    sized block down (about an eighth of the features per side) in each
-    matrix, with iid lognormal noise on top. The shared factor gives rank-1
-    cross-covariance, so PLS and cross-matrix networks have a real target.
+    sized block down (about an eighth of the features per side, log loading
+    +-1) in each matrix, with iid lognormal noise on top. The shared factor
+    gives rank-1 cross-covariance, so PLS and cross-matrix networks have a
+    real target.
     """
     rng = np.random.default_rng(seed)
     shared = rng.normal(0.0, 1.0, n_samples)
@@ -70,8 +70,8 @@ def synthetic_omics_pair(
         per_side = max(2, g // 8)
         loading = np.zeros(g)
         order = rng.permutation(g)
-        loading[order[:per_side]] = strength
-        loading[order[per_side : 2 * per_side]] = -strength
+        loading[order[:per_side]] = 1.0
+        loading[order[per_side : 2 * per_side]] = -1.0
         logs = shared[:, None] * loading[None, :]
         logs = logs + rng.normal(0.0, noise_sd, (n_samples, g))
         return StrictlyPositiveMatrix(

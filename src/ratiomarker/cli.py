@@ -42,7 +42,7 @@ from .errors import (
     RatiomarkerError,
     ValidationError,
 )
-from .glm import ModelSpec, daa, differential_ratio_analysis
+from .glm import daa, differential_ratio_analysis
 from .latent import (
     EncoderDecoderConfig,
     OmicsPair,
@@ -150,7 +150,6 @@ _MATRIX = _Option("--matrix", _input_file)
 _MATRIX2 = _Option("--matrix2", _input_file)
 _OUTCOME = _Option("--outcome", _input_file)
 _ALPHA = _Option("--alpha", float, 0.05, domain=_PROBABILITY)
-_LINK = _Option("--link", str, "auto", ("auto", "identity", "logistic"))
 _OUTCOME_KIND = _Option(
     "--outcome-kind", str, "auto", ("auto", "binary", "continuous")
 )
@@ -163,6 +162,12 @@ _PLANTED = (
     _Option("--theta-sd", float, 0.5, domain=_NON_NEGATIVE),
     _Option("--depth-sd", float, 0.5, domain=_NON_NEGATIVE),
     _Option("--noise-sd", float, 0.1, domain=_NON_NEGATIVE),
+)
+# The sizes of `benchmark --synthetic`'s own matrices.
+_SYNTHETIC = (
+    _Option("--n-samples", int, 200, domain=_POSITIVE),
+    _Option("--g-t", int, 50, domain=_POSITIVE),
+    _Option("--g-u", int, 80, domain=_POSITIVE),
 )
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
@@ -247,6 +252,13 @@ def _require(config: dict, *keys):
     for key in keys:
         if config.get(key) is None:
             raise ValidationError(f"--{key.replace('_', '-')} is required")
+
+
+def _reject_set(config: dict, options, reason: str):
+    """Fail on the first of `options` away from its default: nothing reads it."""
+    for opt in options:
+        if config[opt.key] != opt.default:
+            raise ValidationError(f"{opt.flag} {reason}")
 
 
 def _check_inputs_exist(config: dict, keys) -> dict[str, str]:
@@ -338,12 +350,7 @@ def _cmd_transform(config: dict, out: Callable[[str], Path]):
 def _cmd_daa(config: dict, out: Callable[[str], Path]):
     positive, removed = _load_positive_matrix(config)
     outcome = _load_outcome(config, positive)
-    result = daa(
-        positive,
-        outcome,
-        transform=config["transform"],
-        spec=ModelSpec.for_outcome(outcome, config["link"]),
-    )
+    result = daa(positive, outcome, transform=config["transform"])
     _write_rows(
         out("daa.tsv"),
         "feature_id\tbeta\tp_value\tp_adjusted\tnote",
@@ -375,11 +382,7 @@ def _cmd_ratios(config: dict, out: Callable[[str], Path]):
     positive, removed = _load_positive_matrix(config)
     outcome = _load_outcome(config, positive)
     result = differential_ratio_analysis(
-        positive,
-        outcome,
-        spec=ModelSpec.for_outcome(outcome, config["link"]),
-        alpha=config["alpha"],
-        max_features=config["max_features"],
+        positive, outcome, alpha=config["alpha"], max_features=config["max_features"]
     )
     ids = result.feature_ids
     jj, kk = result.numerator, result.denominator
@@ -480,9 +483,7 @@ def _cmd_learn(config: dict, out: Callable[[str], Path]):
 
 def _cmd_simulate(config: dict, out: Callable[[str], Path]):
     if config["preset"] == "depth_confounded":
-        for opt in _PLANTED:
-            if config[opt.key] != opt.default:
-                raise ValidationError(f"{opt.flag} applies to the planted preset only")
+        _reject_set(config, _PLANTED, "applies to the planted preset only")
         scenario = depth_confounded_scenario()
         bias = BiasModel.identity(scenario.n_samples, scenario.n_features)
         report_feature = "a"
@@ -542,8 +543,10 @@ def _cmd_approx(config: dict, out: Callable[[str], Path]):
     latent_kind = config["latent"]
     if latent_kind == "pls":
         _require(config, "matrix2")
+    elif latent_kind == "pca":
+        _reject_set(config, (_MATRIX2,), "applies to --latent pls and nn only")
     target = clr_x
-    if latent_kind != "pca" and config["matrix2"] is not None:
+    if config["matrix2"] is not None:
         second, _ = _load_positive_matrix(config, "matrix2")
         OmicsPair(positive, second)
         target = clr_transform(second)
@@ -579,6 +582,7 @@ def _cmd_approx(config: dict, out: Callable[[str], Path]):
 
 def _cmd_benchmark(config: dict, out: Callable[[str], Path]):
     if config["synthetic"]:
+        _reject_set(config, (_MATRIX, _MATRIX2), "is not read with --synthetic")
         pair = synthetic_omics_pair(
             n_samples=config["n_samples"],
             g_t=config["g_t"],
@@ -586,6 +590,7 @@ def _cmd_benchmark(config: dict, out: Callable[[str], Path]):
             seed=config["seed"],
         )
     else:
+        _reject_set(config, _SYNTHETIC, "applies with --synthetic only")
         _require(config, "matrix", "matrix2")
         first, _ = _load_positive_matrix(config)
         second, _ = _load_positive_matrix(config, "matrix2")
@@ -622,7 +627,6 @@ _COMMANDS = {
             _OUTCOME,
             _Option("--transform", str, "clr", ("clr", "prop")),
             _ALPHA,
-            _LINK,
             _OUTCOME_KIND,
         ),
     ),
@@ -636,7 +640,6 @@ _COMMANDS = {
             _OUTCOME,
             _ALPHA,
             _Option("--max-features", int, 2000),
-            _LINK,
             _OUTCOME_KIND,
         ),
     ),
@@ -693,9 +696,7 @@ _COMMANDS = {
             _MATRIX,
             _MATRIX2,
             _Option("--synthetic", bool, False),
-            _Option("--n-samples", int, 200, domain=_POSITIVE),
-            _Option("--g-t", int, 50, domain=_POSITIVE),
-            _Option("--g-u", int, 80, domain=_POSITIVE),
+            *_SYNTHETIC,
             *_LEARNER,
             *_NN,
         ),
@@ -708,6 +709,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     command = args.command
     started = time.perf_counter()
+    created: list[Path] = []
     try:
         config = _resolve_config(command, args)
         _, runner, required, options = _COMMANDS[command]
@@ -719,6 +721,8 @@ def main(argv=None) -> int:
         if config_path is not None:
             digests.update(_check_inputs_exist({"config": config_path}, ("config",)))
         out_dir = Path(config["out_dir"])
+        # Deepest first; a failed run removes those still empty.
+        created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -744,14 +748,17 @@ def main(argv=None) -> int:
         )
         print(f"wrote {len(outputs) + 1} files to {out_dir}")
         return EXIT_OK
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotConvergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
     except RatiomarkerError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        for directory in created:
+            try:
+                directory.rmdir()
+            except OSError:  # not empty, or never made
+                break
+        if isinstance(exc, ParseError):
+            return EXIT_PARSE
+        if isinstance(exc, NotConvergedError):
+            return EXIT_CONVERGENCE
         return EXIT_PRECONDITION
 
 

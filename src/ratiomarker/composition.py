@@ -132,6 +132,11 @@ class Outcome:
     def n(self) -> int:
         return self.values.size
 
+    @property
+    def link(self) -> str:
+        """The GLM link: logistic for a binary outcome, identity otherwise."""
+        return "logistic" if self.kind == "binary" else "identity"
+
     def both_classes_present(self) -> bool:
         return self.kind == "binary" and 0.0 < self.values.mean() < 1.0
 

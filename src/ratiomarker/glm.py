@@ -47,33 +47,11 @@ from .errors import (
 )
 from .special import expit, ndtr, stdtr
 
-LINKS = ("identity", "logistic")
-# The logistic fit's ridge on (beta, intercept at the mean score), and its
-# convergence tolerance on the gradient norm.
+# The logistic fit's ridge on (beta, intercept at the mean score), its
+# convergence tolerance on the gradient norm, and its Newton iteration cap.
 RIDGE = 1e-6
 TOL = 1e-8
-
-
-@dataclass
-class ModelSpec:
-    """Link choice and iteration cap for a single-score GLM."""
-
-    link: str = "logistic"
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if self.link not in LINKS:
-            raise ValidationError(f"unknown link {self.link!r}")
-        if self.max_iter < 1:
-            raise ValidationError("max_iter must be at least 1")
-
-    @classmethod
-    def for_outcome(cls, outcome: Outcome, link: str = "auto") -> "ModelSpec":
-        """The default spec: with link "auto", logistic for a binary outcome
-        and identity otherwise."""
-        if link == "auto":
-            link = "logistic" if outcome.kind == "binary" else "identity"
-        return cls(link=link)
+MAX_ITER = 100
 
 
 @dataclass
@@ -100,8 +78,8 @@ class FittedGlm:
             return expit(eta)
 
 
-def fit_glm(z, outcome: Outcome, spec: ModelSpec | None = None) -> FittedGlm:
-    """Fit y ~ phi(beta * z + beta0).
+def fit_glm(z, outcome: Outcome) -> FittedGlm:
+    """Fit y ~ phi(beta * z + beta0), with the link the outcome implies.
 
     Identity link: least squares, Wald p-value from the t distribution.
     Logistic link: damped Newton with the ridge RIDGE on beta and on the
@@ -110,14 +88,13 @@ def fit_glm(z, outcome: Outcome, spec: ModelSpec | None = None) -> FittedGlm:
     drops to TOL * (1 + |beta|). Non-convergence is reported on the result,
     not raised; a score that cannot be fitted raises `ValidationError`.
     """
-    spec = spec or ModelSpec()
     z = np.asarray(z, dtype=float).ravel()
     if z.size != outcome.n:
         raise DimensionMismatch(f"score length {z.size} vs outcome length {outcome.n}")
-    fits = _fit_rows(z[None, :], outcome, spec)
+    fits = _fit_rows(z[None, :], outcome)
     if fits.errors[0] is not None:
         raise fits.errors[0]
-    p_value = _wald_p_values(fits.beta, fits.se, spec.link, outcome.n)
+    p_value = _wald_p_values(fits.beta, fits.se, outcome)
     return FittedGlm(
         beta=float(fits.beta[0]),
         beta0=float(fits.beta0[0]),
@@ -125,7 +102,7 @@ def fit_glm(z, outcome: Outcome, spec: ModelSpec | None = None) -> FittedGlm:
         p_value=float(p_value[0]),
         converged=bool(fits.converged[0]),
         n_iter=int(fits.n_iter[0]),
-        link=spec.link,
+        link=outcome.link,
         note=fits.notes[0],
     )
 
@@ -143,22 +120,12 @@ class _Fits(NamedTuple):
     errors: list[ValidationError | None]
 
 
-def _link_error(outcome: Outcome, spec: ModelSpec) -> ValidationError | None:
-    if spec.link == "logistic":
-        if outcome.kind != "binary":
-            return ValidationError("logistic link requires a binary outcome")
-        if not outcome.both_classes_present():
-            return ValidationError("binary outcome must contain both classes")
-    elif outcome.kind != "continuous":
-        return ValidationError("identity link requires a continuous outcome")
-    return None
-
-
-def _fit_rows(zt, outcome: Outcome, spec: ModelSpec) -> _Fits:
-    """Fit every row of zt (columns x samples) as its own score.
+def _fit_rows(zt, outcome: Outcome) -> _Fits:
+    """Fit every row of zt (columns x samples) as its own score, with the
+    link the outcome implies.
 
     A row is rejected, in this order, for a non-finite value, for being
-    constant, or because the link does not suit the outcome; an identity
+    constant, or because a binary outcome has one class only; an identity
     fit whose centred score has no spread left is rejected as singular.
     """
     zt = np.ascontiguousarray(zt, dtype=float)
@@ -167,14 +134,14 @@ def _fit_rows(zt, outcome: Outcome, spec: ModelSpec) -> _Fits:
     with np.errstate(invalid="ignore"):
         finite = np.isfinite(zt).all(axis=1)
         constant = finite & ~(np.ptp(zt, axis=1) > 0.0)
-    link_error = _link_error(outcome, spec)
+    one_class = outcome.kind == "binary" and not outcome.both_classes_present()
     for j in range(c):
         if not finite[j]:
             errors[j] = ValidationError("score contains non-finite values")
         elif constant[j]:
             errors[j] = DegenerateDesign("score is constant; nothing to fit")
-        elif link_error is not None:
-            errors[j] = link_error
+        elif one_class:
+            errors[j] = ValidationError("binary outcome must contain both classes")
     beta, beta0, se = (np.full(c, np.nan) for _ in range(3))
     n_iter = np.zeros(c, dtype=int)
     converged = np.zeros(c, dtype=bool)
@@ -182,7 +149,7 @@ def _fit_rows(zt, outcome: Outcome, spec: ModelSpec) -> _Fits:
     rows = np.flatnonzero([e is None for e in errors])
     if rows.size:
         z = zt if rows.size == c else zt[rows]
-        if spec.link == "identity":
+        if outcome.kind == "continuous":
             beta[rows], beta0[rows], se[rows], singular = _fit_identity_rows(
                 z, outcome.values
             )
@@ -193,7 +160,7 @@ def _fit_rows(zt, outcome: Outcome, spec: ModelSpec) -> _Fits:
             # exp(-eta) in expit overflows to inf for eta below about -709,
             # and expit is then 0, as it should be.
             with np.errstate(over="ignore"):
-                fit = _fit_logistic_rows(z, outcome.values, spec.max_iter)
+                fit = _fit_logistic_rows(z, outcome.values)
             beta[rows], beta0[rows], se[rows] = fit[:3]
             n_iter[rows], converged[rows], gnorm = fit[3:]
             # Without overlap of the classes there is no finite maximum.
@@ -203,7 +170,7 @@ def _fit_rows(zt, outcome: Outcome, spec: ModelSpec) -> _Fits:
             for j, g, sep in zip(rows, gnorm, separated):
                 if not converged[j]:
                     notes[j] = (
-                        f"did not converge in {spec.max_iter} iterations"
+                        f"did not converge in {MAX_ITER} iterations"
                         f" (gradient norm {g:.3g})"
                     )
                 elif sep:
@@ -214,15 +181,15 @@ def _fit_rows(zt, outcome: Outcome, spec: ModelSpec) -> _Fits:
     return _Fits(beta, beta0, se, n_iter, converged, notes, errors)
 
 
-def _wald_p_values(beta, se, link: str, n: int) -> np.ndarray:
-    """Two-sided Wald p-values of beta / se for fits on n samples: from the
-    normal distribution for the logistic link, from Student's t with n - 2
-    degrees of freedom for the identity link. NaN where beta or se is NaN
-    (a rejected fit, or dof <= 0); se == 0 gives 0, or 1 at beta == 0."""
+def _wald_p_values(beta, se, outcome: Outcome) -> np.ndarray:
+    """Two-sided Wald p-values of beta / se for fits to `outcome`: normal
+    tails for the logistic link, Student's t with n - 2 degrees of freedom
+    for the identity link. NaN where beta or se is NaN (a rejected fit, or
+    dof <= 0); se == 0 gives 0, or 1 at beta == 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         stat = np.divide(beta, se)
     np.negative(np.abs(stat, out=stat), out=stat)
-    p = ndtr(stat) if link == "logistic" else stdtr(n - 2, stat)
+    p = ndtr(stat) if outcome.kind == "binary" else stdtr(outcome.n - 2, stat)
     p *= 2.0
     zero = se == 0.0
     p[zero] = beta[zero] == 0.0
@@ -259,15 +226,16 @@ def _penalized_nll_rows(eta, y, b1, a):
     return nll + 0.5 * RIDGE * (b1 * b1 + a * a)
 
 
-def _fit_logistic_rows(z, y, max_iter):
+def _fit_logistic_rows(z, y):
     """Damped Newton on every row of z at once.
 
     The state of a row is its slope b1 and its intercept a at the mean
     score, so eta = b1 * (z - zbar) + a, and the ridge is on (b1, a). Each
-    row converges when the norm of its gradient drops to TOL * (1 + |b1|),
-    halves its own step until its penalized objective stops increasing, and
-    leaves the active set once it stops. Returns beta, beta0, se,
-    iterations, converged and the final gradient norm per row.
+    row converges when the norm of its gradient drops to TOL * (1 + |b1|)
+    within MAX_ITER Newton steps, halves its own step until its penalized
+    objective stops increasing, and leaves the active set once it stops.
+    Returns beta, beta0, se, iterations, converged and the final gradient
+    norm per row.
     """
     c, n = z.shape
     zbar = z.mean(axis=1)
@@ -282,7 +250,7 @@ def _fit_logistic_rows(z, y, max_iter):
     a = np.full(c, math.log(ybar / (1.0 - ybar)))
     eta = np.repeat(a[:, None], n, axis=1)
     f_cur = _penalized_nll_rows(eta, y, b1, a)
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         mu = expit(eta)
         r = mu - y
         g0 = r.sum(axis=1) + RIDGE * a
@@ -294,7 +262,7 @@ def _fit_logistic_rows(z, y, max_iter):
         h10 = wz.sum(axis=1)
         h11 = _rowdot(wz, zc) + RIDGE
         det = h11 * h00 - h10 * h10
-        last = it == max_iter
+        last = it == MAX_ITER
         conv = (gnorm <= TOL * (1.0 + np.abs(b1))) & (not last)
         stop = conv | last
         if stop.any():
@@ -302,7 +270,7 @@ def _fit_logistic_rows(z, y, max_iter):
             with np.errstate(divide="ignore", invalid="ignore"):
                 se = np.sqrt(np.maximum(h00[stop] / det[stop], 0.0))
             out[:, done] = b1[stop], a[stop], se, gnorm[stop]
-            n_iter[done] = np.where(conv[stop], it + 1, max_iter)
+            n_iter[done] = np.where(conv[stop], it + 1, MAX_ITER)
             converged[done] = conv[stop]
             keep = ~stop
             if not keep.any():
@@ -332,7 +300,7 @@ def _fit_logistic_rows(z, y, max_iter):
     return beta, intercept - beta * zbar, se, n_iter, converged, gnorm
 
 
-def _fit_columns(blocks, n_columns: int, outcome: Outcome, spec: ModelSpec):
+def _fit_columns(blocks, n_columns: int, outcome: Outcome):
     """Fit every column of each n x c block in `blocks`, `n_columns` in
     all, as its own score.
 
@@ -347,14 +315,14 @@ def _fit_columns(blocks, n_columns: int, outcome: Outcome, spec: ModelSpec):
     notes = [""] * n_columns
     start = 0
     for z in blocks:
-        fits = _fit_rows(z.T, outcome, spec)
+        fits = _fit_rows(z.T, outcome)
         stop = start + len(fits.notes)
         beta[start:stop] = fits.beta
         se[start:stop] = fits.se
         notes[start:stop] = fits.notes
         start = stop
     assert start == n_columns
-    return beta, _wald_p_values(beta, se, spec.link, outcome.n), notes
+    return beta, _wald_p_values(beta, se, outcome), notes
 
 
 def benjamini_hochberg(p_values) -> np.ndarray:
@@ -402,7 +370,6 @@ def daa(
     matrix: StrictlyPositiveMatrix,
     outcome: Outcome,
     transform: str = "clr",
-    spec: ModelSpec | None = None,
 ) -> DaaResult:
     """Differential abundance analysis under a chosen data notion.
 
@@ -424,9 +391,8 @@ def daa(
         notion = "relative"
     else:
         raise ValidationError(f"unknown transform {transform!r}")
-    spec = spec or ModelSpec.for_outcome(outcome)
     blocks = (columns[:, cols] for cols in _column_blocks(*columns.shape))
-    beta, p_value, notes = _fit_columns(blocks, columns.shape[1], outcome, spec)
+    beta, p_value, notes = _fit_columns(blocks, columns.shape[1], outcome)
     return DaaResult(
         feature_ids=list(matrix.feature_ids),
         beta=beta,
@@ -464,7 +430,6 @@ class RatioAnalysis:
 def differential_ratio_analysis(
     matrix: StrictlyPositiveMatrix,
     outcome: Outcome,
-    spec: ModelSpec | None = None,
     alpha: float = 0.05,
     max_features: int = 2000,
 ) -> RatioAnalysis:
@@ -486,12 +451,9 @@ def differential_ratio_analysis(
         )
     if outcome.n != matrix.n_samples:
         raise DimensionMismatch("outcome length does not match sample count")
-    spec = spec or ModelSpec.for_outcome(outcome)
     jj, kk = ratio_pairs(g)
     blocks = _pairwise_logratio_blocks(np.log(matrix.values), jj, kk)
-    beta, p_value, notes = _fit_columns(
-        (z for _, z in blocks), jj.size, outcome, spec
-    )
+    beta, p_value, notes = _fit_columns((z for _, z in blocks), jj.size, outcome)
     p_adjusted = benjamini_hochberg(p_value)
     significant = _significant(p_adjusted, alpha)
     counts = np.zeros(g)

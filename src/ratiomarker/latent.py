@@ -20,10 +20,14 @@ from .errors import (
     ValidationError,
     ZeroVariance,
 )
-from .glm import ModelSpec
 from .learn.biomarker import LearnedModel, LearnerConfig, predict
 from .learn.relaxed import relaxed_gradient_learner
 from .metrics import r2_score
+
+# NIPALS stops once the x-side score moves less than _PLS_TOL (relative),
+# and fails after _PLS_MAX_ITER rounds.
+_PLS_TOL = 1e-10
+_PLS_MAX_ITER = 500
 
 
 @dataclass
@@ -103,13 +107,11 @@ class PlsComponent:
     n_iter: int
 
 
-def pls_first_component(
-    x, y, tol: float = 1e-10, max_iter: int = 500
-) -> PlsComponent:
+def pls_first_component(x, y) -> PlsComponent:
     """One NIPALS round for the first PLS component.
 
     Alternates weight and score updates between the blocks until the x-side
-    score moves less than `tol` (relative). The y-side score vector is
+    score moves less than _PLS_TOL (relative). The y-side score vector is
     initialized from the y column with the largest variance. Signs follow
     the x-weight convention: the largest-magnitude x weight is positive,
     and all of (w, t, c, u) flip together so the fitted directions are
@@ -131,7 +133,7 @@ def pls_first_component(
     w = np.zeros(x.shape[1])
     c = np.zeros(y.shape[1])
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _PLS_MAX_ITER + 1):
         w = xc.T @ u
         w_norm = float(np.linalg.norm(w))
         if w_norm == 0.0:
@@ -146,13 +148,13 @@ def pls_first_component(
         u = yc @ c
         if t_old is not None:
             denom = float(np.linalg.norm(t))
-            if denom == 0.0 or np.linalg.norm(t - t_old) / denom < tol:
+            if denom == 0.0 or np.linalg.norm(t - t_old) / denom < _PLS_TOL:
                 break
         t_old = t.copy()
     else:
         raise NotConvergedError(
-            f"NIPALS did not converge in {max_iter} iterations",
-            n_iter=max_iter,
+            f"NIPALS did not converge in {_PLS_MAX_ITER} iterations",
+            n_iter=_PLS_MAX_ITER,
         )
     sign = _fix_sign(w)
     return PlsComponent(
@@ -458,10 +460,7 @@ def approximate_latent_with_rbb(
     if latent.scores.size != matrix.n_samples:
         raise DimensionMismatch("latent length does not match sample count")
     outcome = Outcome.continuous(latent.scores)
-    spec = ModelSpec(link="identity")
-    model = relaxed_gradient_learner(
-        matrix, outcome, config=config, spec=spec, mode=mode
-    )
+    model = relaxed_gradient_learner(matrix, outcome, config=config, mode=mode)
     approx = predict(model, matrix)
     return RbbApproximation(
         model=model,

@@ -21,7 +21,7 @@ from ..errors import (
     OverlappingSets,
     ValidationError,
 )
-from ..glm import FittedGlm, ModelSpec, fit_glm
+from ..glm import FittedGlm, fit_glm
 from ..tabular import json_text
 
 MODES = ("balance", "slr")
@@ -167,7 +167,6 @@ def orient_and_fit(
     biomarker: RatioBiomarker,
     matrix: StrictlyPositiveMatrix,
     outcome: Outcome,
-    spec: ModelSpec,
     cv_score: float,
     cv_se: float,
     seed: int,
@@ -182,11 +181,11 @@ def orient_and_fit(
     up together with the outcome.
     """
     z = evaluate_biomarker(biomarker, matrix)
-    fit = fit_glm(z, outcome, spec)
+    fit = fit_glm(z, outcome)
     if fit.beta < 0.0:
         biomarker = biomarker.swapped()
         z = evaluate_biomarker(biomarker, matrix)
-        fit = fit_glm(z, outcome, spec)
+        fit = fit_glm(z, outcome)
     return LearnedModel(
         biomarker, fit, list(matrix.feature_ids), cv_score, cv_se,
         fit.predict_response(z), seed, diagnostics,

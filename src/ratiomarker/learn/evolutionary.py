@@ -19,7 +19,6 @@ child give a different search for the same seed.
 import numpy as np
 
 from ..composition import Outcome, StrictlyPositiveMatrix
-from ..glm import ModelSpec
 from .biomarker import LearnedModel, LearnerConfig, RatioBiomarker, orient_and_fit
 from .scoring import _learner_setup, _score_sets, make_folds
 
@@ -30,9 +29,8 @@ def evolutionary_slr(
     matrix: StrictlyPositiveMatrix,
     outcome: Outcome,
     config: LearnerConfig | None = None,
-    spec: ModelSpec | None = None,
 ) -> LearnedModel:
-    config, spec = _learner_setup(matrix, outcome, config, spec)
+    config = _learner_setup(matrix, outcome, config)
     g = matrix.n_features
     values = matrix.values
     rng = np.random.default_rng(config.seed)
@@ -59,7 +57,7 @@ def evolutionary_slr(
             else:
                 todo[key] = (num, den)
         if todo:
-            means, ses = _score_sets(values, "slr", todo.values(), outcome, spec, folds)
+            means, ses = _score_sets(values, "slr", todo.values(), outcome, folds)
             # An unusable candidate scores -inf with SE 0: `worst`.
             for (key, (num, den)), mean, se in zip(todo.items(), means, ses):
                 penalty = config.lam * (num.size + den.size) / g
@@ -93,7 +91,7 @@ def evolutionary_slr(
         "slr",
     )
     return orient_and_fit(
-        biomarker, matrix, outcome, spec, cv_mean, cv_se, config.seed,
+        biomarker, matrix, outcome, cv_mean, cv_se, config.seed,
         {
             "learner": "evolutionary",
             "best_fitness_curve": best_curve,

@@ -14,7 +14,6 @@ import numpy as np
 
 from ..composition import Outcome, StrictlyPositiveMatrix
 from ..errors import ValidationError
-from ..glm import ModelSpec
 from ..special import expit
 from .biomarker import (
     MODES,
@@ -123,12 +122,11 @@ def relaxed_gradient_learner(
     matrix: StrictlyPositiveMatrix,
     outcome: Outcome,
     config: LearnerConfig | None = None,
-    spec: ModelSpec | None = None,
     mode: str = "balance",
 ) -> LearnedModel:
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}")
-    config, spec = _learner_setup(matrix, outcome, config, spec)
+    config = _learner_setup(matrix, outcome, config)
     g = matrix.n_features
     values = matrix.values
     logs = np.log(values)
@@ -139,7 +137,7 @@ def relaxed_gradient_learner(
     a = rng.normal(0.0, 0.01, g)
     folds = make_folds(outcome, config.cv_folds, rng)
 
-    if spec.link == "logistic":
+    if outcome.kind == "binary":
         ybar = float(y.mean())
         beta0 = float(np.log(ybar / (1.0 - ybar)))
         y_fit = y
@@ -162,7 +160,7 @@ def relaxed_gradient_learner(
     with np.errstate(all="ignore"):
         for t in range(config.epochs):
             loss, grad = relaxed_loss_and_grad(
-                params, values, y_fit, mode=mode, link=spec.link, logs=logs
+                params, values, y_fit, mode=mode, link=outcome.link, logs=logs
             )
             loss_curve[t] = loss
             velocity = 0.9 * velocity + grad
@@ -176,7 +174,7 @@ def relaxed_gradient_learner(
         all scored in one call."""
         means, ses = _score_sets(
             logs if mode == "balance" else values, mode,
-            [(num, den) for _, num, den in sets], outcome, spec, folds,
+            [(num, den) for _, num, den in sets], outcome, folds,
         )
         return [
             {
@@ -206,8 +204,7 @@ def relaxed_gradient_learner(
         tuple(chosen["numerator"]), tuple(chosen["denominator"]), mode
     )
     return orient_and_fit(
-        biomarker, matrix, outcome, spec, chosen["cv_score"], chosen["cv_se"],
-        config.seed,
+        biomarker, matrix, outcome, chosen["cv_score"], chosen["cv_se"], config.seed,
         {
             "learner": "relaxed",
             "mode": mode,

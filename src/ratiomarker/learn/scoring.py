@@ -8,7 +8,7 @@ test fold, say) are skipped in the aggregation, and a candidate that cannot
 be fitted in some fold scores -inf.
 
 `score_candidates` is the one scorer: it scores every column of an n x C
-matrix at once. For a binary outcome with the logistic link, AUC does not
+matrix at once. For a binary outcome, whose link is logistic, AUC does not
 change under an increasing map, so a fold's AUC depends only on the sign of
 the fitted beta. The penalized profile log-likelihood of beta is concave,
 and the ridge is on beta and on the intercept at the mean score, so its
@@ -22,8 +22,7 @@ columns are fitted, once per fold in one call of the GLM kernel on the
 training rows, and beta * z + beta0 is scored on the test rows: those
 whose statistic is too close to zero to fix the sign against the fitter's
 tolerance, those with non-finite values, every column when a training fold
-lacks a class, and every column of a continuous outcome or of another
-link.
+lacks a class, and every column of a continuous outcome.
 
 The reference, `cv_score_values` in `tests/conftest.py`, fits one GLM per
 fold and column. The scorer equals it bit for bit except in one case: two
@@ -38,7 +37,7 @@ import numpy as np
 
 from ..composition import Outcome, StrictlyPositiveMatrix
 from ..errors import DimensionMismatch, ValidationError
-from ..glm import TOL, ModelSpec, _fit_rows
+from ..glm import TOL, _fit_rows
 from ..metrics import _auc_rows, _r2_rows
 from .biomarker import LearnerConfig, balance_from_logs, slr_from_values
 
@@ -86,30 +85,27 @@ def _learner_setup(
     matrix: StrictlyPositiveMatrix,
     outcome: Outcome,
     config: LearnerConfig | None,
-    spec: ModelSpec | None,
-) -> tuple[LearnerConfig, ModelSpec]:
-    """The preamble of every learner: default config and spec, then the
+) -> LearnerConfig:
+    """The preamble of every learner: the default config, then the
     dimension check, then `check_learnable`."""
     config = config or LearnerConfig()
-    spec = spec or ModelSpec.for_outcome(outcome)
     if outcome.n != matrix.n_samples:
         raise DimensionMismatch("outcome length does not match sample count")
     check_learnable(outcome)
-    return config, spec
+    return config
 
 
-def _score_sets(data, mode, sets, outcome, spec, folds):
+def _score_sets(data, mode, sets, outcome, folds):
     """`score_candidates` of the biomarker of each (numerator, denominator)
     set: `data` is the log matrix in "balance" mode, the values in "slr"."""
     score = balance_from_logs if mode == "balance" else slr_from_values
     z = np.column_stack([score(data, num, den) for num, den in sets])
-    return score_candidates(z, outcome, spec, folds)
+    return score_candidates(z, outcome, folds)
 
 
 def score_candidates(
     Z: np.ndarray,
     outcome: Outcome,
-    spec: ModelSpec,
     folds,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Out-of-fold (mean, standard error) of every column of Z (n x C).
@@ -123,11 +119,11 @@ def score_candidates(
             f"candidate matrix of shape {Z.shape} for {outcome.n} samples"
         )
     y = outcome.values
-    batched = outcome.kind == "binary" and spec.link == "logistic" and all(
+    batched = outcome.kind == "binary" and all(
         train.size and 0.0 < y[train].mean() < 1.0 for train, _ in folds
     )
     if not batched:
-        return _fitted_scores(Z, outcome, spec, folds)
+        return _fitted_scores(Z, outcome, folds)
 
     # Non-finite columns are fitted, which rejects them; zeros keep them
     # out of the way here.
@@ -166,11 +162,11 @@ def score_candidates(
     mean, se = _mean_and_se(aucs, dead)
     to_fit = np.flatnonzero(undecided & ~dead)
     if to_fit.size:
-        mean[to_fit], se[to_fit] = _fitted_scores(Z[:, to_fit], outcome, spec, folds)
+        mean[to_fit], se[to_fit] = _fitted_scores(Z[:, to_fit], outcome, folds)
     return mean, se
 
 
-def _fitted_scores(Z, outcome, spec, folds):
+def _fitted_scores(Z, outcome, folds):
     """(mean, SE) of every column of Z from one GLM fit per fold: all
     columns are fitted on the training rows in one kernel call, and
     beta * z + beta0 is scored on the test rows."""
@@ -182,7 +178,7 @@ def _fitted_scores(Z, outcome, spec, folds):
         live = np.flatnonzero(~dead)
         if not live.size:
             break
-        fits = _fit_rows(zt[np.ix_(live, train)], outcome.subset(train), spec)
+        fits = _fit_rows(zt[np.ix_(live, train)], outcome.subset(train))
         fitted = np.array([e is None for e in fits.errors], dtype=bool)
         dead[live[~fitted]] = True
         live = live[fitted]

@@ -18,7 +18,6 @@ from ..composition import (
     ratio_pairs,
 )
 from ..errors import NoImprovingPair
-from ..glm import ModelSpec
 from .biomarker import LearnedModel, LearnerConfig, RatioBiomarker, orient_and_fit
 from .scoring import _learner_setup, _score_sets, make_folds, score_candidates
 
@@ -27,9 +26,8 @@ def forward_stepwise_balance(
     matrix: StrictlyPositiveMatrix,
     outcome: Outcome,
     config: LearnerConfig | None = None,
-    spec: ModelSpec | None = None,
 ) -> LearnedModel:
-    config, spec = _learner_setup(matrix, outcome, config, spec)
+    config = _learner_setup(matrix, outcome, config)
     g = matrix.n_features
     rng = np.random.default_rng(config.seed)
     folds = make_folds(outcome, config.cv_folds, rng)
@@ -42,7 +40,7 @@ def forward_stepwise_balance(
     means = np.full(jj.size, float("-inf"))
     ses = np.zeros(jj.size)
     for pairs, z in _pairwise_logratio_blocks(logs, jj, kk):
-        means[pairs], ses[pairs] = score_candidates(z, outcome, spec, folds)
+        means[pairs], ses[pairs] = score_candidates(z, outcome, folds)
     if not np.any(means > float("-inf")):
         raise NoImprovingPair("no feature pair yields a fittable model")
     best = int(np.argmax(means))
@@ -72,7 +70,7 @@ def forward_stepwise_balance(
                 (numerator, denominator + [f]),
             )
         ]
-        means, ses = _score_sets(logs, "balance", additions, outcome, spec, folds)
+        means, ses = _score_sets(logs, "balance", additions, outcome, folds)
         best = int(np.argmax(means))
         # One-standard-error stop: the addition must beat the current
         # score by more than the current model's fold-level SE. An
@@ -83,6 +81,6 @@ def forward_stepwise_balance(
 
     biomarker = RatioBiomarker(tuple(numerator), tuple(denominator), "balance")
     return orient_and_fit(
-        biomarker, matrix, outcome, spec, current_mean, current_se, config.seed,
+        biomarker, matrix, outcome, current_mean, current_se, config.seed,
         {"steps": trace, "learner": "stepwise"},
     )

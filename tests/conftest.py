@@ -31,7 +31,7 @@ import pytest
 from scipy.special import expit, ndtr, stdtr
 from scipy.stats import rankdata
 
-from ratiomarker import parallel, special
+from ratiomarker import glm, parallel, special
 from ratiomarker.composition import CompositionMatrix
 from ratiomarker.errors import DegenerateDesign, ParseError, ValidationError
 from ratiomarker.glm import RIDGE, TOL, FittedGlm, fit_glm
@@ -59,13 +59,15 @@ def cpus(request, monkeypatch):
     return request.param
 
 
-def reference_fit(z, outcome, spec) -> FittedGlm:
+def reference_fit(z, outcome, max_iter=None) -> FittedGlm:
     """Fit y ~ phi(beta * z + beta0) with the design [z - mean(z), 1].
 
-    The same objective, rules and errors as `fit_glm`: the ridge is on beta
-    and the intercept at the mean score, convergence is tested on the
-    gradient in those coordinates, steps are halved until the objective
-    stops increasing, and se == 0 gives p = 0, or 1 at beta == 0.
+    The same objective, rules and errors as `fit_glm`: the link is logistic
+    for a binary outcome and identity otherwise, the ridge is on beta and
+    the intercept at the mean score, convergence is tested on the gradient
+    in those coordinates within `max_iter` (`glm.MAX_ITER` when None)
+    Newton steps, steps are halved until the objective stops increasing,
+    and se == 0 gives p = 0, or 1 at beta == 0.
     """
     z = np.asarray(z, dtype=float).ravel()
     y = outcome.values
@@ -73,18 +75,13 @@ def reference_fit(z, outcome, spec) -> FittedGlm:
         raise ValidationError("score contains non-finite values")
     if np.ptp(z) == 0.0:
         raise DegenerateDesign("score is constant; nothing to fit")
-    if spec.link == "logistic":
-        if outcome.kind != "binary":
-            raise ValidationError("logistic link requires a binary outcome")
-        if not outcome.both_classes_present():
-            raise ValidationError("binary outcome must contain both classes")
-    elif outcome.kind != "continuous":
-        raise ValidationError("identity link requires a continuous outcome")
+    if outcome.kind == "binary" and not outcome.both_classes_present():
+        raise ValidationError("binary outcome must contain both classes")
     zbar = z.mean()
     x = np.column_stack([z - zbar, np.ones_like(z)])
-    if spec.link == "identity":
+    if outcome.kind == "continuous":
         return _fit_identity(x, y, zbar)
-    return _fit_logistic(x, y, zbar, spec.max_iter)
+    return _fit_logistic(x, y, zbar, glm.MAX_ITER if max_iter is None else max_iter)
 
 
 def _fit_identity(x, y, zbar) -> FittedGlm:
@@ -202,7 +199,7 @@ def reference_r2(y, predictions) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def cv_score_values(z, outcome, spec, folds) -> tuple[float, float, list[float]]:
+def cv_score_values(z, outcome, folds) -> tuple[float, float, list[float]]:
     """Reference for `score_candidates`: the out-of-fold score of one score
     vector, with one `fit_glm` per fold.
 
@@ -213,7 +210,7 @@ def cv_score_values(z, outcome, spec, folds) -> tuple[float, float, list[float]]
     scores = []
     for train, test in folds:
         try:
-            fit = fit_glm(z[train], outcome.subset(train), spec)
+            fit = fit_glm(z[train], outcome.subset(train))
         except ValidationError:
             return float("-inf"), 0.0, []
         eta = fit.beta * z[test] + fit.beta0
@@ -233,10 +230,10 @@ def cv_score_values(z, outcome, spec, folds) -> tuple[float, float, list[float]]
     return mean, se, scores
 
 
-def column_by_column(z_matrix, outcome, spec, folds):
+def column_by_column(z_matrix, outcome, folds):
     """Reference for `score_candidates`: one `cv_score_values` per column."""
     scored = [
-        cv_score_values(z_matrix[:, c], outcome, spec, folds)[:2]
+        cv_score_values(z_matrix[:, c], outcome, folds)[:2]
         for c in range(z_matrix.shape[1])
     ]
     return (
@@ -369,7 +366,7 @@ def reference_cutoff_sets(a):
     return sets
 
 
-def fit_glm_by_column(blocks, outcome, spec, fit=fit_glm):
+def fit_glm_by_column(blocks, outcome, fit=fit_glm):
     """Reference for `glm._fit_columns`: one `fit` per column, `fit_glm`
     (the kernel's one-column call) unless another is given.
 
@@ -380,7 +377,7 @@ def fit_glm_by_column(blocks, outcome, spec, fit=fit_glm):
     for z in blocks:
         for j in range(z.shape[1]):
             try:
-                one = fit(z[:, j], outcome, spec)
+                one = fit(z[:, j], outcome)
             except ValidationError as exc:
                 beta.append(np.nan)
                 p_value.append(np.nan)

@@ -24,7 +24,7 @@ from ratiomarker.composition import (
     clr_transform,
     pairwise_logratios,
 )
-from ratiomarker.glm import ModelSpec, daa, differential_ratio_analysis
+from ratiomarker.glm import daa, differential_ratio_analysis
 from ratiomarker.latent import (
     _param_count,
     least_squares_decode,
@@ -122,9 +122,8 @@ class TestAcceptance:
             y = np.zeros(n)
             y[n // 2 :] = 1.0
             outcome = Outcome.binary(y)
-            spec = ModelSpec(link="logistic")
-            res_a = differential_ratio_analysis(a, outcome, spec=spec)
-            res_b = differential_ratio_analysis(b, outcome, spec=spec)
+            res_a = differential_ratio_analysis(a, outcome)
+            res_b = differential_ratio_analysis(b, outcome)
             for field in ("beta", "p_value", "p_adjusted", "attribution"):
                 gap = np.abs(getattr(res_a, field) - getattr(res_b, field))
                 worst = max(worst, float(np.nanmax(gap)))
@@ -162,7 +161,6 @@ class TestAcceptance:
 
     def test_3_search_and_pca_oracles(self):
         started = time.perf_counter()
-        spec = ModelSpec(link="logistic")
         init_matches = 0
         for seed in range(50):
             rng = np.random.default_rng(300 + seed)
@@ -179,11 +177,11 @@ class TestAcceptance:
             for j in range(g - 1):
                 for k in range(j + 1, g):
                     mean, _, _ = cv_score_values(
-                        logs[:, j] - logs[:, k], outcome, spec, folds
+                        logs[:, j] - logs[:, k], outcome, folds
                     )
                     if mean > best_mean:
                         best, best_mean = (j, k), mean
-            model = forward_stepwise_balance(matrix, outcome, config, spec)
+            model = forward_stepwise_balance(matrix, outcome, config)
             first = model.diagnostics["steps"][0]
             init_matches += (
                 first["numerator"][0],
@@ -359,12 +357,9 @@ class TestAcceptance:
             rng = np.random.default_rng(seed + 900)
             y = rng.permutation(scenario.group.astype(float))
             outcome = Outcome.binary(y)
-            spec = ModelSpec(link="logistic")
-            res = daa(matrix, outcome, transform="clr", spec=spec)
+            res = daa(matrix, outcome, transform="clr")
             daa_rates.append(res.significant(0.05).mean())
-            ratio_res = differential_ratio_analysis(
-                matrix, outcome, spec=spec, alpha=0.05
-            )
+            ratio_res = differential_ratio_analysis(matrix, outcome, alpha=0.05)
             ratio_rates.append(
                 ratio_res.n_significant / ratio_res.beta.size
             )

@@ -16,7 +16,7 @@ from ratiomarker.errors import (
     OverlappingSets,
     ValidationError,
 )
-from ratiomarker.glm import ModelSpec, fit_glm
+from ratiomarker.glm import fit_glm
 from ratiomarker.learn.biomarker import (
     RatioBiomarker,
     balance_from_logs,
@@ -201,10 +201,8 @@ class TestMetrics:
 
 
 def oriented(biomarker, matrix, outcome):
-    """`orient_and_fit` under the logistic link with a blank search record."""
-    return orient_and_fit(
-        biomarker, matrix, outcome, ModelSpec(link="logistic"), 0.0, 0.0, 0, {}
-    )
+    """`orient_and_fit` with a blank search record."""
+    return orient_and_fit(biomarker, matrix, outcome, 0.0, 0.0, 0, {})
 
 
 class TestModelSerialization:
@@ -217,7 +215,7 @@ class TestModelSerialization:
         out = Outcome.binary(y)
         model = orient_and_fit(
             RatioBiomarker((0, 2), (5,), "balance"),
-            m, out, ModelSpec(link="logistic"), 0.8, 0.05, seed, {},
+            m, out, 0.8, 0.05, seed, {},
         )
         return model, m
 
@@ -314,7 +312,7 @@ class TestOrientation:
         out = Outcome.binary((z < np.median(z)).astype(float))
         model = orient_and_fit(
             RatioBiomarker((1,), (4,), "balance"), m, out,
-            ModelSpec(link="logistic"), 0.7, 0.1, 5, {"learner": "x"},
+            0.7, 0.1, 5, {"learner": "x"},
         )
         # The outcome falls with z, so the sides were swapped.
         assert model.biomarker == RatioBiomarker((4,), (1,), "balance")

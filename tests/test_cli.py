@@ -266,6 +266,19 @@ class TestExitCodes:
     def test_config_value_outside_choices(self, tmp_path):
         assert self.run_with_config(tmp_path, "transform", "transform=alr\n") == 3
 
+    @pytest.mark.parametrize("command", ["daa", "ratios"])
+    def test_the_outcome_decides_the_link(self, tmp_path, capsys, command):
+        # No flag sets the link, and a config key naming it, as manifests
+        # written with a --link option hold, is rejected.
+        with pytest.raises(SystemExit) as info:
+            run(command, "--link", "identity")
+        assert info.value.code == 2
+        capsys.readouterr()
+        assert self.run_with_config(tmp_path, command, "link=auto\n") == 3
+        self.assert_one_line_error(
+            capsys, f"config key 'link' is not an option of {command!r}"
+        )
+
     def assert_one_line_error(self, capsys, *parts):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -420,9 +433,10 @@ FUZZ_ARGS = {
         "--cv-folds", "3",
     ],
     "simulate": ["--n-samples", "20", "--n-features", "6"],
+    # pls and nn add "--matrix2 {sim2}/observed.tsv"; pca reads no second
+    # matrix.
     "approx": [
         "--matrix", "{sim}/observed.tsv",
-        "--matrix2", "{sim2}/observed.tsv",
         "--latent", "{latent}",
         "--epochs", "20",
         "--nn-epochs", "10",
@@ -480,15 +494,18 @@ class TestExitCodeContract:
     @given(data=st.data())
     def test_bad_values_and_cells_end_in_a_documented_code(self, fuzz_inputs, data):
         command = data.draw(st.sampled_from(sorted(FUZZ_ARGS)), label="command")
-        template = " ".join(FUZZ_ARGS[command])
+        learner = data.draw(st.sampled_from(["stepwise", "relaxed", "evolutionary"]))
+        latent = data.draw(st.sampled_from(["pca", "pls", "nn"]))
+        args = FUZZ_ARGS[command]
+        if command == "approx" and latent != "pca":
+            args = [*args, "--matrix2", "{sim2}/observed.tsv"]
+        template = " ".join(args)
         files = [
             (key, name)
             for key in ("sim", "sim2")
             for name in ("observed.tsv", "outcome.tsv")
             if f"{{{key}}}/{name}" in template
         ]
-        learner = data.draw(st.sampled_from(["stepwise", "relaxed", "evolutionary"]))
-        latent = data.draw(st.sampled_from(["pca", "pls", "nn"]))
         with tempfile.TemporaryDirectory() as work:
             dirs = dict(fuzz_inputs)
             extra = []
@@ -504,10 +521,7 @@ class TestExitCodeContract:
                 opt = data.draw(st.sampled_from(numeric), label="option")
                 bad = BAD_INTS if opt.type is int else BAD_FLOATS
                 extra = [opt.flag, data.draw(st.sampled_from(bad), label="value")]
-            argv = [
-                a.format(learner=learner, latent=latent, **dirs)
-                for a in FUZZ_ARGS[command]
-            ]
+            argv = [a.format(learner=learner, latent=latent, **dirs) for a in args]
             try:
                 code = main(
                     [command, *argv, *extra, "--out-dir", str(Path(work) / "out")]
@@ -536,7 +550,6 @@ REPLAY_ARGS = {
         "--matrix", "{sim}/observed.tsv",
         "--outcome", "{sim}/outcome.tsv",
         "--max-features", "50",
-        "--link", "logistic",
         "--max-zero-fraction", "0.4",
     ],
     "learn": [
@@ -805,19 +818,25 @@ class TestLearn:
         rc, test = self.with_test_matrix(tmp_path, drop_feature_3)
         assert rc == 3
         assert "'g4'" in capsys.readouterr().err
+        # A failed run keeps its directory once an output is in it.
+        assert (tmp_path / "learned" / "model.json").is_file()
 
     def test_test_outcome_needs_test_matrix(self, tmp_path, capsys):
         sim = simulate_into(tmp_path, n_samples=30, n_features=8)
-        rc = run(
-            "learn",
-            "--matrix", str(sim / "observed.tsv"),
-            "--outcome", str(sim / "outcome.tsv"),
-            "--test-outcome", str(sim / "outcome.tsv"),
-            "--out-dir", str(tmp_path / "o"),
-        )
-        assert rc == 3
-        assert "--test-outcome needs --test-matrix" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "manifest.json").exists()
+        (tmp_path / "kept").mkdir()
+        for out_dir in (tmp_path / "e" / "a" / "b", tmp_path / "kept" / "a"):
+            rc = run(
+                "learn",
+                "--matrix", str(sim / "observed.tsv"),
+                "--outcome", str(sim / "outcome.tsv"),
+                "--test-outcome", str(sim / "outcome.tsv"),
+                "--out-dir", str(out_dir),
+            )
+            assert rc == 3
+            assert "--test-outcome needs --test-matrix" in capsys.readouterr().err
+        # The failed runs removed the directories they made, and no other.
+        assert not (tmp_path / "e").exists()
+        assert list((tmp_path / "kept").iterdir()) == []
 
     def test_learner_mode_mismatch(self, tmp_path):
         sim = simulate_into(tmp_path, n_samples=30, n_features=8)
@@ -888,9 +907,7 @@ class TestDaaAndRatios:
         monkeypatch.setattr(
             glm,
             "_fit_columns",
-            lambda blocks, n_columns, outcome, spec: fit_glm_by_column(
-                blocks, outcome, spec
-            ),
+            lambda blocks, n_columns, outcome: fit_glm_by_column(blocks, outcome),
         )
         assert run(*argv, "--out-dir", str(tmp_path / "by_column")) == 0
         for name in ("attribution.tsv", "ratios.json"):
@@ -1015,3 +1032,27 @@ class TestApproxAndBenchmark:
 
     def test_benchmark_requires_matrices_without_synthetic(self, tmp_path):
         assert run("benchmark", "--out-dir", str(tmp_path / "o")) == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approx", "--latent", "pca", "--matrix", "{m}", "--matrix2", "{m}"],
+            ["benchmark", "--synthetic", "--matrix", "{m}"],
+            ["benchmark", "--synthetic", "--matrix2", "{m}"],
+            ["benchmark", "--matrix", "{m}", "--matrix2", "{m}", "--n-samples", "30"],
+            ["benchmark", "--matrix", "{m}", "--matrix2", "{m}", "--g-t", "5"],
+            ["benchmark", "--matrix", "{m}", "--matrix2", "{m}", "--g-u", "5"],
+        ],
+        ids=["pca-matrix2", "synthetic-matrix", "synthetic-matrix2",
+             "n-samples", "g-t", "g-u"],
+    )
+    def test_an_option_nothing_reads_is_rejected(self, tmp_path, capsys, argv):
+        # The last option given is the one no run of this kind reads.
+        flag = [a for a in argv if a.startswith("--")][-1]
+        sim = simulate_into(tmp_path, n_samples=20, n_features=6)
+        capsys.readouterr()
+        out = tmp_path / "o"
+        argv = [a.format(m=sim / "observed.tsv") for a in argv]
+        assert run(*argv, "--out-dir", str(out)) == 3
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+        assert not out.exists()

@@ -129,9 +129,9 @@ class TestBatchedScoring:
         self.assert_same_model(monkeypatch, obs, out, small_config(14))
 
     def test_each_distinct_chromosome_is_scored_once(self, monkeypatch):
-        def recording(z_matrix, outcome, spec, folds):
+        def recording(z_matrix, outcome, folds):
             columns.extend(col.tobytes() for col in z_matrix.T)
-            return column_by_column(z_matrix, outcome, spec, folds)
+            return column_by_column(z_matrix, outcome, folds)
 
         columns = []
         monkeypatch.setattr(scoring, "score_candidates", recording)

@@ -10,6 +10,7 @@ import gc
 import itertools
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from scipy import optimize, special, stats
 
 from conftest import fit_glm_by_column, reference_fit
 
-from ratiomarker import composition
+from ratiomarker import composition, glm
 from ratiomarker.composition import (
     Outcome,
     StrictlyPositiveMatrix,
@@ -35,7 +36,6 @@ from ratiomarker.errors import (
 )
 from ratiomarker.glm import (
     RIDGE,
-    ModelSpec,
     _fit_columns,
     benjamini_hochberg,
     daa,
@@ -101,17 +101,28 @@ class TestIdentityLink:
         for _ in range(20):
             z = rng.normal(0.0, 1.0, 40)
             y = 0.7 * z + rng.normal(0.0, 0.5, 40)
-            fit = fit_glm(z, Outcome.continuous(y), ModelSpec(link="identity"))
+            fit = fit_glm(z, Outcome.continuous(y))
             b, b0, se, p = identity_oracle(z, y)
             np.testing.assert_allclose(fit.beta, b, rtol=1e-9)
             np.testing.assert_allclose(fit.beta0, b0, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(fit.se, se, rtol=1e-9)
             np.testing.assert_allclose(fit.p_value, p, rtol=1e-9)
 
+    def test_zero_one_values_read_as_continuous_fit_least_squares(self):
+        # The route to a linear model of 0/1 data: `--outcome-kind continuous`.
+        rng = np.random.default_rng(24)
+        z = rng.normal(0.0, 1.0, 30)
+        y = (z + rng.normal(0.0, 0.5, 30) > 0.0) * 1.0
+        fit = fit_glm(z, Outcome.continuous(y))
+        assert fit.link == "identity"
+        np.testing.assert_allclose(
+            [fit.beta, fit.beta0, fit.se, fit.p_value], identity_oracle(z, y), rtol=1e-9
+        )
+
     def test_perfect_fit_does_not_blow_up(self):
         z = np.array([1.0, 2.0, 3.0, 4.0])
         y = 2.0 * z + 1.0
-        fit = fit_glm(z, Outcome.continuous(y), ModelSpec(link="identity"))
+        fit = fit_glm(z, Outcome.continuous(y))
         np.testing.assert_allclose(fit.beta, 2.0, rtol=1e-12)
         assert np.isfinite(fit.p_value)
 
@@ -119,7 +130,7 @@ class TestIdentityLink:
         rng = np.random.default_rng(23)
         z = rng.normal(0.0, 1.0, 30)
         y = z + rng.normal(0.0, 0.1, 30)
-        fit = fit_glm(z, Outcome.continuous(y), ModelSpec(link="identity"))
+        fit = fit_glm(z, Outcome.continuous(y))
         grid = np.linspace(-2, 2, 5)
         np.testing.assert_allclose(
             fit.predict_response(grid), fit.beta * grid + fit.beta0, rtol=1e-12
@@ -139,7 +150,7 @@ class TestLogisticLink:
         for seed, shift in itertools.product(range(8), [0.0, 1e4]):
             z, y = self.make_data(seed + 30)
             z = z + shift
-            fit = fit_glm(z, Outcome.binary(y), ModelSpec(link="logistic"))
+            fit = fit_glm(z, Outcome.binary(y))
             want = logistic_oracle(z, y)
             np.testing.assert_allclose(fit.beta, want[0], rtol=1e-6)
             np.testing.assert_allclose(fit.beta0, want[1], rtol=1e-6, atol=1e-8)
@@ -147,21 +158,22 @@ class TestLogisticLink:
 
     def test_convergence_is_tested_before_each_step_only(self):
         # A fit that converges at its k-th check has taken k - 1 steps. With
-        # max_iter = k - 1 it takes the same steps and stops unchecked, so
+        # MAX_ITER = k - 1 it takes the same steps and stops unchecked, so
         # it reports no convergence, as the reference does.
         z, y = self.make_data(55)
         out = Outcome.binary(y)
-        k = fit_glm(z, out, ModelSpec(link="logistic")).n_iter
+        k = fit_glm(z, out).n_iter
         for max_iter in (k, k - 1):
-            spec = ModelSpec(link="logistic", max_iter=max_iter)
-            fit, ref = fit_glm(z, out, spec), reference_fit(z, out, spec)
+            with mock.patch.object(glm, "MAX_ITER", max_iter):
+                fit = fit_glm(z, out)
+            ref = reference_fit(z, out, max_iter)
             assert (fit.converged, fit.n_iter) == (ref.converged, ref.n_iter)
         assert not fit.converged
         assert fit.note.startswith(f"did not converge in {k - 1} iterations")
 
     def test_wald_p_value_from_normal(self):
         z, y = self.make_data(50)
-        fit = fit_glm(z, Outcome.binary(y), ModelSpec(link="logistic"))
+        fit = fit_glm(z, Outcome.binary(y))
         want = 2.0 * special.ndtr(-abs(fit.beta / fit.se))
         np.testing.assert_allclose(fit.p_value, want, rtol=1e-12)
 
@@ -170,7 +182,7 @@ class TestLogisticLink:
         # optimum; the fit must come back finite with a status, not raise.
         z = np.linspace(-2, 2, 40)
         y = (z > 0).astype(float)
-        fit = fit_glm(z, Outcome.binary(y), ModelSpec(link="logistic"))
+        fit = fit_glm(z, Outcome.binary(y))
         assert np.isfinite(fit.beta)
         assert np.isfinite(fit.p_value)
 
@@ -192,7 +204,7 @@ class TestLogisticLink:
 
     def test_probability_predictions_in_range(self):
         z, y = self.make_data(60)
-        fit = fit_glm(z, Outcome.binary(y), ModelSpec(link="logistic"))
+        fit = fit_glm(z, Outcome.binary(y))
         # Scores far enough out overflow exp inside expit; that is no warning.
         scores = np.concatenate([np.linspace(-50, 50, 101), [-1e6, 1e6]])
         with warnings.catch_warnings():
@@ -205,15 +217,14 @@ class TestLogisticLink:
 
 @st.composite
 def shifted_score_cases(draw):
-    """An outcome, its link, a score on a grid of step 2**-10 and a shift c
-    with |c| <= 1e8 on the same grid, so that z + c is exact in float64."""
+    """An outcome, a score on a grid of step 2**-10 and a shift c with
+    |c| <= 1e8 on the same grid, so that z + c is exact in float64."""
     n = draw(st.integers(4, 60))
 
     def draw_vector(elements):
         return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=float)
 
-    link = draw(st.sampled_from(["identity", "logistic"]))
-    if link == "logistic":
+    if draw(st.booleans()):
         y = draw_vector(st.sampled_from([0.0, 1.0]))
         y[draw(st.integers(0, n - 1))] = 1.0 - y[0]  # both classes present
         out = Outcome.binary(y)
@@ -223,17 +234,17 @@ def shifted_score_cases(draw):
     z = y * draw(st.integers(0, 8)) + draw_vector(st.integers(-4096, 4096)) / 1024.0
     z[0] = z.max() + 1.0 / 1024.0  # never constant
     shift = draw(st.integers(-(10**8) * 1024, 10**8 * 1024)) / 1024.0
-    return out, ModelSpec(link=link), z, shift
+    return out, z, shift
 
 
 class TestLocationInvariance:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(shifted_score_cases())
     def test_shifting_the_score_leaves_beta_and_p(self, case):
-        out, spec, z, shift = case
+        out, z, shift = case
         assert np.all(z + shift - shift == z)
-        want = fit_glm(z, out, spec)
-        got = fit_glm(z + shift, out, spec)
+        want = fit_glm(z, out)
+        got = fit_glm(z + shift, out)
         assert abs(got.beta - want.beta) <= 1e-8 * abs(want.beta)
         assert abs(got.p_value - want.p_value) <= 1e-8 * want.p_value
 
@@ -241,48 +252,28 @@ class TestLocationInvariance:
 class TestFitValidation:
     def test_constant_score_rejected(self):
         with pytest.raises(DegenerateDesign):
-            fit_glm(
-                np.ones(10),
-                Outcome.binary(np.tile([0.0, 1.0], 5)),
-                ModelSpec(link="logistic"),
-            )
+            fit_glm(np.ones(10), Outcome.binary(np.tile([0.0, 1.0], 5)))
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            fit_glm(
-                np.arange(5.0),
-                Outcome.binary(np.array([0.0, 1.0])),
-                ModelSpec(link="logistic"),
-            )
+            fit_glm(np.arange(5.0), Outcome.binary(np.array([0.0, 1.0])))
 
     def test_logistic_needs_both_classes(self):
-        with pytest.raises(ValidationError):
-            fit_glm(
-                np.arange(6.0),
-                Outcome.binary(np.ones(6)),
-                ModelSpec(link="logistic"),
-            )
-
-    def test_link_outcome_mismatch(self):
-        with pytest.raises(ValidationError):
-            fit_glm(
-                np.arange(6.0),
-                Outcome.continuous(np.linspace(0, 1, 6)),
-                ModelSpec(link="logistic"),
-            )
+        with pytest.raises(ValidationError, match="both classes"):
+            fit_glm(np.arange(6.0), Outcome.binary(np.ones(6)))
 
 
 @st.composite
 def column_fit_cases(draw):
-    """Outcome, spec and blocks of score columns with the awkward kinds.
+    """Outcome, Newton iteration cap and blocks of score columns with the
+    awkward kinds.
 
     Values lie on grids, so exact ties and perfect fits occur. Columns may
     be constant, hold a non-finite value, separate the classes, hold an
     outlier (where Newton steps get halved), sit far from zero relative to
     their spread (an ill-conditioned 2x2 system), or span many orders of
-    magnitude. N from 2 gives dof <= 0 for identity fits, a small
-    `max_iter` gives non-converged logistic fits, and the link sometimes
-    does not suit the outcome.
+    magnitude. N from 2 gives dof <= 0 for identity fits, and a small
+    cap, patched in as `glm.MAX_ITER`, gives non-converged logistic fits.
     """
     n = draw(st.integers(2, 24))
 
@@ -327,23 +318,20 @@ def column_fit_cases(draw):
             z = y * draw(st.sampled_from([-2.0, 0.5, 3.0])) + 1.0
         columns.append(z)
     z = np.column_stack(columns)
-    link = "logistic" if binary else "identity"
-    if not draw(st.integers(0, 9)):
-        link = "identity" if binary else "logistic"
-    spec = ModelSpec(link=link, max_iter=draw(st.sampled_from([1, 2, 3, 100])))
+    max_iter = draw(st.sampled_from([1, 2, 3, 100]))
     cuts = sorted(draw(st.lists(st.integers(0, z.shape[1]), max_size=3)))
     blocks = np.split(z, cuts, axis=1)
-    return out, spec, blocks
+    return out, max_iter, blocks
 
 
-def fit_blocks(blocks, outcome, spec):
-    return _fit_columns(blocks, sum(z.shape[1] for z in blocks), outcome, spec)
+def fit_blocks(blocks, outcome):
+    return _fit_columns(blocks, sum(z.shape[1] for z in blocks), outcome)
 
 
-def fit_in_column_blocks(columns, outcome, spec):
+def fit_in_column_blocks(columns, outcome):
     """`_fit_columns` over the column blocks `daa` fits."""
     blocks = [columns[:, cols] for cols in composition._column_blocks(*columns.shape)]
-    return fit_blocks(blocks, outcome, spec)
+    return fit_blocks(blocks, outcome)
 
 
 def assert_fits_match(got, want):
@@ -370,25 +358,27 @@ def assert_fits_identical(got, want):
     assert p_value.tobytes() == want_p.tobytes()
 
 
-def reference_by_column(blocks, outcome, spec):
-    return fit_glm_by_column(blocks, outcome, spec, fit=reference_fit)
+def reference_by_column(blocks, outcome):
+    return fit_glm_by_column(blocks, outcome, fit=reference_fit)
 
 
 class TestBatchedColumnFits:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(column_fit_cases())
     def test_matches_fit_glm_column_by_column(self, case):
-        out, spec, blocks = case
-        assert_fits_identical(
-            fit_blocks(blocks, out, spec), fit_glm_by_column(blocks, out, spec)
-        )
+        out, max_iter, blocks = case
+        with mock.patch.object(glm, "MAX_ITER", max_iter):
+            assert_fits_identical(
+                fit_blocks(blocks, out), fit_glm_by_column(blocks, out)
+            )
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(column_fit_cases())
     def test_matches_the_scalar_reference(self, case):
-        out, spec, blocks = case
-        got = fit_blocks(blocks, out, spec)
-        want = reference_by_column(blocks, out, spec)
+        out, max_iter, blocks = case
+        with mock.patch.object(glm, "MAX_ITER", max_iter):
+            got = fit_blocks(blocks, out)
+            want = reference_by_column(blocks, out)
         assert_fits_match(got, want)
         # A rejected column's note is its error. Convergence notes are not
         # compared: near rounding level the two gradient norms differ, and
@@ -402,19 +392,16 @@ class TestBatchedColumnFits:
         # each gives the bits of one fit per column, so all three agree.
         mat, out = planted_matrix(95)
         monkeypatch.setattr(composition, "_BLOCK_ELEMENTS", block_elements)
-        for spec, outcome in (
-            (ModelSpec(link="logistic"), out),
-            (ModelSpec(link="identity"), Outcome.continuous(out.values + mat.values[:, 2])),
-        ):
-            res = differential_ratio_analysis(mat, outcome, spec)
+        for outcome in (out, Outcome.continuous(out.values + mat.values[:, 2])):
+            res = differential_ratio_analysis(mat, outcome)
             ratios, pairs = pairwise_logratios(mat)
             jj, kk = ratio_pairs(mat.n_features)
             assert np.array_equal(res.numerator, jj)
             assert np.array_equal(res.denominator, kk)
             assert list(zip(jj.tolist(), kk.tolist())) == pairs
             got = (res.beta, res.p_value, res.notes)
-            assert_fits_identical(got, fit_glm_by_column([ratios], outcome, spec))
-            assert_fits_match(got, reference_by_column([ratios], outcome, spec))
+            assert_fits_identical(got, fit_glm_by_column([ratios], outcome))
+            assert_fits_match(got, reference_by_column([ratios], outcome))
 
     def test_daa_blocks_keep_each_note_in_place(self, monkeypatch):
         mat, out = planted_matrix(96)
@@ -422,10 +409,9 @@ class TestBatchedColumnFits:
         cols[:, 3] = 7.0
         cols[:, 6] = np.inf
         monkeypatch.setattr(composition, "_BLOCK_ELEMENTS", 4 * 60)
-        spec = ModelSpec(link="logistic")
-        got = fit_in_column_blocks(cols, out, spec)
-        assert_fits_identical(got, fit_glm_by_column([cols], out, spec))
-        assert_fits_match(got, reference_by_column([cols], out, spec))
+        got = fit_in_column_blocks(cols, out)
+        assert_fits_identical(got, fit_glm_by_column([cols], out))
+        assert_fits_match(got, reference_by_column([cols], out))
         assert got[2][3] == "score is constant; nothing to fit"
         assert got[2][6] == "score contains non-finite values"
 
@@ -498,7 +484,7 @@ class TestDaa:
         mat, out = planted_matrix(82)
         cols = np.array(mat.values)
         cols[:, 3] = 7.0
-        _, p_value, notes = fit_in_column_blocks(cols, out, ModelSpec(link="logistic"))
+        _, p_value, notes = fit_in_column_blocks(cols, out)
         assert np.isnan(p_value[3])
         assert np.isnan(benjamini_hochberg(p_value)[3])
         assert notes[3] != ""

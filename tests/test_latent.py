@@ -125,10 +125,12 @@ class TestPls:
         w = comp.x_weights
         assert w[np.argmax(np.abs(w))] > 0
 
-    def test_no_convergence_raises(self):
+    def test_no_convergence_raises(self, monkeypatch):
         x, y, _ = shared_factor_pair(22)
-        with pytest.raises(NotConvergedError):
-            pls_first_component(x, y, tol=0.0, max_iter=3)
+        monkeypatch.setattr(latent, "_PLS_TOL", 0.0)
+        monkeypatch.setattr(latent, "_PLS_MAX_ITER", 3)
+        with pytest.raises(NotConvergedError, match="in 3 iterations"):
+            pls_first_component(x, y)
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -16,7 +16,6 @@ from hypothesis.extra import numpy as hnp
 from conftest import column_by_column, reference_cutoff_sets
 from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
 from ratiomarker.errors import ValidationError
-from ratiomarker.glm import ModelSpec
 from ratiomarker.learn import scoring
 from ratiomarker.learn.biomarker import LearnerConfig
 from ratiomarker.learn.relaxed import (
@@ -251,9 +250,7 @@ class TestIdentityLinkPath:
         logs = np.log(obs.values)
         target = logs[:, 2] - logs[:, 5] + rng.normal(0.0, 0.1, n)
         out = Outcome.continuous(target)
-        model = relaxed_gradient_learner(
-            obs, out, LearnerConfig(seed=60), spec=ModelSpec(link="identity")
-        )
+        model = relaxed_gradient_learner(obs, out, LearnerConfig(seed=60))
         assert model.glm.link == "identity"
         assert model.cv_score > 0.5
         chosen = set(model.biomarker.numerator) | set(
@@ -271,12 +268,10 @@ class TestIdentityLinkPath:
         logs = np.log(obs.values)
         target = logs[:, 1] - logs[:, 7] + rng.normal(0.0, 0.1, n)
         a = relaxed_gradient_learner(
-            obs, Outcome.continuous(target),
-            LearnerConfig(seed=61), spec=ModelSpec(link="identity"),
+            obs, Outcome.continuous(target), LearnerConfig(seed=61)
         )
         b = relaxed_gradient_learner(
-            obs, Outcome.continuous(target * 1000.0),
-            LearnerConfig(seed=61), spec=ModelSpec(link="identity"),
+            obs, Outcome.continuous(target * 1000.0), LearnerConfig(seed=61)
         )
         assert a.biomarker == b.biomarker
 
@@ -284,10 +279,10 @@ class TestIdentityLinkPath:
 class TestBatchedScoring:
     """Scoring the whole cutoff sweep in one call must keep the sweep."""
 
-    def assert_same_model(self, monkeypatch, matrix, outcome, config, spec=None):
-        fast = relaxed_gradient_learner(matrix, outcome, config, spec)
+    def assert_same_model(self, monkeypatch, matrix, outcome, config):
+        fast = relaxed_gradient_learner(matrix, outcome, config)
         monkeypatch.setattr(scoring, "score_candidates", column_by_column)
-        slow = relaxed_gradient_learner(matrix, outcome, config, spec)
+        slow = relaxed_gradient_learner(matrix, outcome, config)
         assert len(fast.diagnostics["cutoffs"]) > 1
         assert fast.biomarker == slow.biomarker
         assert fast.cv_score == slow.cv_score
@@ -306,9 +301,5 @@ class TestBatchedScoring:
         logs = np.log(obs.values)
         target = logs[:, 3] - logs[:, 8] + rng.normal(0.0, 0.3, n)
         self.assert_same_model(
-            monkeypatch,
-            obs,
-            Outcome.continuous(target),
-            LearnerConfig(seed=71),
-            ModelSpec(link="identity"),
+            monkeypatch, obs, Outcome.continuous(target), LearnerConfig(seed=71)
         )

@@ -10,7 +10,6 @@ from conftest import column_by_column, cv_score_values, reference_mean_and_se
 
 from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
 from ratiomarker.errors import DimensionMismatch, ValidationError
-from ratiomarker.glm import ModelSpec
 from ratiomarker.learn import (
     LearnerConfig,
     evolutionary_slr,
@@ -103,9 +102,7 @@ class TestLearnerPreconditions:
         # `make_folds` is the one check of the fold count.
         out = Outcome.continuous(np.arange(10.0))
         with pytest.raises(ValidationError, match="cannot make 11 folds from 10"):
-            learner(
-                self.matrix, out, LearnerConfig(cv_folds=11), ModelSpec(link="identity")
-            )
+            learner(self.matrix, out, LearnerConfig(cv_folds=11))
 
 
 class TestCvScore:
@@ -119,20 +116,15 @@ class TestCvScore:
         z, out = self.separable_data()
         rng = np.random.default_rng(4)
         folds = make_folds(out, 5, np.random.default_rng(5))
-        spec = ModelSpec(link="logistic")
-        good, _, _ = cv_score_values(z, out, spec, folds)
-        noise, _, _ = cv_score_values(
-            rng.normal(0.0, 1.0, out.n), out, spec, folds
-        )
+        good, _, _ = cv_score_values(z, out, folds)
+        noise, _, _ = cv_score_values(rng.normal(0.0, 1.0, out.n), out, folds)
         assert good > 0.85
         assert noise < good
 
     def test_returns_per_fold_scores(self):
         z, out = self.separable_data()
         folds = make_folds(out, 5, np.random.default_rng(6))
-        mean, se, per_fold = cv_score_values(
-            z, out, ModelSpec(link="logistic"), folds
-        )
+        mean, se, per_fold = cv_score_values(z, out, folds)
         assert len(per_fold) == 5
         arr = np.asarray(per_fold)
         np.testing.assert_allclose(mean, arr.mean())
@@ -143,9 +135,7 @@ class TestCvScore:
     def test_unfittable_candidate_scores_neg_inf(self):
         _, out = self.separable_data()
         folds = make_folds(out, 5, np.random.default_rng(7))
-        mean, se, per_fold = cv_score_values(
-            np.zeros(out.n), out, ModelSpec(link="logistic"), folds
-        )
+        mean, se, per_fold = cv_score_values(np.zeros(out.n), out, folds)
         assert mean == float("-inf")
         assert per_fold == []
 
@@ -155,7 +145,7 @@ class TestCvScore:
         y = 2.0 * z + rng.normal(0.0, 0.1, 50)
         out = Outcome.continuous(y)
         folds = make_folds(out, 5, np.random.default_rng(9))
-        mean, _, _ = cv_score_values(z, out, ModelSpec(link="identity"), folds)
+        mean, _, _ = cv_score_values(z, out, folds)
         assert mean > 0.95
 
 
@@ -235,17 +225,16 @@ def scoring_cases(draw):
                     z[rows[0 : rows.size - rows.size % 2 : 2]] = 2.0
                     z[rows[1 : rows.size - rows.size % 2 : 2]] = 0.0
         columns.append(z)
-    spec = ModelSpec(link="logistic" if binary else "identity")
-    return out, folds, np.column_stack(columns), spec
+    return out, folds, np.column_stack(columns)
 
 
 class TestScoreCandidates:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(scoring_cases())
     def test_equals_the_column_by_column_oracle_bit_for_bit(self, case):
-        out, folds, z_matrix, spec = case
-        mean, se = score_candidates(z_matrix, out, spec, folds)
-        want_mean, want_se = column_by_column(z_matrix, out, spec, folds)
+        out, folds, z_matrix = case
+        mean, se = score_candidates(z_matrix, out, folds)
+        want_mean, want_se = column_by_column(z_matrix, out, folds)
         assert mean.tobytes() == want_mean.tobytes()
         assert se.tobytes() == want_se.tobytes()
 
@@ -264,9 +253,8 @@ class TestScoreCandidates:
         folds = make_folds(out, 5, np.random.default_rng(12))
         jj, kk = np.triu_indices(g, 1)
         z_matrix = logs[:, jj] - logs[:, kk]
-        spec = ModelSpec(link="logistic")
-        mean, se = score_candidates(z_matrix, out, spec, folds)
-        want_mean, want_se = column_by_column(z_matrix, out, spec, folds)
+        mean, se = score_candidates(z_matrix, out, folds)
+        want_mean, want_se = column_by_column(z_matrix, out, folds)
         np.testing.assert_array_equal(mean, want_mean)
         np.testing.assert_array_equal(se, want_se)
         assert 3 in (jj[np.argmax(mean)], kk[np.argmax(mean)])
@@ -276,7 +264,7 @@ class TestScoreCandidates:
         folds = make_folds(out, 4, np.random.default_rng(0))
         z_matrix = np.column_stack([np.arange(20.0), np.arange(20.0)])
         z_matrix[5, 1] = np.inf
-        mean, se = score_candidates(z_matrix, out, ModelSpec(), folds)
+        mean, se = score_candidates(z_matrix, out, folds)
         assert np.isfinite(mean[0])
         assert mean[1] == float("-inf") and se[1] == 0.0
 
@@ -284,7 +272,7 @@ class TestScoreCandidates:
         out = Outcome.binary((np.arange(20) % 2).astype(float))
         folds = make_folds(out, 4, np.random.default_rng(0))
         with pytest.raises(DimensionMismatch):
-            score_candidates(np.zeros((19, 2)), out, ModelSpec(), folds)
+            score_candidates(np.zeros((19, 2)), out, folds)
 
 
 @st.composite

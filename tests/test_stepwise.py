@@ -11,7 +11,6 @@ import pytest
 from conftest import column_by_column, cv_score_values
 from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
 from ratiomarker.errors import NoImprovingPair
-from ratiomarker.glm import ModelSpec
 from ratiomarker.learn import scoring, stepwise
 from ratiomarker.learn.biomarker import LearnerConfig
 from ratiomarker.learn.scoring import make_folds
@@ -24,7 +23,7 @@ from ratiomarker.simulate import (
 )
 
 
-def brute_force_best_pair(matrix, outcome, config, spec):
+def brute_force_best_pair(matrix, outcome, config):
     """Independent exhaustive search over ordered pairs (j, k), j < k."""
     rng = np.random.default_rng(config.seed)
     folds = make_folds(outcome, config.cv_folds, rng)
@@ -33,9 +32,7 @@ def brute_force_best_pair(matrix, outcome, config, spec):
     g = matrix.n_features
     for j in range(g - 1):
         for k in range(j + 1, g):
-            mean, _, _ = cv_score_values(
-                logs[:, j] - logs[:, k], outcome, spec, folds
-            )
+            mean, _, _ = cv_score_values(logs[:, j] - logs[:, k], outcome, folds)
             if mean > best_mean:
                 best, best_mean = (j, k), mean
     return best, best_mean
@@ -50,7 +47,6 @@ def observed_planted(seed, n=60, g=10, effect=2.5):
 
 class TestInitializationOracle:
     def test_matches_exhaustive_search(self):
-        spec = ModelSpec(link="logistic")
         for seed in range(12):
             rng = np.random.default_rng(seed + 100)
             n, g = 30, 6
@@ -64,18 +60,17 @@ class TestInitializationOracle:
             y[n // 2:] = 1.0
             out = Outcome.binary(y)
             config = LearnerConfig(seed=seed)
-            want, _ = brute_force_best_pair(mat, out, config, spec)
-            model = forward_stepwise_balance(mat, out, config, spec)
+            want, _ = brute_force_best_pair(mat, out, config)
+            model = forward_stepwise_balance(mat, out, config)
             first = model.diagnostics["steps"][0]
             got = (first["numerator"][0], first["denominator"][0])
             assert got == want
 
     def test_first_step_score_matches_oracle(self):
-        spec = ModelSpec(link="logistic")
         sc, obs, out = observed_planted(3)
         config = LearnerConfig(seed=3)
-        _, want_mean = brute_force_best_pair(obs, out, config, spec)
-        model = forward_stepwise_balance(obs, out, config, spec)
+        _, want_mean = brute_force_best_pair(obs, out, config)
+        model = forward_stepwise_balance(obs, out, config)
         np.testing.assert_allclose(
             model.diagnostics["steps"][0]["cv_score"], want_mean, rtol=1e-12
         )
@@ -192,7 +187,7 @@ class TestBatchedScoring:
         # Every candidate of a scan ties, and each scan beats the last, so
         # the search must take the smallest pair, then grow the numerator
         # with the smallest free feature.
-        def all_tied(z_matrix, outcome, spec, folds):
+        def all_tied(z_matrix, outcome, folds):
             scans.append(z_matrix.shape[1])
             level = 0.5 + 0.01 * len(scans)
             return np.full(z_matrix.shape[1], level), np.zeros(z_matrix.shape[1])
