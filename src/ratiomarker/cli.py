@@ -9,7 +9,7 @@ defaults. A previously written manifest.json is itself a valid --config,
 so any run can be repeated. Each option is declared once, as a row of the
 option tables below; the parser, the defaults, the coercion of config-file
 values and their choice checks all come from those rows. Exit codes:
-0 success, 2 parse errors, 3 precondition failures, 4 convergence failures.
+0 success, 2 parse errors, 3 precondition failures.
 """
 
 import argparse
@@ -36,12 +36,7 @@ from .composition import (
     ratio_labels,
     ratio_pairs,
 )
-from .errors import (
-    NotConvergedError,
-    ParseError,
-    RatiomarkerError,
-    ValidationError,
-)
+from .errors import ParseError, RatiomarkerError, ValidationError
 from .glm import daa, differential_ratio_analysis
 from .latent import (
     EncoderDecoderConfig,
@@ -85,7 +80,6 @@ from .tabular import (
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
-EXIT_CONVERGENCE = 4
 
 
 def _input_file(raw: str) -> str:
@@ -120,9 +114,9 @@ class _Option(NamedTuple):
         return self.dest or self.flag[2:].replace("-", "_")
 
 
-_COMMON = (
-    _Option("--out-dir", str, "ratiomarker-out"),
-    _Option("--seed", int, 0, domain=_NON_NEGATIVE),
+# Zero handling of the matrices read; every manifest records it, and the
+# runs that read no matrix reject it away from its defaults.
+_ZEROS = (
     _Option("--max-zero-fraction", float, 0.5),
     _Option(
         "--zero-replacement",
@@ -130,6 +124,11 @@ _COMMON = (
         "half_detection_limit",
         ("half_detection_limit", "none"),
     ),
+)
+_COMMON = (
+    _Option("--out-dir", str, "ratiomarker-out"),
+    _Option("--seed", int, 0, domain=_NON_NEGATIVE),
+    *_ZEROS,
 )
 # The learner group; every key but "mode" names a LearnerConfig field.
 _LEARNER = (
@@ -482,6 +481,7 @@ def _cmd_learn(config: dict, out: Callable[[str], Path]):
 
 
 def _cmd_simulate(config: dict, out: Callable[[str], Path]):
+    _reject_set(config, _ZEROS, "is not read by simulate")
     if config["preset"] == "depth_confounded":
         _reject_set(config, _PLANTED, "applies to the planted preset only")
         scenario = depth_confounded_scenario()
@@ -582,7 +582,9 @@ def _cmd_approx(config: dict, out: Callable[[str], Path]):
 
 def _cmd_benchmark(config: dict, out: Callable[[str], Path]):
     if config["synthetic"]:
-        _reject_set(config, (_MATRIX, _MATRIX2), "is not read with --synthetic")
+        _reject_set(
+            config, (_MATRIX, _MATRIX2, *_ZEROS), "is not read with --synthetic"
+        )
         pair = synthetic_omics_pair(
             n_samples=config["n_samples"],
             g_t=config["g_t"],
@@ -755,11 +757,7 @@ def main(argv=None) -> int:
                 directory.rmdir()
             except OSError:  # not empty, or never made
                 break
-        if isinstance(exc, ParseError):
-            return EXIT_PARSE
-        if isinstance(exc, NotConvergedError):
-            return EXIT_CONVERGENCE
-        return EXIT_PRECONDITION
+        return EXIT_PARSE if isinstance(exc, ParseError) else EXIT_PRECONDITION
 
 
 def console_main():

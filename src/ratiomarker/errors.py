@@ -79,10 +79,3 @@ class RankZero(ValidationError):
 class ZeroVariance(ValidationError):
     """The reconstruction target is constant; variance explained is undefined."""
 
-
-class NotConvergedError(RatiomarkerError):
-    """An iterative routine exhausted its iteration budget."""
-
-    def __init__(self, message, n_iter=None):
-        super().__init__(message)
-        self.n_iter = n_iter

@@ -15,7 +15,6 @@ import numpy as np
 from .composition import Outcome, StrictlyPositiveMatrix
 from .errors import (
     DimensionMismatch,
-    NotConvergedError,
     RankZero,
     ValidationError,
     ZeroVariance,
@@ -23,11 +22,6 @@ from .errors import (
 from .learn.biomarker import LearnedModel, LearnerConfig, predict
 from .learn.relaxed import relaxed_gradient_learner
 from .metrics import r2_score
-
-# NIPALS stops once the x-side score moves less than _PLS_TOL (relative),
-# and fails after _PLS_MAX_ITER rounds.
-_PLS_TOL = 1e-10
-_PLS_MAX_ITER = 500
 
 
 @dataclass
@@ -104,18 +98,16 @@ class PlsComponent:
     y_scores: LatentRepresentation
     x_weights: np.ndarray
     y_weights: np.ndarray
-    n_iter: int
 
 
 def pls_first_component(x, y) -> PlsComponent:
-    """One NIPALS round for the first PLS component.
+    """The first PLS component: the leading singular pair of X'Y.
 
-    Alternates weight and score updates between the blocks until the x-side
-    score moves less than _PLS_TOL (relative). The y-side score vector is
-    initialized from the y column with the largest variance. Signs follow
-    the x-weight convention: the largest-magnitude x weight is positive,
-    and all of (w, t, c, u) flip together so the fitted directions are
-    unchanged.
+    With both blocks column-centered, the x and y weights are the leading
+    left and right singular vectors of the cross-covariance xc' yc, and the
+    scores are xc w and yc c. Signs follow the x-weight convention: the
+    largest-magnitude x weight is positive, and (w, t, c, u) flip together
+    so the fitted directions are unchanged.
     """
     x = _as_2d(x)
     y = _as_2d(y)
@@ -125,44 +117,17 @@ def pls_first_component(x, y) -> PlsComponent:
         raise ValidationError("need at least two samples")
     xc = x - x.mean(axis=0, keepdims=True)
     yc = y - y.mean(axis=0, keepdims=True)
-    u = yc[:, int(np.argmax(yc.var(axis=0)))].copy()
-    if float(u @ u) == 0.0:
-        raise RankZero("y block has no variation")
-    t_old = None
-    t = np.zeros(x.shape[0])
-    w = np.zeros(x.shape[1])
-    c = np.zeros(y.shape[1])
-    n_iter = 0
-    for n_iter in range(1, _PLS_MAX_ITER + 1):
-        w = xc.T @ u
-        w_norm = float(np.linalg.norm(w))
-        if w_norm == 0.0:
-            raise RankZero("x block has no covariance with y")
-        w = w / w_norm
-        t = xc @ w
-        c = yc.T @ t
-        c_norm = float(np.linalg.norm(c))
-        if c_norm == 0.0:
-            raise RankZero("y block has no covariance with x")
-        c = c / c_norm
-        u = yc @ c
-        if t_old is not None:
-            denom = float(np.linalg.norm(t))
-            if denom == 0.0 or np.linalg.norm(t - t_old) / denom < _PLS_TOL:
-                break
-        t_old = t.copy()
-    else:
-        raise NotConvergedError(
-            f"NIPALS did not converge in {_PLS_MAX_ITER} iterations",
-            n_iter=_PLS_MAX_ITER,
-        )
-    sign = _fix_sign(w)
+    u_svd, singular, vt = np.linalg.svd(xc.T @ yc, full_matrices=False)
+    if singular[0] == 0.0:
+        raise RankZero("x and y blocks have no covariance")
+    sign = _fix_sign(u_svd[:, 0])
+    w = sign * u_svd[:, 0]
+    c = sign * vt[0]
     return PlsComponent(
-        x_scores=LatentRepresentation(sign * t, "pls"),
-        y_scores=LatentRepresentation(sign * u, "pls"),
-        x_weights=sign * w,
-        y_weights=sign * c,
-        n_iter=n_iter,
+        x_scores=LatentRepresentation(xc @ w, "pls"),
+        y_scores=LatentRepresentation(yc @ c, "pls"),
+        x_weights=w,
+        y_weights=c,
     )
 
 

@@ -117,8 +117,8 @@ class LearnerConfig:
     tournament_size: int = 3
 
     def __post_init__(self):
-        if not self.lam >= 0.0:
-            raise ValidationError("lam must be nonnegative")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValidationError("lam must be nonnegative and finite")
         if self.epochs < 1:
             raise ValidationError("epochs must be at least 1")
         if not self.learning_rate > 0.0:

@@ -5,8 +5,8 @@ candidate is a 1-vs-1 balance, all G(G-1)/2 of them are scored by
 cross-validation on a shared fold split, and the best one (first in
 lexicographic order on ties) wins. Growth then proceeds greedily: each
 remaining feature is tried on each side, and the best addition is accepted
-only while it improves the CV score by more than one standard error of the
-current model's fold scores.
+only while it improves the CV score by more than `lam` standard errors of
+the current model's fold scores.
 """
 
 import numpy as np
@@ -72,10 +72,10 @@ def forward_stepwise_balance(
         ]
         means, ses = _score_sets(logs, "balance", additions, outcome, folds)
         best = int(np.argmax(means))
-        # One-standard-error stop: the addition must beat the current
-        # score by more than the current model's fold-level SE. An
+        # The addition must beat the current score by more than lam times
+        # the current model's fold-level SE (lam = 1: the one-SE rule). An
         # unfittable (-inf) best addition never does.
-        if means[best] <= current_mean + current_se:
+        if means[best] <= current_mean + config.lam * current_se:
             break
         numerator, denominator = additions[best]
 

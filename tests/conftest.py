@@ -17,6 +17,8 @@ bottleneck network with a new array for every intermediate, and
 `reference_read_matrix` parses a matrix one `_parse_cell` call per cell,
 and `reference_cutoff_sets` is the relaxed learner's cutoff sweep written
 with the old `_hard_sets` rule, whose empty side raised and was caught.
+`two_equal_factor_pair` makes the PLS input whose two leading singular
+values nearly tie.
 
 The `cpus` fixture makes `ordered_map` see one CPU or two, whatever the
 machine has, so the serial path and the process-pool path both run on any
@@ -458,6 +460,23 @@ def reference_encoder_decoder(x, y, config):
         params = params - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
     final_loss, _ = reference_mlp_loss_and_grad(params, xc, yc, hidden)
     return params, loss_curve, final_loss
+
+
+def two_equal_factor_pair(seed, n=200, noise=0.01):
+    """An n x 8 pair of blocks driven by two orthogonal factors of equal
+    strength, so the two leading singular values of the centered
+    cross-covariance differ only through the noise (by 0.4-3% on seeds
+    0-7). Each loading sums to zero, so the clr of exp(block) keeps both
+    factors."""
+    rng = np.random.default_rng(seed)
+    loadings = np.array(
+        [[1, 1, -1, -1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, -1, -1]]
+    ) / 2.0
+    factors, _ = np.linalg.qr(rng.normal(0.0, 1.0, (n, 2)))
+    factors = (factors - factors.mean(axis=0)) * np.sqrt(n)
+    x = factors @ loadings + rng.normal(0.0, noise, (n, 8))
+    y = factors @ loadings[:, ::-1] + rng.normal(0.0, noise, (n, 8))
+    return x, y
 
 
 def pytest_terminal_summary(terminalreporter):

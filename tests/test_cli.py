@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import fit_glm_by_column
+from conftest import fit_glm_by_column, two_equal_factor_pair
 
 from ratiomarker import composition, glm, parallel
 from ratiomarker.cli import _COMMANDS, main
@@ -454,7 +454,7 @@ FUZZ_ARGS = {
         "--cv-folds", "3",
     ],
 }
-DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
+DOCUMENTED_EXIT_CODES = {0, 2, 3}
 # Out-of-range, extreme, non-finite or unparsable values. No int is large:
 # a large in-range count (say --n-samples 1000000000) would ask for a huge
 # simulation.
@@ -702,6 +702,23 @@ class TestSimulate:
             "--out-dir", str(tmp_path / "d"),
         )
         assert rc == 0
+
+    def test_a_manifest_records_the_zero_defaults_and_replays(self, tmp_path):
+        # simulate reads no matrix, but its manifests record the zero
+        # options at their defaults, so they replay as a config.
+        first = simulate_into(tmp_path, "first", n_samples=20, n_features=5)
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["config"]["max_zero_fraction"] == 0.5
+        assert manifest["config"]["zero_replacement"] == "half_detection_limit"
+        second = tmp_path / "second"
+        rc = run(
+            "simulate",
+            "--config", str(first / "manifest.json"),
+            "--out-dir", str(second),
+        )
+        assert rc == 0
+        for name in manifest["outputs"]:
+            assert (second / name).read_bytes() == (first / name).read_bytes()
 
     def test_deterministic_given_seed(self, tmp_path):
         a = simulate_into(tmp_path, name="a", n_samples=12, n_features=6, seed=9)
@@ -1030,6 +1047,29 @@ class TestApproxAndBenchmark:
         table = (out / "benchmark.tsv").read_text()
         assert len(table.splitlines()) == 13
 
+    def test_pls_approx_on_two_equally_strong_factors(self, tmp_path):
+        x, y = two_equal_factor_pair(3)
+        ids = [f"s{i}" for i in range(x.shape[0])]
+        paths = []
+        for name, block in (("x", x), ("y", y)):
+            paths.append(tmp_path / f"{name}.tsv")
+            features = [f"{name}{j}" for j in range(block.shape[1])]
+            write_matrix(paths[-1], CompositionMatrix(np.exp(block), ids, features))
+        out = tmp_path / "approx"
+        rc = run(
+            "approx",
+            "--latent", "pls",
+            "--matrix", str(paths[0]),
+            "--matrix2", str(paths[1]),
+            "--epochs", "50",
+            "--cv-folds", "3",
+            "--out-dir", str(out),
+        )
+        assert rc == 0
+        _, latent = read_outcome_pairs(out / "latent.tsv")
+        assert latent.size == x.shape[0]
+        assert np.all(np.isfinite(latent))
+
     def test_benchmark_requires_matrices_without_synthetic(self, tmp_path):
         assert run("benchmark", "--out-dir", str(tmp_path / "o")) == 3
 
@@ -1042,9 +1082,15 @@ class TestApproxAndBenchmark:
             ["benchmark", "--matrix", "{m}", "--matrix2", "{m}", "--n-samples", "30"],
             ["benchmark", "--matrix", "{m}", "--matrix2", "{m}", "--g-t", "5"],
             ["benchmark", "--matrix", "{m}", "--matrix2", "{m}", "--g-u", "5"],
+            ["benchmark", "--synthetic", "--max-zero-fraction", "0.2"],
+            ["benchmark", "--synthetic", "--zero-replacement", "none"],
+            ["simulate", "--max-zero-fraction", "0.1"],
+            ["simulate", "--preset", "depth_confounded", "--zero-replacement", "none"],
         ],
         ids=["pca-matrix2", "synthetic-matrix", "synthetic-matrix2",
-             "n-samples", "g-t", "g-u"],
+             "n-samples", "g-t", "g-u", "synthetic-max-zero-fraction",
+             "synthetic-zero-replacement", "simulate-max-zero-fraction",
+             "simulate-zero-replacement"],
     )
     def test_an_option_nothing_reads_is_rejected(self, tmp_path, capsys, argv):
         # The last option given is the one no run of this kind reads.

@@ -201,6 +201,12 @@ class TestCutoffSweep:
         best = max(c["cv_score"] for c in cands)
         np.testing.assert_allclose(model.cv_score, best)
 
+    def test_infinite_lam_is_rejected(self):
+        # A best cutoff with cv_se 0 would give the threshold 1 - inf * 0,
+        # NaN, which no cutoff meets.
+        with pytest.raises(ValidationError, match="finite"):
+            LearnerConfig(lam=float("inf"))
+
     def test_large_lam_prefers_the_sparsest_candidate(self):
         sc, obs, out = observed_planted(53)
         model = relaxed_gradient_learner(

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from conftest import column_by_column, cv_score_values
-from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
+from ratiomarker.benchmark import synthetic_omics_pair
+from ratiomarker.composition import Outcome, StrictlyPositiveMatrix, clr_transform
 from ratiomarker.errors import NoImprovingPair
+from ratiomarker.latent import pca_first_component
 from ratiomarker.learn import scoring, stepwise
 from ratiomarker.learn.biomarker import LearnerConfig
 from ratiomarker.learn.scoring import make_folds
@@ -124,6 +126,22 @@ class TestStoppingRule:
         steps = model.diagnostics["steps"]
         for prev, nxt in zip(steps, steps[1:]):
             assert nxt["cv_score"] > prev["cv_score"] + prev["cv_se"]
+
+    def test_lam_sets_the_stopping_bar(self):
+        # A continuous outcome whose one-SE model has four features: a huge
+        # lam stops at the initial pair, and no lam gives a denser model
+        # than a smaller one.
+        pair = synthetic_omics_pair(n_samples=100, g_t=16, g_u=10, seed=0)
+        latent, _ = pca_first_component(clr_transform(pair.t))
+        outcome = Outcome.continuous(latent.scores)
+        sizes = [
+            forward_stepwise_balance(
+                pair.t, outcome, LearnerConfig(lam=lam)
+            ).biomarker.size
+            for lam in (0.0, 1.0, 1e9)
+        ]
+        assert sizes[1:] == [4, 2]
+        assert sizes == sorted(sizes, reverse=True)
 
     def test_final_model_matches_last_trace_entry(self):
         sc, obs, out = observed_planted(11)
