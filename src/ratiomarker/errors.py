@@ -49,7 +49,9 @@ class InvalidSize(ValidationError):
 
 
 class DegenerateDesign(ValidationError):
-    """The model design has no variation to fit."""
+    """No variation to fit or decompose (the rule of `metrics._flat`): a
+    constant score or singular design in a GLM fit, a matrix or block pair
+    in PCA or PLS, or the original in variance explained."""
 
 
 class TooManyFeatures(ValidationError):
@@ -70,12 +72,4 @@ class NoImprovingPair(ValidationError):
 
 class FeatureMismatch(ValidationError):
     """New data does not carry the features the model was trained on."""
-
-
-class RankZero(ValidationError):
-    """The matrix has no variation to decompose."""
-
-
-class ZeroVariance(ValidationError):
-    """The reconstruction target is constant; variance explained is undefined."""
 

@@ -45,6 +45,7 @@ from .errors import (
     TooManyFeatures,
     ValidationError,
 )
+from .metrics import _flat
 from .special import expit, ndtr, stdtr
 
 # The logistic fit's ridge on (beta, intercept at the mean score), its
@@ -124,16 +125,17 @@ def _fit_rows(zt, outcome: Outcome) -> _Fits:
     """Fit every row of zt (columns x samples) as its own score, with the
     link the outcome implies.
 
-    A row is rejected, in this order, for a non-finite value, for being
-    constant, or because a binary outcome has one class only; an identity
-    fit whose centred score has no spread left is rejected as singular.
+    A row is rejected, in this order, for a non-finite value, for a range
+    that `metrics._flat` calls constant, or because a binary outcome has one
+    class only; an identity fit whose centred score underflows is singular.
     """
     zt = np.ascontiguousarray(zt, dtype=float)
     c = zt.shape[0]
     errors: list[ValidationError | None] = [None] * c
     with np.errstate(invalid="ignore"):
         finite = np.isfinite(zt).all(axis=1)
-        constant = finite & ~(np.ptp(zt, axis=1) > 0.0)
+        top, bottom = zt.max(axis=1), zt.min(axis=1)
+        constant = _flat(top - bottom, zt.shape[1], np.maximum(top, -bottom))
     one_class = outcome.kind == "binary" and not outcome.both_classes_present()
     for j in range(c):
         if not finite[j]:

@@ -13,15 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import Outcome, StrictlyPositiveMatrix
-from .errors import (
-    DimensionMismatch,
-    RankZero,
-    ValidationError,
-    ZeroVariance,
-)
+from .errors import DegenerateDesign, DimensionMismatch, ValidationError
 from .learn.biomarker import LearnedModel, LearnerConfig, predict
 from .learn.relaxed import relaxed_gradient_learner
-from .metrics import r2_score
+from .metrics import _flat, r2_score
 
 
 @dataclass
@@ -83,9 +78,8 @@ def pca_first_component(x) -> tuple[LatentRepresentation, np.ndarray]:
         raise ValidationError("need at least two samples")
     centered = x - x.mean(axis=0, keepdims=True)
     _, singular, vt = np.linalg.svd(centered, full_matrices=False)
-    scale = max(1.0, float(np.abs(x).max()))
-    if singular[0] <= np.finfo(float).eps * max(x.shape) * scale:
-        raise RankZero("matrix has no variation to decompose")
+    if _flat(singular[0], x.size, np.abs(x).max()):
+        raise DegenerateDesign("matrix has no variation to decompose")
     loading = vt[0] * _fix_sign(vt[0])
     return LatentRepresentation(centered @ loading, "pca"), loading
 
@@ -118,8 +112,8 @@ def pls_first_component(x, y) -> PlsComponent:
     xc = x - x.mean(axis=0, keepdims=True)
     yc = y - y.mean(axis=0, keepdims=True)
     u_svd, singular, vt = np.linalg.svd(xc.T @ yc, full_matrices=False)
-    if singular[0] == 0.0:
-        raise RankZero("x and y blocks have no covariance")
+    if _flat(singular[0], x.size * y.size, np.abs(x).max() * np.abs(y).max()):
+        raise DegenerateDesign("x and y blocks have no covariance")
     sign = _fix_sign(u_svd[:, 0])
     w = sign * u_svd[:, 0]
     c = sign * vt[0]
@@ -379,8 +373,9 @@ def least_squares_decode(target, scores) -> np.ndarray:
 def variance_explained(original, reconstruction) -> float:
     """R squared of a reconstruction: 1 - SS_res / SS_tot.
 
-    SS_tot is taken about the column means of the original. A constant
-    original has no variance to explain and raises ZeroVariance.
+    SS_tot is taken about the column means of the original. An original
+    without variation (see `metrics._flat`) has no variance to explain and
+    raises DegenerateDesign.
     """
     original = _as_2d(original)
     reconstruction = _as_2d(reconstruction)
@@ -388,8 +383,8 @@ def variance_explained(original, reconstruction) -> float:
         raise DimensionMismatch("original and reconstruction shapes differ")
     centered = original - original.mean(axis=0, keepdims=True)
     ss_tot = float(np.sum(centered * centered))
-    if ss_tot == 0.0:
-        raise ZeroVariance("original matrix is constant")
+    if _flat(np.sqrt(ss_tot), original.size, np.abs(original).max()):
+        raise DegenerateDesign("original matrix is constant")
     resid = original - reconstruction
     return 1.0 - float(np.sum(resid * resid)) / ss_tot
 

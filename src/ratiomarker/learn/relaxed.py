@@ -144,8 +144,7 @@ def relaxed_gradient_learner(
     else:
         # Standardizing the response makes the step size scale-free; the
         # hard candidates are refit against the raw response later.
-        y_sd = float(y.std())
-        y_fit = (y - y.mean()) / (y_sd if y_sd > 0.0 else 1.0)
+        y_fit = (y - y.mean()) / float(y.std())
         beta0 = 0.0
     params = np.concatenate([a, [0.0, beta0]])
 

@@ -38,7 +38,7 @@ import numpy as np
 from ..composition import Outcome, StrictlyPositiveMatrix
 from ..errors import DimensionMismatch, ValidationError
 from ..glm import TOL, _fit_rows
-from ..metrics import _auc_rows, _r2_rows
+from ..metrics import _auc_rows, _flat, _r2_rows
 from .biomarker import LearnerConfig, balance_from_logs, slr_from_values
 
 # How far beyond the fitter's tolerance the score statistic must lie before
@@ -71,14 +71,14 @@ def make_folds(outcome: Outcome, n_folds: int, rng) -> list[tuple[np.ndarray, np
 
 
 def check_learnable(outcome: Outcome):
-    """Preconditions every learner shares; `make_folds` bounds the folds."""
+    """Preconditions every learner shares; `make_folds` bounds the folds.
+    A continuous outcome must vary, so its standard deviation is positive."""
+    y = outcome.values
     if outcome.kind == "binary":
-        n_pos = int(np.sum(outcome.values == 1.0))
-        n_neg = outcome.n - n_pos
-        if min(n_pos, n_neg) < 2:
-            raise ValidationError(
-                "binary outcome needs at least 2 samples per class"
-            )
+        if min(y.sum(), y.size - y.sum()) < 2:
+            raise ValidationError("binary outcome needs at least 2 samples per class")
+    elif _flat(float(y.std()) * math.sqrt(y.size), y.size, np.abs(y).max()):
+        raise ValidationError("continuous outcome does not vary; nothing to learn")
 
 
 def _learner_setup(
@@ -143,8 +143,10 @@ def score_candidates(
         stat = (y_train - ybar) @ z_train
         top = z_train.max(axis=0)
         bottom = z_train.min(axis=0)
-        dead |= top == bottom
-        margin = _SIGN_MARGIN * TOL * (1.0 + np.maximum(top, -bottom))
+        # The kernel's rule, so a column is dead here iff a fit rejects it.
+        magnitude = np.maximum(top, -bottom)
+        dead |= _flat(top - bottom, train.size, magnitude)
+        margin = _SIGN_MARGIN * TOL * (1.0 + magnitude)
         undecided |= np.abs(stat) <= margin
         signs[:, f] = np.where(stat > 0.0, 1.0, -1.0)
         rows[f, : test.size] = test

@@ -3,6 +3,14 @@
 import numpy as np
 
 
+def _flat(spread, size, scale):
+    """Whether data of `size` values, the largest of magnitude `scale`, have
+    no variation: their `spread` (a range, a centred norm or a leading
+    singular value, in the data's own units) is at most size * eps * scale.
+    Elementwise; a NaN spread is not flat."""
+    return spread <= size * np.finfo(float).eps * scale
+
+
 def _midranks(a) -> np.ndarray:
     """1-based ranks along the last axis, each tie group given its mean rank.
 
@@ -69,11 +77,11 @@ def auc_score(y, scores) -> float:
 
 def _r2_rows(y, predictions):
     """R squared of every slice of `predictions` along its last axis
-    against `y`. NaN for every slice when `y` is constant."""
+    against `y`. NaN for every slice when `y` does not vary."""
     y = np.asarray(y, dtype=float)
     predictions = np.asarray(predictions, dtype=float)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
+    if _flat(np.sqrt(ss_tot), y.size, np.abs(y).max(initial=0.0)):
         return np.full(predictions.shape[:-1], np.nan)
     return 1.0 - ((y - predictions) ** 2).sum(axis=-1) / ss_tot
 
@@ -81,7 +89,7 @@ def _r2_rows(y, predictions):
 def r2_score(y, predictions) -> float:
     """Coefficient of determination, 1 - SS_res / SS_tot.
 
-    SS_tot is taken about the mean of `y`. Returns NaN when `y` is
-    constant (SS_tot = 0), leaving the degenerate case to the caller.
+    SS_tot is taken about the mean of `y`. Returns NaN when `y` does not
+    vary (see `_flat`), leaving the degenerate case to the caller.
     """
     return float(_r2_rows(y, predictions))

@@ -75,7 +75,8 @@ def reference_fit(z, outcome, max_iter=None) -> FittedGlm:
     y = outcome.values
     if not np.all(np.isfinite(z)):
         raise ValidationError("score contains non-finite values")
-    if np.ptp(z) == 0.0:
+    # No variation: a range within rounding of the largest magnitude.
+    if np.ptp(z) <= z.size * np.finfo(float).eps * np.abs(z).max():
         raise DegenerateDesign("score is constant; nothing to fit")
     if outcome.kind == "binary" and not outcome.both_classes_present():
         raise ValidationError("binary outcome must contain both classes")
@@ -191,11 +192,12 @@ def reference_auc(y, scores) -> float:
 
 def reference_r2(y, predictions) -> float:
     """R squared, 1 - SS_res / SS_tot with SS_tot about the mean of y, in
-    scalar sums; NaN when y is constant."""
+    scalar sums; NaN when y does not vary: its centred norm is within
+    rounding of its largest magnitude."""
     y = np.asarray(y, dtype=float)
     predictions = np.asarray(predictions, dtype=float)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
+    if math.sqrt(ss_tot) <= y.size * np.finfo(float).eps * np.abs(y).max():
         return float("nan")
     ss_res = float(np.sum((y - predictions) ** 2))
     return 1.0 - ss_res / ss_tot

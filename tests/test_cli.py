@@ -35,6 +35,7 @@ from ratiomarker.tabular import (
     read_matrix,
     read_outcome_pairs,
     write_matrix,
+    write_outcome,
     write_table,
 )
 
@@ -855,6 +856,23 @@ class TestLearn:
         assert not (tmp_path / "e").exists()
         assert list((tmp_path / "kept").iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "learner", [["stepwise"], ["relaxed"], ["evolutionary", "--mode", "slr"]]
+    )
+    def test_continuous_outcome_that_does_not_vary(self, tmp_path, capsys, learner):
+        sim = simulate_into(tmp_path, n_samples=30, n_features=8)
+        ids = read_matrix(sim / "observed.tsv").sample_ids
+        write_outcome(tmp_path / "y.tsv", ids, np.full(len(ids), 0.3))
+        rc = run(
+            "learn",
+            "--matrix", str(sim / "observed.tsv"),
+            "--outcome", str(tmp_path / "y.tsv"),
+            "--learner", *learner,
+            "--out-dir", str(tmp_path / "o"),
+        )
+        assert rc == 3
+        assert "continuous outcome does not vary" in capsys.readouterr().err
+
     def test_learner_mode_mismatch(self, tmp_path):
         sim = simulate_into(tmp_path, n_samples=30, n_features=8)
         rc = run(
@@ -965,6 +983,57 @@ class TestDaaAndRatios:
             "a/c": separated,
             "b/c": "score is constant; nothing to fit",
         }
+
+    @pytest.mark.parametrize("factor", [2.0, 3.0])
+    @pytest.mark.parametrize("kind", ["auto", "continuous"])
+    def test_a_feature_times_a_constant_gives_a_noted_ratio(self, tmp_path, kind, factor):
+        # log(f x) - log(x) is log f up to rounding: under either link the
+        # ratio has nothing to fit, so it gets no beta and does not count
+        # as a test.
+        sim = simulate_into(tmp_path, n_samples=60, n_features=8, seed=3)
+        mat = read_matrix(sim / "observed.tsv")
+        values = np.column_stack([mat.values, factor * mat.values[:, 0]])
+        ids = mat.feature_ids + ["g1x"]
+        write_matrix(tmp_path / "m.tsv", CompositionMatrix(values, mat.sample_ids, ids))
+        out = tmp_path / "ratios"
+        rc = run(
+            "ratios",
+            "--matrix", str(tmp_path / "m.tsv"),
+            "--outcome", str(sim / "outcome.tsv"),
+            "--outcome-kind", kind,
+            "--out-dir", str(out),
+        )
+        assert rc == 0
+        lines = (out / "ratios.tsv").read_text().splitlines()
+        rows = {line.split("\t")[0]: line.split("\t") for line in lines[1:]}
+        noted = [label for label, row in rows.items() if row[6]]
+        assert noted == ["g1/g1x"]
+        assert rows["g1/g1x"][6] == "score is constant; nothing to fit"
+        assert np.isnan(np.array(rows["g1/g1x"][3:6], dtype=float)).all()
+
+    @pytest.mark.parametrize("kind", ["auto", "continuous"])
+    def test_daa_notes_clr_columns_constant_up_to_rounding(self, tmp_path, kind):
+        # With a feature and its triple alone, each clr column is
+        # -+log(3) / 2 up to rounding: nothing to fit under either link.
+        sim = simulate_into(tmp_path, n_samples=60, n_features=8, seed=3)
+        mat = read_matrix(sim / "observed.tsv")
+        values = np.column_stack([mat.values[:, 0], 3.0 * mat.values[:, 0]])
+        write_matrix(
+            tmp_path / "m.tsv", CompositionMatrix(values, mat.sample_ids, ["g1", "g1x3"])
+        )
+        out = tmp_path / "daa"
+        rc = run(
+            "daa",
+            "--transform", "clr",
+            "--matrix", str(tmp_path / "m.tsv"),
+            "--outcome", str(sim / "outcome.tsv"),
+            "--outcome-kind", kind,
+            "--out-dir", str(out),
+        )
+        assert rc == 0
+        lines = (out / "daa.tsv").read_text().splitlines()
+        notes = [line.split("\t")[4] for line in lines[1:]]
+        assert notes == ["score is constant; nothing to fit"] * 2
 
     def test_ratio_feature_cap(self, tmp_path):
         sim = simulate_into(tmp_path, n_samples=30, n_features=12)

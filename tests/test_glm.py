@@ -254,6 +254,20 @@ class TestFitValidation:
         with pytest.raises(DegenerateDesign):
             fit_glm(np.ones(10), Outcome.binary(np.tile([0.0, 1.0], 5)))
 
+    @pytest.mark.parametrize("fit", [fit_glm, reference_fit], ids=["kernel", "reference"])
+    @pytest.mark.parametrize("ulps, flat", [(10, True), (11, False)])
+    def test_no_variation_is_a_range_within_n_eps_of_the_largest(self, fit, ulps, flat):
+        # Ten values, one of them ulps * eps above 1: the range ulps * eps
+        # is within 10 * eps * (1 + ulps * eps) only for ulps <= 10.
+        z = np.ones(10)
+        z[0] += ulps * np.finfo(float).eps
+        out = Outcome.binary(np.tile([0.0, 1.0], 5))
+        if flat:
+            with pytest.raises(DegenerateDesign, match="constant"):
+                fit(z, out)
+        else:
+            assert fit(z, out).converged
+
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             fit_glm(np.arange(5.0), Outcome.binary(np.array([0.0, 1.0])))
@@ -269,7 +283,8 @@ def column_fit_cases(draw):
     awkward kinds.
 
     Values lie on grids, so exact ties and perfect fits occur. Columns may
-    be constant, hold a non-finite value, separate the classes, hold an
+    be constant, exactly or up to rounding (log(3a) - log(a), or 0.1),
+    hold a non-finite value, separate the classes, hold an
     outlier (where Newton steps get halved), sit far from zero relative to
     their spread (an ill-conditioned 2x2 system), or span many orders of
     magnitude. N from 2 gives dof <= 0 for identity fits, and a small
@@ -293,7 +308,7 @@ def column_fit_cases(draw):
     columns = []
     kinds = st.sampled_from(
         ["free", "informative", "separable", "outlier", "constant",
-         "non_finite", "offset", "scaled", "perfect"]
+         "non_finite", "offset", "scaled", "perfect", "tripled", "tenth"]
     )
     for kind in draw(st.lists(kinds, min_size=1, max_size=10)):
         z = draw_vector(grid) / 8.0
@@ -306,6 +321,11 @@ def column_fit_cases(draw):
             z[draw(st.integers(0, n - 1))] *= 10.0 ** draw(st.integers(1, 3))
         elif kind == "constant":
             z = np.full(n, draw(grid) / 8.0)
+        elif kind == "tripled":
+            a = draw_vector(st.integers(1, 64)) / 8.0
+            z = np.log(3.0 * a) - np.log(a)
+        elif kind == "tenth":
+            z = np.full(n, 0.1)
         elif kind == "non_finite":
             z[draw(st.integers(0, n - 1))] = draw(
                 st.sampled_from([np.nan, np.inf, -np.inf])

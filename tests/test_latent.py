@@ -19,12 +19,7 @@ from conftest import (
 
 from ratiomarker import latent
 from ratiomarker.composition import StrictlyPositiveMatrix, clr_transform
-from ratiomarker.errors import (
-    DimensionMismatch,
-    RankZero,
-    ValidationError,
-    ZeroVariance,
-)
+from ratiomarker.errors import DegenerateDesign, DimensionMismatch, ValidationError
 from ratiomarker.latent import (
     EncoderDecoderConfig,
     OmicsPair,
@@ -82,8 +77,16 @@ class TestPca:
         )
 
     def test_constant_matrix_raises(self):
-        with pytest.raises(RankZero):
+        with pytest.raises(DegenerateDesign, match="no variation to decompose"):
             pca_first_component(np.full((5, 4), 2.5))
+
+    def test_rank_test_is_scale_free(self):
+        # Data of size 1e-15 vary as much, relative to their size, as the
+        # same data at size 1.
+        x = np.random.default_rng(4).normal(0.0, 1.0, (30, 5))
+        _, loading = pca_first_component(x)
+        _, tiny = pca_first_component(x * 1e-15)
+        np.testing.assert_allclose(tiny, loading, rtol=0.0, atol=1e-12)
 
     def test_single_row_raises(self):
         with pytest.raises(ValidationError):
@@ -151,7 +154,19 @@ class TestPls:
             x = np.full_like(x, 2.5)
         else:
             y = np.full_like(y, 2.5)
-        with pytest.raises(RankZero):
+        with pytest.raises(DegenerateDesign, match="no covariance"):
+            pls_first_component(x, y)
+
+    @pytest.mark.parametrize("constant, value", [("x", 0.1), ("y", 0.3)])
+    def test_block_constant_up_to_rounding_raises(self, constant, value):
+        # The column means of 0.1 and 0.3 are not exact, so the centred
+        # block is rounding noise, not zeros.
+        x, y, _ = shared_factor_pair(24)
+        if constant == "x":
+            x = np.full_like(x, value)
+        else:
+            y = np.full_like(y, value)
+        with pytest.raises(DegenerateDesign, match="no covariance"):
             pls_first_component(x, y)
 
     def test_row_mismatch_rejected(self):
@@ -323,8 +338,13 @@ class TestDecodingAndR2:
         )
 
     def test_constant_original_raises(self):
-        with pytest.raises(ZeroVariance):
+        with pytest.raises(DegenerateDesign, match="original matrix is constant"):
             variance_explained(np.full((4, 2), 1.0), np.zeros((4, 2)))
+
+    def test_original_constant_up_to_rounding_raises(self):
+        original = np.full((60, 3), 0.3)
+        with pytest.raises(DegenerateDesign, match="original matrix is constant"):
+            variance_explained(original, original + 1e-3)
 
 
 class TestRbbApproximation:

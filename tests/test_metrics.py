@@ -134,3 +134,7 @@ class TestR2:
 
     def test_constant_outcome_gives_nan_in_every_row(self):
         assert np.isnan(_r2_rows(np.ones(3), np.ones((2, 3)))).all()
+
+    def test_outcome_constant_up_to_rounding_gives_nan(self):
+        # The mean of ten 0.3s is not 0.3, so SS_tot is rounding noise.
+        assert np.isnan(r2_score(np.full(10, 0.3), np.full(10, 0.301)))

@@ -104,6 +104,14 @@ class TestLearnerPreconditions:
         with pytest.raises(ValidationError, match="cannot make 11 folds from 10"):
             learner(self.matrix, out, LearnerConfig(cv_folds=11))
 
+    @pytest.mark.parametrize("value", [0.3, 2.0])
+    def test_continuous_outcome_that_does_not_vary(self, learner, value):
+        # 0.3 is not exact in binary, so its deviations from the mean are
+        # rounding noise; 2.0 is, and they are zeros. Both are rejected.
+        out = Outcome.continuous(np.full(10, value))
+        with pytest.raises(ValidationError, match="does not vary"):
+            learner(self.matrix, out, LearnerConfig(cv_folds=2))
+
 
 class TestCvScore:
     def separable_data(self, seed=3, n=40):
@@ -157,7 +165,9 @@ def scoring_cases(draw):
     The grid also keeps apart what the oracle's rounding of
     beta * z + beta0 could merge: two distinct values closer than that
     rounding resolves tie in the oracle's ranks but not in the kernel's,
-    the one case where the two may legitimately differ.
+    the one case where the two may legitimately differ. The columns off
+    the grid are constant up to rounding, log(3a) - log(a) and 0.1, so
+    the sign path must call them dead wherever a fit rejects them.
     """
     n = draw(st.integers(4, 30))
 
@@ -198,6 +208,8 @@ def scoring_cases(draw):
             "constant_in_one_fold",
             "zero_statistic",
             "far_from_zero",
+            "tripled",
+            "tenth",
         ]
     )
     for kind in draw(st.lists(kinds, min_size=1, max_size=8)):
@@ -211,6 +223,11 @@ def scoring_cases(draw):
             z = z + draw(st.sampled_from([-1e6, -1e4, 1e4, 1e6]))
         elif kind == "constant":
             z = np.full(n, draw(grid) / 8.0)
+        elif kind == "tripled":
+            a = draw_vector(st.integers(1, 64)) / 8.0
+            z = np.log(3.0 * a) - np.log(a)
+        elif kind == "tenth":
+            z = np.full(n, 0.1)
         else:
             train, _ = folds[draw(st.integers(0, n_folds - 1))]
             z = free()
