@@ -121,13 +121,16 @@ class _Fits(NamedTuple):
     errors: list[ValidationError | None]
 
 
-def _fit_rows(zt, outcome: Outcome) -> _Fits:
+def _fit_rows(zt, outcome: Outcome, scale: float = 0.0) -> _Fits:
     """Fit every row of zt (columns x samples) as its own score, with the
     link the outcome implies.
 
     A row is rejected, in this order, for a non-finite value, for a range
     that `metrics._flat` calls constant, or because a binary outcome has one
     class only; an identity fit whose centred score underflows is singular.
+    The range is judged against the row's magnitude, or `scale` if larger:
+    the magnitude of the values the rows were computed from, whose rounding
+    a cancelling difference such as a log-ratio keeps.
     """
     zt = np.ascontiguousarray(zt, dtype=float)
     c = zt.shape[0]
@@ -135,7 +138,8 @@ def _fit_rows(zt, outcome: Outcome) -> _Fits:
     with np.errstate(invalid="ignore"):
         finite = np.isfinite(zt).all(axis=1)
         top, bottom = zt.max(axis=1), zt.min(axis=1)
-        constant = _flat(top - bottom, zt.shape[1], np.maximum(top, -bottom))
+        magnitude = np.maximum(np.maximum(top, -bottom), scale)
+        constant = _flat(top - bottom, zt.shape[1], magnitude)
     one_class = outcome.kind == "binary" and not outcome.both_classes_present()
     for j in range(c):
         if not finite[j]:
@@ -224,7 +228,9 @@ def _fit_identity_rows(z, y):
 
 
 def _penalized_nll_rows(eta, y, b1, a):
-    nll = np.logaddexp(0.0, eta).sum(axis=1) - np.einsum("ij,j->i", eta, y)
+    # log(1 + exp(eta)), about 3x cheaper than np.logaddexp(0, eta).
+    softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+    nll = softplus.sum(axis=1) - np.einsum("ij,j->i", eta, y)
     return nll + 0.5 * RIDGE * (b1 * b1 + a * a)
 
 
@@ -302,9 +308,9 @@ def _fit_logistic_rows(z, y):
     return beta, intercept - beta * zbar, se, n_iter, converged, gnorm
 
 
-def _fit_columns(blocks, n_columns: int, outcome: Outcome):
+def _fit_columns(blocks, n_columns: int, outcome: Outcome, scale: float = 0.0):
     """Fit every column of each n x c block in `blocks`, `n_columns` in
-    all, as its own score.
+    all, as its own score; `scale` is that of `_fit_rows`.
 
     Returns beta, p-value and note per column, as one `fit_glm` per column
     gives them: a column `fit_glm` rejects is a NaN row whose note is the
@@ -317,7 +323,7 @@ def _fit_columns(blocks, n_columns: int, outcome: Outcome):
     notes = [""] * n_columns
     start = 0
     for z in blocks:
-        fits = _fit_rows(z.T, outcome)
+        fits = _fit_rows(z.T, outcome, scale)
         stop = start + len(fits.notes)
         beta[start:stop] = fits.beta
         se[start:stop] = fits.se
@@ -394,7 +400,8 @@ def daa(
     else:
         raise ValidationError(f"unknown transform {transform!r}")
     blocks = (columns[:, cols] for cols in _column_blocks(*columns.shape))
-    beta, p_value, notes = _fit_columns(blocks, columns.shape[1], outcome)
+    scale = np.abs(np.log(matrix.values)).max() if notion == "clr" else 0.0
+    beta, p_value, notes = _fit_columns(blocks, columns.shape[1], outcome, scale)
     return DaaResult(
         feature_ids=list(matrix.feature_ids),
         beta=beta,
@@ -454,8 +461,9 @@ def differential_ratio_analysis(
     if outcome.n != matrix.n_samples:
         raise DimensionMismatch("outcome length does not match sample count")
     jj, kk = ratio_pairs(g)
-    blocks = _pairwise_logratio_blocks(np.log(matrix.values), jj, kk)
-    beta, p_value, notes = _fit_columns((z for _, z in blocks), jj.size, outcome)
+    logs = np.log(matrix.values)
+    blocks = (z for _, z in _pairwise_logratio_blocks(logs, jj, kk))
+    beta, p_value, notes = _fit_columns(blocks, jj.size, outcome, np.abs(logs).max())
     p_adjusted = benjamini_hochberg(p_value)
     significant = _significant(p_adjusted, alpha)
     counts = np.zeros(g)

@@ -149,19 +149,19 @@ def _layer_sizes(d_in: int, hidden: int, d_out: int):
 
 
 def _param_count(d_in: int, hidden: int, d_out: int) -> int:
-    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in _layer_sizes(d_in, hidden, d_out))
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in _layer_sizes(d_in, hidden, d_out))
 
 
-def _unpack(params: np.ndarray, d_in: int, hidden: int, d_out: int):
-    weights = []
-    biases = []
+def _blocks(params: np.ndarray, d_in: int, hidden: int, d_out: int):
+    """Views of each layer's (fan_in + 1) x fan_out block of `params`: its
+    weights, then its bias as the last row."""
+    blocks = []
     pos = 0
     for fan_in, fan_out in _layer_sizes(d_in, hidden, d_out):
-        weights.append(params[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
-        pos += fan_in * fan_out
-        biases.append(params[pos : pos + fan_out])
-        pos += fan_out
-    return weights, biases
+        size = (fan_in + 1) * fan_out
+        blocks.append(params[pos : pos + size].reshape(fan_in + 1, fan_out))
+        pos += size
+    return blocks
 
 
 def _init_params(rng, d_in: int, hidden: int, d_out: int) -> np.ndarray:
@@ -174,8 +174,11 @@ def _init_params(rng, d_in: int, hidden: int, d_out: int) -> np.ndarray:
 
 
 class _MlpWorkspace:
-    """The activations, their gradients and the gradient vector of one
-    `mlp_loss_and_grad` shape, written in place on every call.
+    """The layer inputs and gradients of `mlp_loss_and_grad` on one x,
+    written in place on every call. Each layer's input ends in a column of
+    ones, so a layer is one matmul with its block, and the matmul giving
+    the block's gradient also sums the bias's. A workspace belongs to the
+    x it was built from: a call with it reads that copy, not its x.
 
     Keeping them for a whole fit makes a training step allocate nothing.
     An n x d temporary can fall just under the allocator's mmap threshold
@@ -184,17 +187,17 @@ class _MlpWorkspace:
     step.
     """
 
-    def __init__(self, n: int, d_in: int, hidden: int, d_out: int):
-        self.pre1 = np.empty((n, hidden))
-        self.act1 = np.empty((n, hidden))
-        self.bottleneck = np.empty((n, 1))
-        self.pre3 = np.empty((n, hidden))
-        self.act3 = np.empty((n, hidden))
+    def __init__(self, x: np.ndarray, hidden: int, d_out: int):
+        n, d_in = x.shape
+        self.x = np.column_stack([x, np.ones(n)])
+        self.act1 = np.ones((n, hidden + 1))
+        self.bottleneck = np.ones((n, 2))
+        self.act3 = np.ones((n, hidden + 1))
         self.resid = np.empty((n, d_out))
         self.square = np.empty((n, d_out))
-        self.d_hidden = np.empty((n, hidden))
+        self.d_hidden = np.empty((n, hidden + 1))
         self.d_bottleneck = np.empty((n, 1))
-        self.relu = np.empty((n, hidden), dtype=bool)
+        self.relu = np.empty((n, hidden + 1), dtype=bool)
         self.grad = np.empty(_param_count(d_in, hidden, d_out))
 
 
@@ -208,47 +211,37 @@ def mlp_loss_and_grad(
     """Mean squared reconstruction error and its analytic gradient.
 
     The network is input -> hidden relu -> 1 (linear bottleneck) -> hidden
-    relu -> output, all weights and biases flattened into one vector in
-    layer order. With a workspace the gradient returned is its `grad`,
-    overwritten by the next call; without one, a fresh workspace is made.
+    relu -> output; each layer's weights and then its bias are flattened
+    into one vector in layer order. With a workspace, built from this x,
+    the gradient returned is its `grad`, overwritten by the next call;
+    without one, a fresh workspace is made.
     """
-    n, d_in = x.shape
-    d_out = y.shape[1]
-    ws = _MlpWorkspace(n, d_in, hidden, d_out) if workspace is None else workspace
-    (w1, w2, w3, w4), (b1, b2, b3, b4) = _unpack(params, d_in, hidden, d_out)
-    (g_w1, g_w2, g_w3, g_w4), (g_b1, g_b2, g_b3, g_b4) = _unpack(
-        ws.grad, d_in, hidden, d_out
-    )
-
-    pre1 = np.matmul(x, w1, out=ws.pre1)
-    pre1 += b1
-    act1 = np.maximum(pre1, 0.0, out=ws.act1)
-    bottleneck = np.matmul(act1, w2, out=ws.bottleneck)
-    bottleneck += b2
-    pre3 = np.matmul(bottleneck, w3, out=ws.pre3)
-    pre3 += b3
-    act3 = np.maximum(pre3, 0.0, out=ws.act3)
-    resid = np.matmul(act3, w4, out=ws.resid)
-    resid += b4
+    d_in, d_out = x.shape[1], y.shape[1]
+    ws = _MlpWorkspace(x, hidden, d_out) if workspace is None else workspace
+    w1, w2, w3, w4 = _blocks(params, d_in, hidden, d_out)
+    g1, g2, g3, g4 = _blocks(ws.grad, d_in, hidden, d_out)
+    # The elementwise passes run on whole contiguous arrays, ones columns
+    # included: a ReLU keeps a 1, and d_hidden's last column is never read.
+    np.matmul(ws.x, w1, out=ws.act1[:, :hidden])
+    np.maximum(ws.act1, 0.0, out=ws.act1)
+    np.matmul(ws.act1, w2, out=ws.bottleneck[:, :1])
+    np.matmul(ws.bottleneck, w3, out=ws.act3[:, :hidden])
+    np.maximum(ws.act3, 0.0, out=ws.act3)
+    resid = np.matmul(ws.act3, w4, out=ws.resid)
     resid -= y
-    loss = float(np.mean(np.multiply(resid, resid, out=ws.square)))
+    loss = float(np.multiply(resid, resid, out=ws.square).sum() / resid.size)
 
     d_out_grad = resid
-    d_out_grad *= 2.0
-    d_out_grad /= resid.size
-    np.matmul(act3.T, d_out_grad, out=g_w4)
-    np.sum(d_out_grad, axis=0, out=g_b4)
-    d_pre3 = np.matmul(d_out_grad, w4.T, out=ws.d_hidden)
-    d_pre3 *= np.greater(pre3, 0.0, out=ws.relu)
-    np.matmul(bottleneck.T, d_pre3, out=g_w3)
-    np.sum(d_pre3, axis=0, out=g_b3)
-    d_bottleneck = np.matmul(d_pre3, w3.T, out=ws.d_bottleneck)
-    np.matmul(act1.T, d_bottleneck, out=g_w2)
-    np.sum(d_bottleneck, axis=0, out=g_b2)
-    d_pre1 = np.matmul(d_bottleneck, w2.T, out=ws.d_hidden)
-    d_pre1 *= np.greater(pre1, 0.0, out=ws.relu)
-    np.matmul(x.T, d_pre1, out=g_w1)
-    np.sum(d_pre1, axis=0, out=g_b1)
+    d_out_grad *= 2.0 / resid.size
+    np.matmul(ws.act3.T, d_out_grad, out=g4)
+    d_act3 = np.matmul(d_out_grad, w4.T, out=ws.d_hidden)
+    d_act3 *= np.greater(ws.act3, 0.0, out=ws.relu)
+    np.matmul(ws.bottleneck.T, d_act3[:, :hidden], out=g3)
+    d_bottleneck = np.matmul(d_act3[:, :hidden], w3[:1].T, out=ws.d_bottleneck)
+    np.matmul(ws.act1.T, d_bottleneck, out=g2)
+    d_act1 = np.multiply(d_bottleneck, w2.T, out=ws.d_hidden)
+    d_act1 *= np.greater(ws.act1, 0.0, out=ws.relu)
+    np.matmul(ws.x.T, d_act1[:, :hidden], out=g1)
     return loss, ws.grad
 
 
@@ -269,19 +262,15 @@ class EncoderDecoderFit:
         x = _as_2d(x)
         if x.shape[1] != self.d_in:
             raise DimensionMismatch("input width does not match the network")
-        (w1, w2, _, _), (b1, b2, _, _) = _unpack(
-            self.params, self.d_in, self.config.hidden_units, self.d_out
-        )
-        act1 = np.maximum((x - self.x_mean) @ w1 + b1, 0.0)
-        return LatentRepresentation((act1 @ w2 + b2).ravel(), "nn")
+        w1, w2, _, _ = _blocks(self.params, self.d_in, self.config.hidden_units, self.d_out)
+        act1 = np.maximum((x - self.x_mean) @ w1[:-1] + w1[-1], 0.0)
+        return LatentRepresentation((act1 @ w2[:-1] + w2[-1]).ravel(), "nn")
 
     def decode(self, scores) -> np.ndarray:
         scores = np.asarray(scores, dtype=float).reshape(-1, 1)
-        (_, _, w3, w4), (_, _, b3, b4) = _unpack(
-            self.params, self.d_in, self.config.hidden_units, self.d_out
-        )
-        act3 = np.maximum(scores @ w3 + b3, 0.0)
-        return act3 @ w4 + b4 + self.y_mean
+        _, _, w3, w4 = _blocks(self.params, self.d_in, self.config.hidden_units, self.d_out)
+        act3 = np.maximum(scores @ w3[:-1] + w3[-1], 0.0)
+        return act3 @ w4[:-1] + w4[-1] + self.y_mean
 
 
 def encoder_decoder_latent(
@@ -307,9 +296,7 @@ def encoder_decoder_latent(
     xc = x - x_mean
     yc = y - y_mean
     params = _init_params(rng, x.shape[1], config.hidden_units, y.shape[1])
-    workspace = _MlpWorkspace(
-        x.shape[0], x.shape[1], config.hidden_units, y.shape[1]
-    )
+    workspace = _MlpWorkspace(xc, config.hidden_units, y.shape[1])
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     m_hat = np.empty_like(params)

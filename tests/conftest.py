@@ -13,7 +13,9 @@ not import. `reference_mean_and_se` groups candidates by their scored-fold
 pattern with `np.unique(axis=0)`, and `reference_next_generation` makes
 a generation's three draws, then breeds one child at a time from them.
 `reference_mlp_loss_and_grad` and `reference_encoder_decoder` train the
-bottleneck network with a new array for every intermediate, and
+bottleneck network with a new array for every intermediate;
+`separate_bias_mlp_loss_and_grad` is the same gradient with each bias
+added and summed on its own, not folded into its weight block;
 `reference_read_matrix` parses a matrix one `_parse_cell` call per cell,
 and `reference_cutoff_sets` is the relaxed learner's cutoff sweep written
 with the old `_hard_sets` rule, whose empty side raised and was caught.
@@ -37,7 +39,7 @@ from ratiomarker import glm, parallel, special
 from ratiomarker.composition import CompositionMatrix
 from ratiomarker.errors import DegenerateDesign, ParseError, ValidationError
 from ratiomarker.glm import RIDGE, TOL, FittedGlm, fit_glm
-from ratiomarker.latent import _init_params, _unpack
+from ratiomarker.latent import _blocks, _init_params
 from ratiomarker.tabular import _detect_delimiter, _parse_cell, _read_lines
 
 ACCEPTANCE_LINES = []
@@ -393,12 +395,16 @@ def fit_glm_by_column(blocks, outcome, fit=fit_glm):
     return np.array(beta, dtype=float), np.array(p_value, dtype=float), notes
 
 
-def reference_mlp_loss_and_grad(params, x, y, hidden, workspace=None):
-    """Reference for `latent.mlp_loss_and_grad`: the same arithmetic in the
-    same order, each intermediate a new array. `workspace` is ignored."""
+def separate_bias_mlp_loss_and_grad(params, x, y, hidden):
+    """Oracle for `latent.mlp_loss_and_grad`: each layer a weight matmul and
+    a broadcast bias add, each bias gradient a column sum, and the loss
+    `np.mean`. It rounds differently from the folded arithmetic, so the two
+    agree to a tolerance, not bit for bit."""
     n, d_in = x.shape
     d_out = y.shape[1]
-    (w1, w2, w3, w4), (b1, b2, b3, b4) = _unpack(params, d_in, hidden, d_out)
+    blocks = _blocks(params, d_in, hidden, d_out)
+    w1, w2, w3, w4 = (block[:-1] for block in blocks)
+    b1, b2, b3, b4 = (block[-1] for block in blocks)
 
     pre1 = x @ w1 + b1
     act1 = np.maximum(pre1, 0.0)
@@ -437,6 +443,36 @@ def reference_mlp_loss_and_grad(params, x, y, hidden, workspace=None):
         ]
     )
     return loss, grad
+
+
+def reference_mlp_loss_and_grad(params, x, y, hidden, workspace=None):
+    """Reference for `latent.mlp_loss_and_grad`: the same arithmetic in the
+    same order, each intermediate a new array. Each layer's input gets its
+    column of ones by `np.hstack`. `workspace` is ignored."""
+    n, d_in = x.shape
+    d_out = y.shape[1]
+    w1, w2, w3, w4 = _blocks(params, d_in, hidden, d_out)
+    ones = np.ones((n, 1))
+
+    x1 = np.hstack([x, ones])
+    pre1 = x1 @ w1
+    act1 = np.hstack([np.maximum(pre1, 0.0), ones])
+    bottleneck = np.hstack([act1 @ w2, ones])
+    pre3 = bottleneck @ w3
+    act3 = np.hstack([np.maximum(pre3, 0.0), ones])
+    resid = act3 @ w4 - y
+    loss = float(np.sum(resid * resid) / resid.size)
+
+    d_out_grad = resid * (2.0 / resid.size)
+    g4 = act3.T @ d_out_grad
+    # Each layer's input gradient spans its ones column, which is dropped.
+    d_act3 = (d_out_grad @ w4.T) * (act3 > 0.0)
+    g3 = bottleneck.T @ d_act3[:, :-1]
+    d_bottleneck = d_act3[:, :-1] @ w3[:-1].T
+    g2 = act1.T @ d_bottleneck
+    d_act1 = d_bottleneck * w2.T * (act1 > 0.0)
+    g1 = x1.T @ d_act1[:, :-1]
+    return loss, np.concatenate([g.ravel() for g in (g1, g2, g3, g4)])
 
 
 def reference_encoder_decoder(x, y, config):

@@ -117,6 +117,20 @@ models = [
     for run in ("learn-evolutionary", "learn-evolutionary-again")
 ]
 assert models[0] == models[1]
+# Two network runs of one seed write the same latent and model.
+for run in ("approx-nn", "approx-nn-again"):
+    assert main([
+        "approx",
+        "--latent", "nn",
+        "--nn-epochs", "50",
+        "--hidden-units", "4",
+        "--epochs", "50",
+        "--seed", "3",
+        "--matrix", "sim/observed.tsv",
+        "--out-dir", run,
+    ]) == 0
+for name in ("latent.tsv", "model.json"):
+    assert Path("approx-nn", name).read_bytes() == Path("approx-nn-again", name).read_bytes()
 # Zeros are replaced per sample, so rescaling every other sample
 # of a count matrix with zeros by 1,000 changes no ratio's beta.
 counts = np.random.default_rng(0).poisson(3.0, (40, 8)).astype(float)

@@ -942,7 +942,7 @@ class TestDaaAndRatios:
         monkeypatch.setattr(
             glm,
             "_fit_columns",
-            lambda blocks, n_columns, outcome: fit_glm_by_column(blocks, outcome),
+            lambda blocks, n_columns, outcome, scale: fit_glm_by_column(blocks, outcome),
         )
         assert run(*argv, "--out-dir", str(tmp_path / "by_column")) == 0
         for name in ("attribution.tsv", "ratios.json"):

@@ -24,6 +24,7 @@ from ratiomarker import composition, glm
 from ratiomarker.composition import (
     Outcome,
     StrictlyPositiveMatrix,
+    _pairwise_logratio_blocks,
     pairwise_logratios,
     ratio_labels,
     ratio_pairs,
@@ -42,6 +43,7 @@ from ratiomarker.glm import (
     differential_ratio_analysis,
     fit_glm,
 )
+from ratiomarker.simulate import BiasModel, observe, planted_signal_scenario
 
 
 def identity_oracle(z, y):
@@ -423,6 +425,27 @@ class TestBatchedColumnFits:
             assert_fits_identical(got, fit_glm_by_column([ratios], outcome))
             assert_fits_match(got, reference_by_column([ratios], outcome))
 
+    def test_step_objective_halves_as_logaddexp_does(self, monkeypatch):
+        # The kernel's softplus and np.logaddexp(0, eta) differ by rounding
+        # alone, far below the step test's slack, so every halving decision
+        # and with it every fit keeps its bits.
+        scenario = planted_signal_scenario(80, 40, seed=7)
+        bias = BiasModel.random(80, 40, seed=1007, noise_sd=0.2)
+        logs = np.log(observe(scenario, bias, seed=2007).values)
+        y = scenario.group.astype(float)
+        blocks = [z.T for _, z in _pairwise_logratio_blocks(logs, *ratio_pairs(40))]
+        fits = [glm._fit_logistic_rows(z, y) for z in blocks]
+
+        def logaddexp_objective(eta, y, b1, a):
+            nll = np.logaddexp(0.0, eta).sum(axis=1) - np.einsum("ij,j->i", eta, y)
+            return nll + 0.5 * RIDGE * (b1 * b1 + a * a)
+
+        monkeypatch.setattr(glm, "_penalized_nll_rows", logaddexp_objective)
+        for z, got in zip(blocks, fits):
+            want = glm._fit_logistic_rows(z, y)
+            for g, w in zip(got[:3], want[:3]):
+                assert g.tobytes() == w.tobytes()
+
     def test_daa_blocks_keep_each_note_in_place(self, monkeypatch):
         mat, out = planted_matrix(96)
         cols = np.array(mat.values)
@@ -514,6 +537,47 @@ class TestDaa:
         mat, out = planted_matrix(83)
         with pytest.raises(ValidationError):
             daa(mat, out, transform="alr")
+
+
+class TestCancellationConstantColumns:
+    """Columns that are constant in exact arithmetic but are computed by
+    cancelling logs about 100 times their own size, so their rounding
+    noise exceeds a bound taken from their own magnitude."""
+
+    CONSTANT = "score is constant; nothing to fit"
+
+    def matrix_and_outcomes(self, columns):
+        rng = np.random.default_rng(7)
+        values = columns(rng)
+        y = rng.normal(size=40)
+        mat = StrictlyPositiveMatrix(
+            values,
+            [f"s{i}" for i in range(40)],
+            [f"f{j}" for j in range(values.shape[1])],
+        )
+        return mat, [Outcome.continuous(y), Outcome.binary((y > 0.0) * 1.0)]
+
+    def test_ratio_of_proportional_features_is_noted(self):
+        def columns(rng):
+            a = rng.uniform(100.0, 5000.0, 40)
+            return np.column_stack([a, 1.01 * a, rng.uniform(100.0, 5000.0, 40)])
+
+        mat, outcomes = self.matrix_and_outcomes(columns)
+        for outcome in outcomes:
+            res = differential_ratio_analysis(mat, outcome)
+            assert res.notes[0] == self.CONSTANT
+            assert np.isnan(res.beta[0]) and np.isnan(res.p_value[0])
+            assert np.all(np.isfinite(res.p_value[1:]))
+
+    def test_clr_of_one_rescaled_composition_is_noted(self):
+        def columns(rng):
+            return rng.uniform(100.0, 5000.0, (40, 1)) * np.array([1.0, 3.0, 7.0, 2.0])
+
+        mat, outcomes = self.matrix_and_outcomes(columns)
+        for outcome in outcomes:
+            res = daa(mat, outcome, transform="clr")
+            assert res.notes == [self.CONSTANT] * 4
+            assert np.all(np.isnan(res.beta))
 
 
 class TestDifferentialRatioAnalysis:

@@ -3,9 +3,10 @@
 PCA is checked against an eigendecomposition of the covariance matrix done
 here from scratch. PLS is checked against the dominant singular direction
 of the cross-covariance, computed here from the centered blocks. The
-network gradient is checked against central finite differences, and the
-in-place gradient and training loop against the allocating references in
-`conftest.py`, byte for byte.
+network gradient is checked against central finite differences and, to
+rounding, against the separate-bias arithmetic its folded blocks replace;
+the in-place gradient and training loop are checked against the allocating
+references in `conftest.py`, byte for byte.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from conftest import (
     reference_encoder_decoder,
     reference_mlp_loss_and_grad,
+    separate_bias_mlp_loss_and_grad,
     two_equal_factor_pair,
 )
 
@@ -226,7 +228,7 @@ class TestInPlaceMlp:
         rng = np.random.default_rng(sum(shape))
         x = rng.normal(0.0, 1.0, (n, d_in))
         y = rng.normal(0.0, 1.0, (n, d_out))
-        workspace = _MlpWorkspace(n, d_in, hidden, d_out)
+        workspace = _MlpWorkspace(x, hidden, d_out)
         for _ in range(3):
             params = rng.normal(0.0, 0.7, _param_count(d_in, hidden, d_out))
             want_loss, want_grad = reference_mlp_loss_and_grad(params, x, y, hidden)
@@ -238,6 +240,20 @@ class TestInPlaceMlp:
             assert loss == want_loss
             assert grad.tobytes() == want_grad.tobytes()
             assert grad is workspace.grad
+
+    # Acceptance test 5's shape joins the four above.
+    @pytest.mark.parametrize("shape", MLP_SHAPES + [(7, 4, 3, 5)])
+    def test_gradient_matches_the_separate_bias_oracle(self, shape):
+        n, d_in, hidden, d_out = shape
+        rng = np.random.default_rng(200 + sum(shape))
+        x = rng.normal(0.0, 1.0, (n, d_in))
+        y = rng.normal(0.0, 1.0, (n, d_out))
+        for _ in range(3):
+            params = rng.normal(0.0, 0.7, _param_count(d_in, hidden, d_out))
+            want_loss, want_grad = separate_bias_mlp_loss_and_grad(params, x, y, hidden)
+            loss, grad = mlp_loss_and_grad(params, x, y, hidden)
+            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+            assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
 
     def test_call_without_workspace_returns_a_fresh_gradient(self):
         rng = np.random.default_rng(7)
