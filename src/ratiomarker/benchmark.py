@@ -9,23 +9,23 @@ squared, and how many features the RBB used; rows that fail are reported
 with their error instead of aborting the table.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import StrictlyPositiveMatrix, clr_transform
+from .composition import Outcome, StrictlyPositiveMatrix, clr_transform
 from .errors import RatiomarkerError
 from .latent import (
     EncoderDecoderConfig,
     OmicsPair,
-    approximate_latent_with_rbb,
     encoder_decoder_latent,
     least_squares_decode,
     pca_first_component,
     pls_first_component,
     variance_explained,
 )
-from .learn.biomarker import LearnerConfig
+from .learn.biomarker import LearnerConfig, predict
+from .learn.relaxed import _relaxed_fits
 from .parallel import ordered_map
 
 
@@ -97,18 +97,24 @@ def _reconstruction_r2(target, scores, network) -> float:
     return variance_explained(target, network.decode(scores))
 
 
+def _unwrap(result):
+    if isinstance(result, RatiomarkerError):
+        raise result
+    return result
+
+
 def run_benchmark(
     pair: OmicsPair,
     config: LearnerConfig | None = None,
     nn_config: EncoderDecoderConfig | None = None,
     mode: str = "balance",
 ) -> list[BenchmarkRow]:
-    """The 12-row latent-vs-RBB comparison table.
-
-    The rows are independent, so they run through `ordered_map`, on every
-    CPU in the process's affinity mask. Each row fits its own latent and
-    draws its learner seed from its index, so the rows equal those of a
-    one-CPU run (`taskset -c 0` keeps the table to one core).
+    """The 12-row latent-vs-RBB comparison table, in two `ordered_map`
+    stages on every CPU in the process's affinity mask: each distinct
+    latent is fitted once, then each source matrix trains the six
+    stand-ins that read it as one relaxed batch. A row draws its learner
+    seed from its index and fails on its own error only, so the rows equal
+    those of a one-CPU run (`taskset -c 0` keeps the table to one core).
     """
     if config is None:
         config = LearnerConfig()
@@ -117,98 +123,96 @@ def run_benchmark(
     clr = {"T": clr_transform(pair.t), "U": clr_transform(pair.u)}
     matrices = {"T": pair.t, "U": pair.u}
 
-    def fit_latent(method: str, first: str, second: str):
-        """A row's latent score of clr `first` and the network that decodes
-        it into clr `second` (None to decode by least squares). PCA and PLS
-        rows reconstruct their own side, so for them `second` is `first`."""
-        if method == "pca":
-            return pca_first_component(clr[first])[0], None
-        if method == "pls":
-            pls_fit = pls_first_component(clr["T"], clr["U"])
-            return (pls_fit.x_scores if first == "T" else pls_fit.y_scores), None
-        network = encoder_decoder_latent(clr[first], clr[second], nn_config)
-        return network.encode(clr[first]), network
-
-    # (objective, method, latent label, latent side, target side,
-    #  rbb source side); each row fits its own latent.
+    # (objective, latent label, latent, rbb source side). A latent is
+    # (method, side it scores, side it reconstructs).
     rows_spec = [
-        ("dimension_reduction", "pca", "PCA1(clr T)", "T", "T", "T"),
-        ("dimension_reduction", "pca", "PCA1(clr U)", "U", "U", "U"),
-        ("dimension_reduction", "pls", "PLS1 t(clr T, clr U)", "T", "T", "T"),
-        ("dimension_reduction", "pls", "PLS1 u(clr T, clr U)", "U", "U", "U"),
-        ("dimension_reduction", "nn", "NN(T>h>T)", "T", "T", "T"),
-        ("dimension_reduction", "nn", "NN(U>h>U)", "U", "U", "U"),
-        ("integration", "pca", "PCA1(clr T)", "T", "T", "U"),
-        ("integration", "pca", "PCA1(clr U)", "U", "U", "T"),
-        ("integration", "pls", "PLS1 t(clr T, clr U)", "T", "T", "U"),
-        ("integration", "pls", "PLS1 u(clr T, clr U)", "U", "U", "T"),
-        ("integration", "nn", "NN(T>h>U)", "T", "U", "T"),
-        ("integration", "nn", "NN(U>h>T)", "U", "T", "U"),
+        ("dimension_reduction", "PCA1(clr T)", ("pca", "T", "T"), "T"),
+        ("dimension_reduction", "PCA1(clr U)", ("pca", "U", "U"), "U"),
+        ("dimension_reduction", "PLS1 t(clr T, clr U)", ("pls", "T", "T"), "T"),
+        ("dimension_reduction", "PLS1 u(clr T, clr U)", ("pls", "U", "U"), "U"),
+        ("dimension_reduction", "NN(T>h>T)", ("nn", "T", "T"), "T"),
+        ("dimension_reduction", "NN(U>h>U)", ("nn", "U", "U"), "U"),
+        ("integration", "PCA1(clr T)", ("pca", "T", "T"), "U"),
+        ("integration", "PCA1(clr U)", ("pca", "U", "U"), "T"),
+        ("integration", "PLS1 t(clr T, clr U)", ("pls", "T", "T"), "U"),
+        ("integration", "PLS1 u(clr T, clr U)", ("pls", "U", "U"), "T"),
+        ("integration", "NN(T>h>U)", ("nn", "T", "U"), "T"),
+        ("integration", "NN(U>h>T)", ("nn", "U", "T"), "U"),
     ]
+    # Stage 1's fits, the networks widest first, each with the latents it gives.
+    width = {side: x.shape[1] for side, x in clr.items()}
+    fits = sorted(
+        ([("nn", first, second)] for first in "TU" for second in "TU"),
+        key=lambda keys: -width[keys[0][1]] - width[keys[0][2]],
+    ) + [[("pca", "T", "T")], [("pca", "U", "U")], [("pls", "T", "T"), ("pls", "U", "U")]]
 
-    def evaluate(i: int) -> BenchmarkRow:
-        objective, method, label, first, second, source_label = rows_spec[i]
-        target = clr[second]
+    def fit_latents(keys):
+        """(outcome, R squared, decoding network or None) of each latent of
+        one fit, or the error that ended the fit."""
+        method, first, second = keys[0]
+        network = None
         try:
-            latent, network = fit_latent(method, first, second)
-            original_r2 = _reconstruction_r2(target, latent.scores, network)
-            approx = approximate_latent_with_rbb(
-                latent,
-                matrices[source_label],
-                replace(config, seed=_row_seed(config.seed, i)),
-                mode=mode,
-            )
-            result = dict(
-                original_r2=original_r2,
-                active_features=approx.active_features,
-                total_features=approx.total_features,
-                rbb_r2=_reconstruction_r2(target, approx.approx_scores, network),
-            )
+            if method == "pca":
+                got = [pca_first_component(clr[first])[0]]
+            elif method == "pls":
+                pls_fit = pls_first_component(clr["T"], clr["U"])
+                got = [pls_fit.x_scores, pls_fit.y_scores]
+            else:
+                network = encoder_decoder_latent(clr[first], clr[second], nn_config)
+                got = [network.encode(clr[first])]
+            r2 = [_reconstruction_r2(clr[k[2]], x.scores, network) for k, x in zip(keys, got)]
+            return [(Outcome.continuous(x.scores), q, network) for x, q in zip(got, r2)]
         except RatiomarkerError as exc:
-            result = dict(
-                original_r2=float("nan"),
-                active_features=0,
-                total_features=matrices[source_label].n_features,
-                rbb_r2=float("nan"),
-                error=str(exc),
-            )
-        return BenchmarkRow(
-            objective=objective,
-            method=method,
-            latent=label,
-            rbb_source=source_label,
-            **result,
-        )
+            return [exc] * len(keys)
 
-    return list(ordered_map(evaluate, range(len(rows_spec))))
+    latents = {}
+    for keys, fitted in zip(fits, ordered_map(fit_latents, fits)):
+        latents.update(zip(keys, fitted))
+
+    def distill(source: str) -> dict[int, BenchmarkRow]:
+        """The rows whose stand-in reads `source`, by index."""
+        matrix = matrices[source]
+        indices = [i for i, spec in enumerate(rows_spec) if spec[3] == source]
+        live = [i for i in indices if isinstance(latents[rows_spec[i][2]], tuple)]  # fitted
+        outcomes = [latents[rows_spec[i][2]][0] for i in live]
+        seeds = [_row_seed(config.seed, i) for i in live]
+        models = dict(zip(live, _relaxed_fits(matrix, outcomes, config, seeds, mode)))
+        rows = {}
+        for i in indices:
+            objective, label, key, _ = rows_spec[i]
+            try:
+                _, original_r2, network = _unwrap(latents[key])
+                model = _unwrap(models[i])
+                rbb_r2 = _reconstruction_r2(clr[key[2]], predict(model, matrix), network)
+                result = dict(original_r2=original_r2, active_features=model.biomarker.size,
+                              rbb_r2=rbb_r2)
+            except RatiomarkerError as exc:
+                nan = float("nan")
+                result = dict(original_r2=nan, active_features=0, rbb_r2=nan, error=str(exc))
+            rows[i] = BenchmarkRow(
+                objective=objective, method=key[0], latent=label, rbb_source=source,
+                total_features=matrix.n_features, **result,
+            )
+        return rows
+
+    table = {}
+    for rows in ordered_map(distill, ("T", "U")):
+        table.update(rows)
+    return [table[i] for i in range(len(rows_spec))]
 
 
 def benchmark_table(rows: list[BenchmarkRow]) -> str:
     """Render rows as a delimited table."""
-    header = [
-        "objective",
-        "method",
-        "latent",
-        "original_r2",
-        "rbb_source",
-        "rbb_vars",
-        "rbb_r2",
-        "error",
+
+    def r2(value: float) -> str:
+        return "" if np.isnan(value) else f"{value:.4f}"
+
+    header = "objective method latent original_r2 rbb_source rbb_vars rbb_r2 error"
+    lines = [header.replace(" ", "\t")] + [
+        "\t".join([
+            row.objective, row.method, row.latent, r2(row.original_r2),
+            row.rbb_source, row.rbb_vars, r2(row.rbb_r2), row.error,
+        ])
+        for row in rows
     ]
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append(
-            "\t".join(
-                [
-                    row.objective,
-                    row.method,
-                    row.latent,
-                    "" if np.isnan(row.original_r2) else f"{row.original_r2:.4f}",
-                    row.rbb_source,
-                    row.rbb_vars,
-                    "" if np.isnan(row.rbb_r2) else f"{row.rbb_r2:.4f}",
-                    row.error,
-                ]
-            )
-        )
     return "\n".join(lines) + "\n"

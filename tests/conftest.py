@@ -19,6 +19,9 @@ added and summed on its own, not folded into its weight block;
 `reference_read_matrix` parses a matrix one `_parse_cell` call per cell,
 and `reference_cutoff_sets` is the relaxed learner's cutoff sweep written
 with the old `_hard_sets` rule, whose empty side raised and was caught.
+`reference_relaxed_loss_and_grad` is the relaxed learner's step for one
+fit, each side's mean log and its gradient term formed on its own, and
+`reference_relaxed_training` runs it in the learner's momentum loop.
 `two_equal_factor_pair` makes the PLS input whose two leading singular
 values nearly tie.
 
@@ -370,6 +373,70 @@ def reference_cutoff_sets(a):
             continue
         sets.append((float(cutoff), num, den))
     return sets
+
+
+def reference_relaxed_loss_and_grad(params, values, y, mode, link, logs=None):
+    """Reference for `learn.relaxed.relaxed_loss_and_grad` on one fit: the
+    loss and gradient of (a, beta, beta0), with both sides' weighted means
+    (or sums) and their gradient terms formed one by one."""
+    g = values.shape[1]
+    a, beta, beta0 = params[:g], params[g], params[g + 1]
+    n = values.shape[0]
+    s = special.expit(a)
+    s_other = 1.0 - s
+    s_prime = s * s_other
+    if mode == "slr":
+        s_pos = values @ s
+        s_neg = values @ s_other
+        z = np.log(s_pos) - np.log(s_neg)
+        dz_common = 1.0 / s_pos + 1.0 / s_neg
+    else:
+        if logs is None:
+            logs = np.log(values)
+        w_pos = float(s.sum())
+        w_neg = float(g - w_pos)
+        m_pos = (logs @ s) / w_pos
+        m_neg = (logs @ s_other) / w_neg
+        z = m_pos - m_neg
+    eta = beta * z + beta0
+    if link == "logistic":
+        loss = float((np.logaddexp(0.0, eta) - y * eta).sum() / n)
+        resid = (special.expit(eta) - y) / n
+    else:
+        diff = eta - y
+        loss = float(0.5 * ((diff * diff).sum() / n))
+        resid = diff / n
+    grad = np.empty(g + 2)
+    grad[g] = float(resid @ z)
+    grad[g + 1] = float(resid.sum())
+    if mode == "slr":
+        grad[:g] = beta * s_prime * ((resid * dz_common) @ values)
+    else:
+        r_logs = resid @ logs
+        c_pos = float(resid @ m_pos)
+        c_neg = float(resid @ m_neg)
+        grad[:g] = beta * s_prime * (
+            (r_logs - c_pos) / w_pos + (r_logs - c_neg) / w_neg
+        )
+    return loss, grad
+
+
+def reference_relaxed_training(params, values, y, mode, link, epochs, learning_rate):
+    """Reference for `learn.relaxed._train` on one fit: (params, loss
+    curve) after `epochs` momentum steps of `reference_relaxed_loss_and_grad`,
+    each a new array."""
+    logs = np.log(values)
+    velocity = np.zeros_like(params)
+    loss_curve = np.empty(epochs)
+    with np.errstate(all="ignore"):
+        for t in range(epochs):
+            loss, grad = reference_relaxed_loss_and_grad(
+                params, values, y, mode, link, logs
+            )
+            loss_curve[t] = loss
+            velocity = 0.9 * velocity + grad
+            params = params - learning_rate * velocity
+    return params, loss_curve
 
 
 def fit_glm_by_column(blocks, outcome, fit=fit_glm):

@@ -89,17 +89,21 @@ assert main([
     "--outcome", "approx/latent.tsv",
     "--out-dir", "learn-latent",
 ]) == 0
-assert main([
-    "benchmark",
-    "--synthetic",
-    "--n-samples", "40",
-    "--g-t", "8",
-    "--g-u", "10",
-    "--epochs", "50",
-    "--nn-epochs", "50",
-    "--hidden-units", "4",
-    "--out-dir", "benchmark",
-]) == 0
+# Two benchmark runs of one seed write the same table.
+for run in ("benchmark", "benchmark-again"):
+    assert main([
+        "benchmark",
+        "--synthetic",
+        "--n-samples", "40",
+        "--g-t", "8",
+        "--g-u", "10",
+        "--epochs", "50",
+        "--nn-epochs", "50",
+        "--hidden-units", "4",
+        "--out-dir", run,
+    ]) == 0
+for name in ("benchmark.json", "benchmark.tsv"):
+    assert Path("benchmark", name).read_bytes() == Path("benchmark-again", name).read_bytes()
 # Two runs of one seed write the same model.
 for run in ("learn-evolutionary", "learn-evolutionary-again"):
     assert main([

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ratiomarker import parallel
+from ratiomarker import benchmark, parallel
 from ratiomarker.benchmark import (
     BenchmarkRow,
     benchmark_table,
@@ -145,6 +145,42 @@ class TestRowsOnEveryCpu:
             )
         # repr writes every float exactly, and NaN equal to NaN.
         assert repr(got) == repr(serial)
+
+
+class TestTwoStages:
+    """Each distinct latent is fitted once, and each source matrix trains
+    its six stand-ins as one batch."""
+
+    def test_each_latent_is_fitted_once(self, monkeypatch, forbid_pool):
+        monkeypatch.setattr(parallel, "_cpu_count", lambda: 1)
+        calls = []
+        for name in ("pca_first_component", "pls_first_component", "encoder_decoder_latent"):
+            fit = getattr(benchmark, name)
+
+            def counted(*args, _fit=fit, _name=name, **kwargs):
+                calls.append(_name)
+                return _fit(*args, **kwargs)
+
+            monkeypatch.setattr(benchmark, name, counted)
+        run_benchmark(small_pair(), config=SMALL_LEARN, nn_config=SMALL_NN)
+        assert sorted(calls) == sorted(
+            ["encoder_decoder_latent"] * 4
+            + ["pca_first_component"] * 2
+            + ["pls_first_component"]
+        )
+
+    def test_one_batch_per_source_matrix(self, monkeypatch, forbid_pool):
+        monkeypatch.setattr(parallel, "_cpu_count", lambda: 1)
+        batches = []
+        fits = benchmark._relaxed_fits
+
+        def recorded(matrix, outcomes, *args):
+            batches.append((matrix.n_features, len(outcomes)))
+            return fits(matrix, outcomes, *args)
+
+        monkeypatch.setattr(benchmark, "_relaxed_fits", recorded)
+        run_benchmark(small_pair(), config=SMALL_LEARN, nn_config=SMALL_NN)
+        assert batches == [(12, 6), (16, 6)]
 
 
 class TestTableRendering:

@@ -446,6 +446,17 @@ class TestBatchedColumnFits:
             for g, w in zip(got[:3], want[:3]):
                 assert g.tobytes() == w.tobytes()
 
+    def test_in_place_softplus_keeps_the_expression_bits(self):
+        rng = np.random.default_rng(8)
+        eta = rng.normal(0.0, 30.0, (50, 40))
+        eta[0, :6] = [0.0, -0.0, 800.0, -800.0, 1e-300, -37.0]
+        y = (rng.random(40) < 0.5).astype(float)
+        b1, a = rng.normal(0.0, 1.0, 50), rng.normal(0.0, 1.0, 50)
+        softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+        nll = softplus.sum(axis=1) - np.einsum("ij,j->i", eta, y)
+        want = nll + 0.5 * RIDGE * (b1 * b1 + a * a)
+        assert glm._penalized_nll_rows(eta, y, b1, a).tobytes() == want.tobytes()
+
     def test_daa_blocks_keep_each_note_in_place(self, monkeypatch):
         mat, out = planted_matrix(96)
         cols = np.array(mat.values)

@@ -6,6 +6,7 @@ selection rule are exercised on planted data.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,13 +14,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import column_by_column, reference_cutoff_sets
-from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
-from ratiomarker.errors import ValidationError
-from ratiomarker.learn import scoring
-from ratiomarker.learn.biomarker import LearnerConfig
+from conftest import (
+    column_by_column,
+    reference_cutoff_sets,
+    reference_relaxed_loss_and_grad,
+    reference_relaxed_training,
+)
+from ratiomarker.benchmark import synthetic_omics_pair
+from ratiomarker.composition import Outcome, StrictlyPositiveMatrix, clr_transform
+from ratiomarker.errors import DegenerateDesign, ValidationError
+from ratiomarker.learn import relaxed, scoring
+from ratiomarker.learn.biomarker import LearnedModel, LearnerConfig, serialize_model
+from ratiomarker.latent import pca_first_component
 from ratiomarker.learn.relaxed import (
     _cutoff_sets,
+    _relaxed_fits,
+    _train,
     relaxed_gradient_learner,
     relaxed_loss_and_grad,
 )
@@ -309,3 +319,179 @@ class TestBatchedScoring:
         self.assert_same_model(
             monkeypatch, obs, Outcome.continuous(target), LearnerConfig(seed=71)
         )
+
+
+MODE_LINKS = [
+    ("balance", "logistic"),
+    ("balance", "identity"),
+    ("slr", "logistic"),
+    ("slr", "identity"),
+]
+
+
+class TestFusedStep:
+    """The step equals the reference's, for one fit and for each row of a
+    batch, to rounding: 1e-12 of the largest gradient entry."""
+
+    @pytest.mark.parametrize("mode, link", MODE_LINKS)
+    @pytest.mark.parametrize("n, g", [(15, 6), (200, 50)])
+    def test_equals_the_reference(self, mode, link, n, g):
+        rng = np.random.default_rng(n + g)
+        values = np.exp(rng.normal(0.0, 0.8, (n, g)))
+        batch = np.concatenate(
+            [rng.normal(0.0, 0.5, (4, g)), rng.normal(0.0, 1.0, (4, 2))], axis=1
+        )
+        if link == "logistic":
+            ys = (rng.random((4, n)) < 0.5).astype(float)
+        else:
+            ys = rng.normal(0.0, 1.0, (4, n))
+        losses, grads = relaxed_loss_and_grad(batch, values, ys, mode, link)
+        assert losses.shape == (4,)
+        assert grads.shape == batch.shape
+        for params, y, batch_loss, batch_grad in zip(batch, ys, losses, grads):
+            want_loss, want = reference_relaxed_loss_and_grad(
+                params, values, y, mode, link
+            )
+            loss, grad = relaxed_loss_and_grad(params, values, y, mode, link)
+            assert isinstance(loss, float)
+            for got_loss, got in ((loss, grad), (batch_loss, batch_grad)):
+                assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+                np.testing.assert_allclose(
+                    got, want, rtol=0.0, atol=1e-12 * np.abs(want).max()
+                )
+
+
+def training_problem(link, fits=3, seed=90):
+    """A 100 x 20 matrix with one latent factor, `fits` near-zero starts and
+    targets: standardized noisy copies of the factor's clr PCA score, or
+    their signs. Training on it is stable: a start moved by one part in
+    1e15 moves the trained coefficients by under 1e-13. (On planted pairs,
+    summed log-ratio training is not: the same nudge moves them by up to
+    0.5, so batch and solo fits could only be compared to that.)"""
+    matrix = synthetic_omics_pair(n_samples=100, g_t=20, g_u=8, seed=seed).t
+    score = pca_first_component(clr_transform(matrix))[0].scores
+    rng = np.random.default_rng(seed)
+    noisy = score + rng.normal(0.0, 0.5 * score.std(), (fits, score.size))
+    g = matrix.n_features
+    starts = np.zeros((fits, g + 2))
+    starts[:, :g] = rng.normal(0.0, 0.01, (fits, g))
+    if link == "logistic":
+        ys = (noisy > 0.0).astype(float)
+        starts[:, g + 1] = np.log(ys.mean(axis=1) / (1.0 - ys.mean(axis=1)))
+    else:
+        ys = (noisy - noisy.mean(axis=1, keepdims=True)) / noisy.std(axis=1, keepdims=True)
+    return matrix, starts, ys
+
+
+class TestBatchedTraining:
+    @pytest.mark.parametrize("mode, link", MODE_LINKS)
+    def test_rows_equal_their_solo_fits(self, mode, link):
+        # After 1,000 steps a batch row, a lone fit and the reference loop
+        # agree to 1e-10 in every coefficient (measured: under 1e-13).
+        matrix, starts, ys = training_problem(link)
+        config = LearnerConfig()
+        batch = starts.copy()
+        curves = _train(batch, matrix.values, ys, mode, link, config)
+        assert curves.shape == (config.epochs, len(starts))
+        for i, (start, y) in enumerate(zip(starts, ys)):
+            want, want_curve = reference_relaxed_training(
+                start, matrix.values, y, mode, link, config.epochs, config.learning_rate
+            )
+            solo = start.copy()
+            solo_curve = _train(solo, matrix.values, y, mode, link, config)
+            for got, got_curve in ((batch[i], curves[:, i]), (solo, solo_curve)):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+                np.testing.assert_allclose(got_curve, want_curve, rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "mode, kind", [("balance", "binary"), ("balance", "continuous"), ("slr", "continuous")]
+    )
+    def test_batch_chooses_the_solo_sets(self, mode, kind):
+        # Planted pairs for balances; summed log-ratios train stably on
+        # the latent-factor matrix only (see `training_problem`).
+        if mode == "balance":
+            sc, matrix, out = observed_planted(91)
+            logs = np.log(matrix.values)
+            target = logs[:, 2] - logs[:, 5]
+        else:
+            matrix, _, ys = training_problem("identity", fits=1, seed=91)
+            target = ys[0]
+        if kind == "continuous":
+            noise = np.random.default_rng(91).normal(0.0, 0.3, matrix.n_samples)
+            out = Outcome.continuous(target + noise)
+        config = LearnerConfig(seed=0)
+        seeds = [3, 4, 5, 6]
+        models = _relaxed_fits(matrix, [out] * len(seeds), config, seeds, mode)
+        for model, seed in zip(models, seeds):
+            solo = relaxed_gradient_learner(matrix, out, replace(config, seed=seed), mode)
+            assert serialize_model(model) == serialize_model(solo)
+            sweep = [(c["numerator"], c["denominator"]) for c in model.diagnostics["cutoffs"]]
+            assert sweep == [
+                (c["numerator"], c["denominator"]) for c in solo.diagnostics["cutoffs"]
+            ]
+            np.testing.assert_allclose(
+                model.diagnostics["loss_curve"], solo.diagnostics["loss_curve"], rtol=1e-10
+            )
+
+
+class TestBatchErrorIsolation:
+    """An error inside a batch fails its own fit; the others equal their
+    solo fits."""
+
+    def continuous_problem(self):
+        sc, obs, _ = observed_planted(92)
+        logs = np.log(obs.values)
+        rng = np.random.default_rng(92)
+        targets = [
+            logs[:, j] - logs[:, j + 5] + rng.normal(0.0, 0.3, obs.n_samples)
+            for j in range(3)
+        ]
+        return obs, [Outcome.continuous(t) for t in targets]
+
+    def test_constant_latent_and_failing_finish(self, monkeypatch):
+        obs, (first, doomed, last) = self.continuous_problem()
+        constant = Outcome.continuous(np.full(obs.n_samples, 3.0))
+        finish = relaxed.orient_and_fit
+
+        def failing_finish(biomarker, matrix, outcome, *args):
+            if outcome is doomed:
+                raise DegenerateDesign("score is constant; nothing to fit")
+            return finish(biomarker, matrix, outcome, *args)
+
+        monkeypatch.setattr(relaxed, "orient_and_fit", failing_finish)
+        config = LearnerConfig(seed=0)
+        seeds = [11, 12, 13, 14]
+        outcomes = [first, constant, doomed, last]
+        results = _relaxed_fits(obs, outcomes, config, seeds, "balance")
+        assert isinstance(results[1], ValidationError)
+        assert "does not vary" in str(results[1])
+        assert isinstance(results[2], DegenerateDesign)
+        for i in (0, 3):
+            solo = relaxed_gradient_learner(
+                obs, outcomes[i], replace(config, seed=seeds[i])
+            )
+            assert serialize_model(results[i]) == serialize_model(solo)
+        with pytest.raises(DegenerateDesign):
+            relaxed_gradient_learner(obs, doomed, config)
+
+    def test_diverged_fit_fails_alone(self, monkeypatch):
+        obs, outcomes = self.continuous_problem()
+        train = relaxed._train
+
+        def diverging(params, *args):
+            curves = train(params, *args)
+            params[1, 0] = np.inf
+            return curves
+
+        monkeypatch.setattr(relaxed, "_train", diverging)
+        results = _relaxed_fits(obs, outcomes, LearnerConfig(), [1, 2, 3], "balance")
+        assert isinstance(results[1], ValidationError)
+        assert "diverged" in str(results[1])
+        assert isinstance(results[0], LearnedModel)
+        assert isinstance(results[2], LearnedModel)
+
+    def test_outcome_kinds_must_match(self):
+        sc, obs, out = observed_planted(93)
+        continuous = Outcome.continuous(np.log(obs.values[:, 0]))
+        with pytest.raises(ValidationError, match="share an outcome kind"):
+            _relaxed_fits(obs, [out, continuous], LearnerConfig(), [1, 2], "balance")
