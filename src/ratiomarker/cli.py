@@ -64,7 +64,6 @@ from .simulate import (
     planted_signal_scenario,
 )
 from .tabular import (
-    _atomic_writer,
     atomic_write_text,
     json_text,
     outcome_for_matrix,
@@ -74,6 +73,7 @@ from .tabular import (
     write_config,
     write_matrix,
     write_outcome,
+    write_rows,
     write_table,
 )
 
@@ -273,20 +273,6 @@ def _check_inputs_exist(config: dict, keys) -> dict[str, str]:
     return digests
 
 
-def _write_json(path: Path, payload: dict):
-    atomic_write_text(path, json_text(payload))
-
-
-def _write_rows(path: Path, header: str, rows):
-    """A tab-separated table, written row by row; floats are written with
-    full repr precision."""
-    with _atomic_writer(path) as f:
-        f.write(header + "\n")
-        for row in rows:
-            cells = (repr(float(c)) if isinstance(c, float) else str(c) for c in row)
-            f.write("\t".join(cells) + "\n")
-
-
 def _load_positive_matrix(config: dict, key: str = "matrix"):
     matrix = read_matrix(config[key])
     policy = ZeroPolicy(
@@ -350,9 +336,9 @@ def _cmd_daa(config: dict, out: Callable[[str], Path]):
     positive, removed = _load_positive_matrix(config)
     outcome = _load_outcome(config, positive)
     result = daa(positive, outcome, transform=config["transform"])
-    _write_rows(
+    write_rows(
         out("daa.tsv"),
-        "feature_id\tbeta\tp_value\tp_adjusted\tnote",
+        ("feature_id", "beta", "p_value", "p_adjusted", "note"),
         zip(
             result.feature_ids,
             result.beta,
@@ -362,19 +348,17 @@ def _cmd_daa(config: dict, out: Callable[[str], Path]):
         ),
     )
     significant = result.significant(config["alpha"])
-    _write_json(
-        out("daa.json"),
-        {
-            "notion": result.notion,
-            "alpha": config["alpha"],
-            "n_features": len(result.feature_ids),
-            "n_significant": int(significant.sum()),
-            "significant_features": [
-                fid for fid, s in zip(result.feature_ids, significant) if s
-            ],
-            "removed_features": removed,
-        },
-    )
+    summary = {
+        "notion": result.notion,
+        "alpha": config["alpha"],
+        "n_features": len(result.feature_ids),
+        "n_significant": int(significant.sum()),
+        "significant_features": [
+            fid for fid, s in zip(result.feature_ids, significant) if s
+        ],
+        "removed_features": removed,
+    }
+    atomic_write_text(out("daa.json"), json_text(summary))
 
 
 def _cmd_ratios(config: dict, out: Callable[[str], Path]):
@@ -386,9 +370,9 @@ def _cmd_ratios(config: dict, out: Callable[[str], Path]):
     ids = result.feature_ids
     jj, kk = result.numerator, result.denominator
     # Each row, label and feature ids included, is built as it is written.
-    _write_rows(
+    write_rows(
         out("ratios.tsv"),
-        "ratio\tnumerator\tdenominator\tbeta\tp_value\tp_adjusted\tnote",
+        ("ratio", "numerator", "denominator", "beta", "p_value", "p_adjusted", "note"),
         zip(
             ratio_labels(ids, jj, kk),
             (ids[j] for j in jj),
@@ -399,24 +383,21 @@ def _cmd_ratios(config: dict, out: Callable[[str], Path]):
             result.notes,
         ),
     )
-    _write_rows(
+    write_rows(
         out("attribution.tsv"),
-        "feature_id\tattribution",
+        ("feature_id", "attribution"),
         zip(ids, result.attribution),
     )
-    _write_json(
-        out("ratios.json"),
-        {
-            "alpha": result.alpha,
-            "n_ratios": len(result.beta),
-            "n_significant": result.n_significant,
-            "top_features": [
-                ids[int(i)]
-                for i in np.argsort(-result.attribution, kind="stable")[:10]
-            ],
-            "removed_features": removed,
-        },
-    )
+    summary = {
+        "alpha": result.alpha,
+        "n_ratios": len(result.beta),
+        "n_significant": result.n_significant,
+        "top_features": [
+            ids[int(i)] for i in np.argsort(-result.attribution, kind="stable")[:10]
+        ],
+        "removed_features": removed,
+    }
+    atomic_write_text(out("ratios.json"), json_text(summary))
 
 
 def _cmd_learn(config: dict, out: Callable[[str], Path]):
@@ -477,7 +458,7 @@ def _cmd_learn(config: dict, out: Callable[[str], Path]):
         write_outcome(
             out("test_predictions.tsv"), test_matrix.sample_ids, predictions
         )
-    _write_json(out("metrics.json"), metrics)
+    atomic_write_text(out("metrics.json"), json_text(metrics))
 
 
 def _cmd_simulate(config: dict, out: Callable[[str], Path]):
@@ -514,9 +495,9 @@ def _cmd_simulate(config: dict, out: Callable[[str], Path]):
         (fid, da_notion_report(scenario, observed, fid))
         for fid in scenario.feature_ids
     ]
-    _write_rows(
+    write_rows(
         out("da_report.tsv"),
-        "feature_id\tabsolute\trelative\tpresential",
+        ("feature_id", "absolute", "relative", "presential"),
         ((fid, r.absolute, r.relative, r.presential) for fid, r in reports),
     )
     scenario_echo = {
@@ -566,18 +547,16 @@ def _cmd_approx(config: dict, out: Callable[[str], Path]):
     )
     write_outcome(out("latent.tsv"), positive.sample_ids, latent.scores)
     atomic_write_text(out("model.json"), serialize_model(approx.model))
-    _write_json(
-        out("approx.json"),
-        {
-            "latent_method": latent.method,
-            "latent_r2": approx.latent_r2,
-            "active_features": approx.active_features,
-            "total_features": approx.total_features,
-            "sparsity": approx.sparsity,
-            "cv_score": approx.model.cv_score,
-            **side_features(approx.model),
-        },
-    )
+    summary = {
+        "latent_method": latent.method,
+        "latent_r2": approx.latent_r2,
+        "active_features": approx.active_features,
+        "total_features": approx.total_features,
+        "sparsity": approx.sparsity,
+        "cv_score": approx.model.cv_score,
+        **side_features(approx.model),
+    }
+    atomic_write_text(out("approx.json"), json_text(summary))
 
 
 def _cmd_benchmark(config: dict, out: Callable[[str], Path]):
@@ -604,7 +583,8 @@ def _cmd_benchmark(config: dict, out: Callable[[str], Path]):
         mode=config["mode"],
     )
     atomic_write_text(out("benchmark.tsv"), benchmark_table(rows))
-    _write_json(out("benchmark.json"), {"rows": [asdict(r) for r in rows]})
+    summary = {"rows": [asdict(r) for r in rows]}
+    atomic_write_text(out("benchmark.json"), json_text(summary))
 
 
 # name: (help, runner, required keys, options)
@@ -736,18 +716,16 @@ def main(argv=None) -> int:
             return out_dir / name
 
         runner(config, out)
-        _write_json(
-            out_dir / "manifest.json",
-            {
-                "tool": "ratiomarker",
-                "version": __version__,
-                "command": command,
-                "config": config,
-                "inputs": digests,
-                "outputs": outputs,
-                "wall_seconds": time.perf_counter() - started,
-            },
-        )
+        manifest = {
+            "tool": "ratiomarker",
+            "version": __version__,
+            "command": command,
+            "config": config,
+            "inputs": digests,
+            "outputs": outputs,
+            "wall_seconds": time.perf_counter() - started,
+        }
+        atomic_write_text(out_dir / "manifest.json", json_text(manifest))
         print(f"wrote {len(outputs) + 1} files to {out_dir}")
         return EXIT_OK
     except RatiomarkerError as exc:

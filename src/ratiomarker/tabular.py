@@ -3,8 +3,11 @@
 Matrix files carry feature ids in the first row and sample ids in the first
 column; the corner cell is ignored on read. Tab and comma delimiters are
 auto-detected from the header line. Parsers reject NaN, infinities and
-ragged rows, and the matrix parser negative cells too, with 1-based
-row/column positions in the error message. Outcome values may be negative.
+ragged rows, a tab in a cell of a comma-delimited file, and the matrix
+parser negative cells too, with 1-based row/column positions in the error
+message. Outcome values may be negative. Writers replace their file
+atomically; a float cell of a table is written as its repr, which reads
+back to the same bits, and any other cell as str.
 """
 
 import json
@@ -61,6 +64,22 @@ def _parse_cell(text: str, path, row: int, column: int) -> float:
     return value
 
 
+def _split_rows(path, lines, first_row: int, n_cols: int, delim: str):
+    """(row number, cells) of each line, rows numbered from `first_row`. A
+    ragged row is a `ParseError`, and so is a tab in a cell of a
+    comma-delimited file, which a written table would split in two."""
+    for i, line in enumerate(lines, start=first_row):
+        cells = line.split(delim)
+        if len(cells) != n_cols:
+            message = f"ragged row: expected {n_cols} cells, got {len(cells)}"
+            raise ParseError(message, path=path, row=i)
+        if delim == "," and "\t" in line:
+            j = next(j for j, cell in enumerate(cells, start=1) if "\t" in cell)
+            message = "tab in a cell of a comma-delimited file"
+            raise ParseError(message, path=path, row=i, column=j)
+        yield i, cells
+
+
 def read_matrix(path) -> CompositionMatrix:
     """Read an abundance matrix from delimited text."""
     lines = _read_lines(path)
@@ -79,14 +98,7 @@ def read_matrix(path) -> CompositionMatrix:
     sample_ids = []
     # One row of Python floats at a time, not the whole table.
     values = np.empty((len(lines) - 1, n_cols - 1))
-    for i, line in enumerate(lines[1:], start=2):
-        fields = line.split(delim)
-        if len(fields) != n_cols:
-            raise ParseError(
-                f"ragged row: expected {n_cols} cells, got {len(fields)}",
-                path=path,
-                row=i,
-            )
+    for i, fields in _split_rows(path, lines[1:], 2, n_cols, delim):
         sample_ids.append(fields[0].strip())
         row = values[i - 2]
         try:
@@ -116,22 +128,21 @@ def write_table(path, row_ids, col_ids, values):
     formatted on every CPU in the process's affinity mask, into the bytes
     a one-CPU run writes (`taskset -c 0` keeps it to one core).
     """
-    header = ["sample_id", *[str(c) for c in col_ids]]
-    row_ids = [str(r) for r in row_ids]
+    header = ["sample_id", *col_ids]
+    row_ids = list(row_ids)
     row = values if callable(values) else values.__getitem__
 
     def format_rows(block: slice) -> str:
-        lines = []
-        for i in range(len(row_ids))[block]:
-            cells = np.asarray(row(i), dtype=float).tolist()
-            lines.append("\t".join([row_ids[i], *map(repr, cells)]) + "\n")
-        return "".join(lines)
+        return "".join(
+            _line([row_ids[i]], np.asarray(row(i), dtype=float).tolist())
+            for i in range(len(row_ids))[block]
+        )
 
     # Row slices of at most `_BLOCK_ELEMENTS` values each: the column
     # blocks of the transposed table.
     blocks = _column_blocks(max(1, len(header) - 1), len(row_ids))
     with _atomic_writer(path) as f:
-        f.write("\t".join(header) + "\n")
+        f.write(_line(header))
         for text in ordered_map(format_rows, blocks):
             f.write(text)
 
@@ -144,26 +155,16 @@ def read_outcome_pairs(path) -> tuple[list[str], np.ndarray]:
     """Read (sample id, value) pairs; values must be finite."""
     lines = _read_lines(path)
     delim = _detect_delimiter(lines[0])
-    ids = []
-    values = []
-    start = 1
-    first = lines[0].split(delim)
     # A header row is optional; detect it by a non-numeric second cell.
     try:
-        float(first[1])
+        float(lines[0].split(delim)[1])
         start = 0
     except (ValueError, IndexError):
         start = 1
-    for i, line in enumerate(lines[start:], start=start + 1):
-        fields = line.split(delim)
-        if len(fields) != 2:
-            raise ParseError(
-                f"ragged row: expected 2 cells, got {len(fields)}",
-                path=path,
-                row=i,
-            )
-        ids.append(fields[0].strip())
-        values.append(_parse_cell(fields[1], path, i, 2))
+    ids, values = [], []
+    for i, (sample_id, cell) in _split_rows(path, lines[start:], start + 1, 2, delim):
+        ids.append(sample_id.strip())
+        values.append(_parse_cell(cell, path, i, 2))
     if not ids:
         raise ParseError("outcome file has no rows", path=path)
     return ids, np.array(values, dtype=float)
@@ -194,8 +195,26 @@ def outcome_for_matrix(matrix, ids, values, kind=None) -> Outcome:
 
 
 def write_outcome(path, sample_ids, values):
-    lines = [f"{s}\t{float(v)!r}" for s, v in zip(sample_ids, values)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """(sample id, float value) rows, with no header."""
+    write_rows(path, None, zip(sample_ids, map(float, values)))
+
+
+def _line(cells, floats=()) -> str:
+    """A tab-separated line of `cells`, then `floats`: a float cell, numpy's
+    included, is written as its repr, any other cell as str. `floats` are
+    Python floats, as `ndarray.tolist` gives, so they skip the type test."""
+    text = [repr(float(c)) if isinstance(c, float) else str(c) for c in cells]
+    text += map(repr, floats)
+    return "\t".join(text) + "\n"
+
+
+def write_rows(path, header, rows):
+    """A tab-separated table, written row by row: the column names in
+    `header` unless it is None, then each row of `rows`."""
+    with _atomic_writer(path) as f:
+        if header is not None:
+            f.write(_line(header))
+        f.writelines(map(_line, rows))
 
 
 def read_config(path) -> dict[str, str]:

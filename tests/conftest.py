@@ -23,7 +23,9 @@ with the old `_hard_sets` rule, whose empty side raised and was caught.
 fit, each side's mean log and its gradient term formed on its own, and
 `reference_relaxed_training` runs it in the learner's momentum loop.
 `two_equal_factor_pair` makes the PLS input whose two leading singular
-values nearly tie.
+values nearly tie. `reference_write_rows` is the old CLI row writer and
+`reference_write_outcome` the old one-f-string outcome writer, the
+references for `tabular`'s one line rule.
 
 The `cpus` fixture makes `ordered_map` see one CPU or two, whatever the
 machine has, so the serial path and the process-pool path both run on any
@@ -32,6 +34,7 @@ runner; with one CPU it also fails the test if a pool is started.
 
 import math
 import multiprocessing.pool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -582,6 +585,24 @@ def two_equal_factor_pair(seed, n=200, noise=0.01):
     x = factors @ loadings + rng.normal(0.0, noise, (n, 8))
     y = factors @ loadings[:, ::-1] + rng.normal(0.0, noise, (n, 8))
     return x, y
+
+
+def reference_write_rows(path, header, rows):
+    """The old `cli._write_rows`: `header`, one tab-joined line, or no line
+    when it is None, then each row, a float cell as repr(float(c)) and any
+    other cell as str."""
+    with open(path, "w") as f:
+        if header is not None:
+            f.write(header + "\n")
+        for row in rows:
+            cells = (repr(float(c)) if isinstance(c, float) else str(c) for c in row)
+            f.write("\t".join(cells) + "\n")
+
+
+def reference_write_outcome(path, sample_ids, values):
+    """The old `tabular.write_outcome`: one f-string per (id, value) pair."""
+    lines = [f"{s}\t{float(v)!r}" for s, v in zip(sample_ids, values)]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def pytest_terminal_summary(terminalreporter):

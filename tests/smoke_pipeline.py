@@ -20,6 +20,10 @@ from ratiomarker.composition import CompositionMatrix
 from ratiomarker.tabular import read_matrix, write_matrix, write_outcome
 
 assert main(["simulate", "--out-dir", "sim", "--n-samples", "40", "--n-features", "8"]) == 0
+# The manifest replays as --config to the same tables.
+assert main(["simulate", "--config", "sim/manifest.json", "--out-dir", "sim-replay"]) == 0
+for table in ("true.tsv", "observed.tsv", "outcome.tsv", "da_report.tsv"):
+    assert Path("sim-replay", table).read_bytes() == Path("sim", table).read_bytes(), table
 # 200 x 435 ratios is more than one 2^15-value block, so the
 # pooled writer forks.
 assert main(["simulate", "--out-dir", "sim-wide", "--n-samples", "200", "--n-features", "30"]) == 0

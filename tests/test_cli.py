@@ -5,6 +5,7 @@ wrote. Nothing here shells out; `main` returns the exit code directly.
 """
 
 import hashlib
+import inspect
 import json
 import multiprocessing
 import shutil
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import fit_glm_by_column, two_equal_factor_pair
 
-from ratiomarker import composition, glm, parallel
+from ratiomarker import cli, composition, glm, parallel, tabular
 from ratiomarker.cli import _COMMANDS, main
 from ratiomarker.composition import (
     CompositionMatrix,
@@ -223,6 +224,15 @@ class TestExitCodes:
         bad.write_text("sample_id\tg1\tg2\ns1\t1.0\tpotato\n")
         rc = run("transform", "--matrix", str(bad), "--out-dir", str(tmp_path / "o"))
         assert rc == 2
+
+    def test_tab_in_a_comma_delimited_cell(self, tmp_path, capsys):
+        # Read as one cell, "s<TAB>1" would make clr.tsv a ragged table.
+        bad = tmp_path / "bad.csv"
+        bad.write_text("sample_id,g1,g2,g3\ns\t1,1.0,2.0,3.0\ns2,2.0,1.0,4.0\n")
+        rc = run("transform", "--matrix", str(bad), "--out-dir", str(tmp_path / "o"))
+        assert rc == 2
+        assert "row 2, column 1: tab in a cell" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -1171,3 +1181,53 @@ class TestApproxAndBenchmark:
         assert run(*argv, "--out-dir", str(out)) == 3
         assert capsys.readouterr().err.startswith(f"error: {flag} ")
         assert not out.exists()
+
+
+class TestEveryOutputGoesThroughTabular:
+    def test_each_output_is_written_by_a_public_tabular_writer(
+        self, tmp_path, monkeypatch
+    ):
+        # Each public writer of `tabular` is wrapped and rebound wherever
+        # `cli` imported it, as a tracer outside the package does.
+        written = set()
+        for name, fn in vars(tabular).items():
+            public_writer = name.startswith("write_") or name == "atomic_write_text"
+            if not (public_writer and inspect.isfunction(fn)):
+                continue
+
+            def wrapper(path, *args, _fn=fn, **kwargs):
+                result = _fn(path, *args, **kwargs)
+                written.add(Path(path).resolve())
+                return result
+
+            monkeypatch.setattr(tabular, name, wrapper)
+            if getattr(cli, name, None) is fn:
+                monkeypatch.setattr(cli, name, wrapper)
+
+        sim = simulate_into(tmp_path, n_samples=30, n_features=6)
+        data = ["--matrix", str(sim / "observed.tsv")]
+        labels = [*data, "--outcome", str(sim / "outcome.tsv")]
+        runs = {
+            "transform": ["transform", *data],
+            "pairwise": ["transform", "--transform", "pairwise", *data],
+            "daa": ["daa", *labels],
+            "ratios": ["ratios", *labels],
+            "learn": [
+                "learn", *labels, "--test-matrix", str(sim / "observed.tsv"),
+                "--test-outcome", str(sim / "outcome.tsv"),
+            ],
+            "approx": ["approx", *data, "--epochs", "30"],
+            "benchmark": [
+                "benchmark", "--synthetic", "--n-samples", "30", "--g-t", "5",
+                "--g-u", "6", "--epochs", "30", "--nn-epochs", "30",
+                "--hidden-units", "2", "--cv-folds", "3",
+            ],
+        }
+        for name, argv in runs.items():
+            assert run(*argv, "--out-dir", str(tmp_path / name)) == 0, name
+        expected = set()
+        for out in [sim, *(tmp_path / name for name in runs)]:
+            outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+            expected |= {(out / n).resolve() for n in [*outputs, "manifest.json"]}
+        root = tmp_path.resolve()
+        assert sorted(str(p.relative_to(root)) for p in expected - written) == []

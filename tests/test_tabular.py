@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_read_matrix
+from conftest import (
+    reference_read_matrix,
+    reference_write_outcome,
+    reference_write_rows,
+)
 from ratiomarker import composition, parallel
 from ratiomarker.composition import StrictlyPositiveMatrix
 from ratiomarker.errors import ParseError, ValidationError
@@ -23,6 +27,7 @@ from ratiomarker.tabular import (
     write_config,
     write_matrix,
     write_outcome,
+    write_rows,
     write_table,
 )
 
@@ -100,6 +105,45 @@ class TestMatrixParseErrors:
     def test_missing_file_is_validation_error(self, tmp_path):
         with pytest.raises(ValidationError):
             read_matrix(tmp_path / "nope.tsv")
+
+
+class TestTabInCommaDelimitedCell:
+    # A written table splits its cells at tabs, so such a cell would not
+    # read back as one.
+    @pytest.mark.parametrize(
+        "text, row, column",
+        [
+            ("sample_id,x,y\ns1,1.0,2.0\ns\t2,3.0,4.0\n", 3, 1),
+            ("sample_id,x,y\ns1,1.0,2.0\ns2,3.0,4.0\t\n", 3, 3),
+        ],
+        ids=["sample-id", "value"],
+    )
+    def test_matrix_reader(self, tmp_path, text, row, column):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="tab in a cell") as exc:
+            read_matrix(path)
+        assert (exc.value.row, exc.value.column) == (row, column)
+
+    @pytest.mark.parametrize(
+        "text, row, column",
+        [
+            ("sample_id,y\ns1,0\ns\t2,1\n", 3, 1),
+            ("s1,0.5\ns2,\t0.25\n", 2, 2),
+        ],
+        ids=["sample-id", "value"],
+    )
+    def test_outcome_reader(self, tmp_path, text, row, column):
+        path = tmp_path / "y.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="tab in a cell") as exc:
+            read_outcome_pairs(path)
+        assert (exc.value.row, exc.value.column) == (row, column)
+
+    def test_comma_in_a_tab_delimited_cell_is_kept(self, tmp_path):
+        path = tmp_path / "y.tsv"
+        path.write_text("s,1\t0.5\ns,2\t0.25\n")
+        assert read_outcome_pairs(path)[0] == ["s,1", "s,2"]
 
 
 # Cells that parse, cells each error names (NaN, infinite, negative, not a
@@ -204,6 +248,51 @@ class TestOutcomeIo:
             [0.0, 1.0, 0.0, 1.0, 1.0],
         )
         assert out.n == 4
+
+
+# Floats the line rule must write as the old writers did: specials, the
+# smallest subnormal, the edges of repr's scientific notation and a sum
+# that is not its shortest decimal.
+EDGE_FLOATS = [
+    float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2
+]
+FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+NUMBERS = st.one_of(FLOATS, FLOATS.map(np.float64), st.integers(), st.booleans())
+# Ids, names and notes: spaces and the empty string, never a tab or newline.
+TEXTS = st.text(alphabet="ab z/_.-", max_size=8)
+
+
+class TestLineRule:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        header=st.none() | st.lists(TEXTS, max_size=5),
+        rows=st.lists(st.lists(st.one_of(NUMBERS, TEXTS), max_size=6), max_size=5),
+    )
+    def test_write_rows_equals_the_old_cli_writer(self, tmp_path_factory, header, rows):
+        tmp = tmp_path_factory.mktemp("rows")
+        write_rows(tmp / "got.tsv", header, iter(rows))
+        old_header = None if header is None else "\t".join(header)
+        reference_write_rows(tmp / "want.tsv", old_header, rows)
+        assert (tmp / "got.tsv").read_bytes() == (tmp / "want.tsv").read_bytes()
+
+    # At least one pair: the CLI never writes an empty outcome, and both
+    # writers' empty files read as "file is empty".
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(TEXTS, NUMBERS), min_size=1, max_size=8))
+    def test_write_outcome_equals_the_old_f_string(self, tmp_path_factory, pairs):
+        tmp = tmp_path_factory.mktemp("outcome")
+        ids = [s for s, _ in pairs]
+        values = [v for _, v in pairs]
+        write_outcome(tmp / "got.tsv", ids, values)
+        reference_write_outcome(tmp / "want.tsv", ids, values)
+        assert (tmp / "got.tsv").read_bytes() == (tmp / "want.tsv").read_bytes()
+
+    def test_numpy_arrays_equal_their_elements(self, tmp_path):
+        values = np.array([0.1 + 0.2, -0.0, 5e-324, 1e16, np.nan, -np.inf])
+        got, want = tmp_path / "got.tsv", tmp_path / "want.tsv"
+        write_outcome(got, ["a"] * 6, values)
+        reference_write_outcome(want, ["a"] * 6, values.tolist())
+        assert got.read_bytes() == want.read_bytes()
 
 
 class TestConfigIo:
