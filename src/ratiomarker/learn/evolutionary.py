@@ -20,7 +20,7 @@ import numpy as np
 
 from ..composition import Outcome, StrictlyPositiveMatrix
 from .biomarker import LearnedModel, LearnerConfig, RatioBiomarker, orient_and_fit
-from .scoring import _learner_setup, _score_sets, make_folds
+from .scoring import _FoldArrays, _learner_setup, _score_sets, make_folds
 
 _GENES = np.array([0, 1, -1], dtype=np.int8)
 
@@ -34,12 +34,11 @@ def evolutionary_slr(
     g = matrix.n_features
     values = matrix.values
     rng = np.random.default_rng(config.seed)
-    folds = make_folds(outcome, config.cv_folds, rng)
+    folds = _FoldArrays(outcome, make_folds(outcome, config.cv_folds, rng))
     rate = 1.0 / g if config.mutation_rate is None else config.mutation_rate
 
     # Chromosome bytes -> (penalized fitness, CV mean, CV SE).
     cache: dict[bytes, tuple[float, float, float]] = {}
-    worst = (float("-inf"), float("-inf"), 0.0)
 
     def fitness(chroms) -> np.ndarray:
         """Penalized fitness of each chromosome. The uncached ones are
@@ -48,20 +47,22 @@ def evolutionary_slr(
         todo = {}
         for chrom in chroms:
             key = chrom.tobytes()
-            if key in cache or key in todo:
-                continue
-            num = np.flatnonzero(chrom == 1)
-            den = np.flatnonzero(chrom == -1)
-            if num.size == 0 or den.size == 0:
-                cache[key] = worst
-            else:
-                todo[key] = (num, den)
+            if key not in cache:
+                todo.setdefault(key, chrom)
         if todo:
-            means, ses = _score_sets(values, "slr", todo.values(), outcome, folds)
-            # An unusable candidate scores -inf with SE 0: `worst`.
-            for (key, (num, den)), mean, se in zip(todo.items(), means, ses):
-                penalty = config.lam * (num.size + den.size) / g
-                cache[key] = (float(mean) - penalty, float(mean), float(se))
+            genes = np.array(list(todo.values()))
+            num, den = genes == 1, genes == -1
+            usable = num.any(axis=1) & den.any(axis=1)
+            # An unusable candidate scores -inf with SE 0, as does one with
+            # an empty side, which is never scored.
+            means, ses = np.full(len(genes), float("-inf")), np.zeros(len(genes))
+            if usable.any():
+                means[usable], ses[usable] = _score_sets(
+                    values, "slr", num[usable].T, den[usable].T, outcome, folds
+                )
+            sizes = np.count_nonzero(genes, axis=1).tolist()
+            for key, mean, se, size in zip(todo, means.tolist(), ses.tolist(), sizes):
+                cache[key] = (mean - config.lam * size / g, mean, se)
         return np.array([cache[chrom.tobytes()][0] for chrom in chroms])
 
     population = rng.choice(_GENES, size=(config.population, g), p=[0.6, 0.2, 0.2])

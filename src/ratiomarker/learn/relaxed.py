@@ -18,7 +18,7 @@ from ..errors import RatiomarkerError, ValidationError
 from ..glm import _rowdot
 from ..special import expit
 from .biomarker import MODES, LearnedModel, LearnerConfig, RatioBiomarker, orient_and_fit
-from .scoring import _learner_setup, _score_sets, make_folds
+from .scoring import _FoldArrays, _learner_setup, _score_sets, make_folds
 
 
 def _dot(x: np.ndarray, y: np.ndarray):
@@ -102,22 +102,17 @@ def _cutoff_sets(a: np.ndarray) -> list[tuple[float, list[int], list[int]]]:
     # exp(-a) overflows for a below about -709; that side weight is 0.
     with np.errstate(over="ignore"):
         distance = np.abs(expit(a) - 0.5)
-    sets, size = [], 0
-    for cutoff in np.unique(distance)[::-1]:
-        kept = distance >= cutoff
-        num = np.flatnonzero(kept & (a > 0.0)).tolist()
-        den = np.flatnonzero(kept & (a < 0.0)).tolist()
-        if num and den and len(num) + len(den) > size:
-            sets.append((float(cutoff), num, den))
-            size = len(num) + len(den)
-    return sets
-
-
-def _fallback_sets(a: np.ndarray) -> tuple[list[int], list[int]]:
-    # Every coefficient ended on the same side; keep the two extremes so the
-    # model stays a genuine ratio.
-    order = np.argsort(-a, kind="stable")
-    return [int(order[0])], [int(order[-1])]
+    # Farthest first, a cutoff's set `k` is the prefix up to its last
+    # feature. Sizes never shrink: a set is kept if it grew, with both sides.
+    order = np.argsort(-distance, kind="stable")
+    ends = np.flatnonzero(np.diff(distance[order], append=-1.0))
+    n_pos, n_neg = np.cumsum(a[order] > 0.0)[ends], np.cumsum(a[order] < 0.0)[ends]
+    grew = np.diff(n_pos + n_neg, prepend=0) > 0
+    return [
+        (float(distance[order[end]]), k[a[k] > 0.0].tolist(), k[a[k] < 0.0].tolist())
+        for end in ends[grew & (n_pos > 0) & (n_neg > 0)]
+        for k in [np.sort(order[: end + 1])]
+    ]
 
 
 def _train(params, values, y, mode, link, config) -> np.ndarray:
@@ -149,9 +144,10 @@ def _select(a, loss_curve, data, matrix, outcome, folds, seed, config, mode):
     def scored(sets: list) -> list[dict]:
         """The sweep's table rows for (cutoff, numerator, denominator) sets,
         all scored in one call."""
-        means, ses = _score_sets(
-            data, mode, [(num, den) for _, num, den in sets], outcome, folds
-        )
+        sides = np.zeros((2, len(a), len(sets)))
+        for c, (_, num, den) in enumerate(sets):
+            sides[0, num, c] = sides[1, den, c] = 1.0
+        means, ses = _score_sets(data, mode, *sides, outcome, folds)
         return [
             dict(cutoff=cutoff, numerator=num, denominator=den, size=len(num) + len(den),
                  cv_score=float(mean), cv_se=float(se))
@@ -163,7 +159,10 @@ def _select(a, loss_curve, data, matrix, outcome, folds, seed, config, mode):
     sets = _cutoff_sets(a)
     candidates = scored(sets) if sets else []
     if all(c["cv_score"] == float("-inf") for c in candidates):
-        candidates = scored([(float("nan"), *_fallback_sets(a))])
+        # Every coefficient ended on the same side; keep the two extremes,
+        # the last of the smallest, so the model stays a genuine ratio.
+        extremes = [int(np.argmax(a))], [a.size - 1 - int(np.argmin(a[::-1]))]
+        candidates = scored([(float("nan"), *extremes)])
         chosen = candidates[0]
     else:
         best = max(candidates, key=lambda c: c["cv_score"])
@@ -197,7 +196,7 @@ def _relaxed_fits(matrix, outcomes, config, seeds, mode) -> list:
             # through consistent gradient signal, which keeps the cutoff
             # ranking clean.
             a = rng.normal(0.0, 0.01, g)
-            folds.append(make_folds(outcome, config.cv_folds, rng))
+            folds.append(_FoldArrays(outcome, make_folds(outcome, config.cv_folds, rng)))
         except RatiomarkerError as exc:
             results[i] = exc
             continue

@@ -19,7 +19,13 @@ from ..composition import (
 )
 from ..errors import NoImprovingPair
 from .biomarker import LearnedModel, LearnerConfig, RatioBiomarker, orient_and_fit
-from .scoring import _learner_setup, _score_sets, make_folds, score_candidates
+from .scoring import (
+    _FoldArrays,
+    _learner_setup,
+    _score_sets,
+    make_folds,
+    score_candidates,
+)
 
 
 def forward_stepwise_balance(
@@ -30,7 +36,7 @@ def forward_stepwise_balance(
     config = _learner_setup(matrix, outcome, config)
     g = matrix.n_features
     rng = np.random.default_rng(config.seed)
-    folds = make_folds(outcome, config.cv_folds, rng)
+    folds = _FoldArrays(outcome, make_folds(outcome, config.cv_folds, rng))
     logs = np.log(matrix.values)
 
     # Exhaustive 1-vs-1 initialization over pairs in lexicographic order,
@@ -57,27 +63,24 @@ def forward_stepwise_balance(
                 "cv_se": current_se,
             }
         )
-        in_use = set(numerator) | set(denominator)
-        if len(in_use) == g:
+        free = np.setdiff1d(np.arange(g), numerator + denominator)
+        if not free.size:
             break
-        # Each free feature added to the numerator, then to the denominator.
-        additions = [
-            sides
-            for f in range(g)
-            if f not in in_use
-            for sides in (
-                (numerator + [f], denominator),
-                (numerator, denominator + [f]),
-            )
-        ]
-        means, ses = _score_sets(logs, "balance", additions, outcome, folds)
+        # Each free feature added to the numerator (column 2i), then to
+        # the denominator (column 2i + 1).
+        num, den = np.zeros((2, g, 2 * free.size))
+        num[numerator] = 1.0
+        den[denominator] = 1.0
+        num[free, 0::2] = den[free, 1::2] = np.eye(free.size)
+        means, ses = _score_sets(logs, "balance", num, den, outcome, folds)
         best = int(np.argmax(means))
         # The addition must beat the current score by more than lam times
         # the current model's fold-level SE (lam = 1: the one-SE rule). An
         # unfittable (-inf) best addition never does.
         if means[best] <= current_mean + config.lam * current_se:
             break
-        numerator, denominator = additions[best]
+        side = numerator if best % 2 == 0 else denominator
+        side.append(int(free[best // 2]))
 
     biomarker = RatioBiomarker(tuple(numerator), tuple(denominator), "balance")
     return orient_and_fit(

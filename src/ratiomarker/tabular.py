@@ -2,7 +2,7 @@
 
 Matrix files carry feature ids in the first row and sample ids in the first
 column; the corner cell is ignored on read. Tab and comma delimiters are
-auto-detected from the header line. Parsers reject NaN, infinities and
+auto-detected from the first two lines. Parsers reject NaN, infinities and
 ragged rows, a tab in a cell of a comma-delimited file, and the matrix
 parser negative cells too, with 1-based row/column positions in the error
 message. Outcome values may be negative. Writers replace their file
@@ -24,8 +24,14 @@ from .errors import ParseError, ValidationError
 from .parallel import ordered_map
 
 
-def _detect_delimiter(header_line: str) -> str:
-    return "\t" if "\t" in header_line else ","
+def _detect_delimiter(lines: list[str]) -> str:
+    """Tab when the first line holds one, unless it also holds a comma and
+    the second line holds no tab: that file is comma-delimited, and its
+    first row has a tab in a cell, which `_split_rows` rejects."""
+    first = lines[0]
+    if "," in first and len(lines) > 1 and "\t" not in lines[1]:
+        return ","
+    return "\t" if "\t" in first else ","
 
 
 def _read_text(path) -> str:
@@ -64,13 +70,14 @@ def _parse_cell(text: str, path, row: int, column: int) -> float:
     return value
 
 
-def _split_rows(path, lines, first_row: int, n_cols: int, delim: str):
+def _split_rows(path, lines, first_row: int, n_cols: int | None, delim: str):
     """(row number, cells) of each line, rows numbered from `first_row`. A
-    ragged row is a `ParseError`, and so is a tab in a cell of a
-    comma-delimited file, which a written table would split in two."""
+    ragged row (not `n_cols` cells, unless that is None) is a `ParseError`,
+    and so is a tab in a cell of a comma-delimited file, which a written
+    table would split in two."""
     for i, line in enumerate(lines, start=first_row):
         cells = line.split(delim)
-        if len(cells) != n_cols:
+        if n_cols is not None and len(cells) != n_cols:
             message = f"ragged row: expected {n_cols} cells, got {len(cells)}"
             raise ParseError(message, path=path, row=i)
         if delim == "," and "\t" in line:
@@ -83,8 +90,8 @@ def _split_rows(path, lines, first_row: int, n_cols: int, delim: str):
 def read_matrix(path) -> CompositionMatrix:
     """Read an abundance matrix from delimited text."""
     lines = _read_lines(path)
-    delim = _detect_delimiter(lines[0])
-    header = lines[0].split(delim)
+    delim = _detect_delimiter(lines)
+    ((_, header),) = _split_rows(path, lines[:1], 1, None, delim)
     n_cols = len(header)
     if n_cols < 3:
         raise ParseError(
@@ -154,10 +161,11 @@ def write_matrix(path, matrix: CompositionMatrix):
 def read_outcome_pairs(path) -> tuple[list[str], np.ndarray]:
     """Read (sample id, value) pairs; values must be finite."""
     lines = _read_lines(path)
-    delim = _detect_delimiter(lines[0])
+    delim = _detect_delimiter(lines)
+    ((_, first),) = _split_rows(path, lines[:1], 1, None, delim)
     # A header row is optional; detect it by a non-numeric second cell.
     try:
-        float(lines[0].split(delim)[1])
+        float(first[1])
         start = 0
     except (ValueError, IndexError):
         start = 1

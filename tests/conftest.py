@@ -9,9 +9,11 @@ checked against: `reference_fit` is a scalar two-column GLM fitter written
 with matrix arithmetic, independent of the block kernel in `glm.py`, and
 `cv_score_values` scores one candidate with one `fit_glm` per fold.
 `reference_auc` ranks with `scipy.stats.rankdata`, which the package does
-not import. `reference_mean_and_se` groups candidates by their scored-fold
-pattern with `np.unique(axis=0)`, and `reference_next_generation` makes
-a generation's three draws, then breeds one child at a time from them.
+not import. `reference_score_candidates` is the scorer's sign path one
+fold at a time, with no fold arrays. `reference_mean_and_se` groups
+candidates by their scored-fold pattern with `np.unique(axis=0)`, and
+`reference_next_generation` makes a generation's three draws, then breeds
+one child at a time from them.
 `reference_mlp_loss_and_grad` and `reference_encoder_decoder` train the
 bottleneck network with a new array for every intermediate;
 `separate_bias_mlp_loss_and_grad` is the same gradient with each bias
@@ -46,6 +48,8 @@ from ratiomarker.composition import CompositionMatrix
 from ratiomarker.errors import DegenerateDesign, ParseError, ValidationError
 from ratiomarker.glm import RIDGE, TOL, FittedGlm, fit_glm
 from ratiomarker.latent import _blocks, _init_params
+from ratiomarker.learn import scoring
+from ratiomarker.metrics import _auc_rows, _flat
 from ratiomarker.tabular import _detect_delimiter, _parse_cell, _read_lines
 
 ACCEPTANCE_LINES = []
@@ -254,6 +258,49 @@ def column_by_column(z_matrix, outcome, folds):
     )
 
 
+def reference_score_candidates(Z, outcome, folds):
+    """Reference for `learn.scoring.score_candidates`: its sign path written
+    one fold at a time, each fold's statistic and training range from its
+    own gathered training rows and all columns ranked at once. Fitted
+    columns are scored by `column_by_column` and the folds aggregated by
+    `reference_mean_and_se`."""
+    Z = np.asarray(Z, dtype=float)
+    y = outcome.values
+    batched = outcome.kind == "binary" and all(
+        train.size and 0.0 < y[train].mean() < 1.0 for train, _ in folds
+    )
+    if not batched:
+        return column_by_column(Z, outcome, folds)
+    finite = np.all(np.isfinite(Z), axis=0)
+    z_all = np.where(finite, Z, 0.0)
+    undecided = ~finite
+    dead = np.zeros(Z.shape[1], dtype=bool)
+    width = max(test.size for _, test in folds)
+    signs = np.empty((Z.shape[1], len(folds)))
+    rows = np.zeros((len(folds), width), dtype=np.intp)
+    labels = np.full((len(folds), width), -1.0)
+    for f, (train, test) in enumerate(folds):
+        z_train = z_all[train]
+        y_train = y[train]
+        stat = (y_train - y_train.mean()) @ z_train
+        top = z_train.max(axis=0)
+        bottom = z_train.min(axis=0)
+        magnitude = np.maximum(top, -bottom)
+        dead |= _flat(top - bottom, train.size, magnitude)
+        undecided |= np.abs(stat) <= scoring._SIGN_MARGIN * TOL * (1.0 + magnitude)
+        signs[:, f] = np.where(stat > 0.0, 1.0, -1.0)
+        rows[f, : test.size] = test
+        labels[f, : test.size] = y[test]
+    dead &= finite
+    signed = z_all.T[:, rows] * signs[:, :, None]
+    signed[:, labels == -1.0] = np.inf
+    mean, se = reference_mean_and_se(_auc_rows(labels, signed), dead)
+    to_fit = np.flatnonzero(undecided & ~dead)
+    if to_fit.size:
+        mean[to_fit], se[to_fit] = column_by_column(Z[:, to_fit], outcome, folds)
+    return mean, se
+
+
 def reference_mean_and_se(scores, dead):
     """Reference for `learn.scoring._mean_and_se`: one reduction per
     distinct scored-fold pattern of the live rows."""
@@ -321,7 +368,7 @@ def reference_read_matrix(path) -> CompositionMatrix:
     `_parse_cell` call and checked to be non-negative, row by row, so the
     first error raised is the first bad cell in reading order."""
     lines = _read_lines(path)
-    delim = _detect_delimiter(lines[0])
+    delim = _detect_delimiter(lines)
     header = lines[0].split(delim)
     n_cols = len(header)
     if n_cols < 3:

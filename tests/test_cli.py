@@ -234,6 +234,14 @@ class TestExitCodes:
         assert "row 2, column 1: tab in a cell" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_tab_in_a_first_row_cell(self, tmp_path, capsys):
+        # The tab does not make the file tab-delimited; row 1 is named.
+        bad = tmp_path / "bad.csv"
+        bad.write_text("sample\tid,g1,g2\ns1,1.0,2.0\ns2,2.0,1.0\n")
+        rc = run("transform", "--matrix", str(bad), "--out-dir", str(tmp_path / "o"))
+        assert rc == 2
+        assert "row 1, column 1: tab in a cell" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("bogus_option=3\n")

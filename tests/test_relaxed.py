@@ -245,6 +245,8 @@ class TestCutoffSets:
     @example(np.array([0.0, 0.0, 0.5, -0.5]), 0)
     @example(np.array([800.0, -800.0, 800.0, -800.0, 0.0]), 0)
     @example(np.array([0.3, 0.3, 0.2, 0.1]), 1)
+    # Tied distances on both sides, zeros and saturated sides at once.
+    @example(np.array([-710.0, 0.0, 800.0, -0.0, -800.0, 0.5, -0.5, 0.5, 1e-300]), 0)
     def test_equals_the_hard_sets_rule(self, a, side):
         # `side` = +1 or -1 puts every coefficient on one side.
         if side:

@@ -6,10 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import column_by_column, cv_score_values, reference_mean_and_se
+from conftest import (
+    column_by_column,
+    cv_score_values,
+    reference_mean_and_se,
+    reference_score_candidates,
+)
 
 from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
 from ratiomarker.errors import DimensionMismatch, ValidationError
+from ratiomarker.glm import TOL
 from ratiomarker.learn import (
     LearnerConfig,
     evolutionary_slr,
@@ -17,8 +23,11 @@ from ratiomarker.learn import (
     relaxed_gradient_learner,
 )
 from ratiomarker.learn import scoring
+from ratiomarker.learn.biomarker import balance_from_logs, slr_from_values
 from ratiomarker.learn.scoring import (
+    _FoldArrays,
     _mean_and_se,
+    _score_sets,
     check_learnable,
     make_folds,
     score_candidates,
@@ -158,7 +167,7 @@ class TestCvScore:
 
 
 @st.composite
-def scoring_cases(draw):
+def scoring_cases(draw, binary=st.booleans()):
     """Outcome, folds and a candidate matrix with the awkward columns.
 
     Values lie on a grid of step 1/32 at the finest, so ties are common.
@@ -174,7 +183,7 @@ def scoring_cases(draw):
     def draw_vector(elements):
         return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
 
-    binary = draw(st.booleans())
+    binary = draw(binary)
     if binary:
         y = draw_vector(st.sampled_from([0.0, 1.0]))
         y[draw(st.integers(0, n - 1))] = 1.0 - y[0]  # both classes present
@@ -245,7 +254,46 @@ def scoring_cases(draw):
     return out, folds, np.column_stack(columns)
 
 
+@st.composite
+def sign_path_cases(draw):
+    """A binary `scoring_cases` case widened to 1 to 2,000 columns: its
+    awkward columns, columns whose score statistic lies near the sign
+    margin on one training fold, and seeded grid columns, in a seeded
+    order so that they fall anywhere in the ranking's chunks. A split with
+    a single-class training fold is fitted column by column, so it gets
+    few grid columns."""
+    out, folds, z_matrix = draw(scoring_cases(binary=st.just(True)))
+    y = out.values
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = out.n
+    columns = list(z_matrix.T)
+    for factor in draw(st.lists(st.sampled_from([0.5, 0.99, 1.01, 2.0, -0.99, -1.01]))):
+        train, _ = folds[draw(st.integers(0, len(folds) - 1))]
+        centred = y[train] - y[train].mean()
+        z = rng.integers(-64, 65, n) / 8.0
+        if not centred.any():
+            continue
+        # Move the statistic on `train` to `factor` times the margin.
+        margin = scoring._SIGN_MARGIN * TOL * (1.0 + np.abs(z[train]).max())
+        z[train] += (factor * margin - centred @ z[train]) / (centred @ centred) * centred
+        columns.append(z)
+    batched = all(0.0 < y[train].mean() < 1.0 for train, _ in folds)
+    n_grid = draw(st.integers(0, 2000 - len(columns) if batched else 20))
+    columns.extend(rng.integers(-64, 65, (n_grid, n)) / 8.0)
+    z_matrix = np.column_stack(columns)
+    return out, folds, z_matrix[:, rng.permutation(z_matrix.shape[1])]
+
+
 class TestScoreCandidates:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(sign_path_cases())
+    def test_equals_the_per_fold_sign_path_bit_for_bit(self, case):
+        out, folds, z_matrix = case
+        mean, se = score_candidates(z_matrix, out, folds)
+        want_mean, want_se = reference_score_candidates(z_matrix, out, folds)
+        assert mean.tobytes() == want_mean.tobytes()
+        assert se.tobytes() == want_se.tobytes()
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(scoring_cases())
     def test_equals_the_column_by_column_oracle_bit_for_bit(self, case):
@@ -321,5 +369,99 @@ class TestMeanAndSe:
         scores, dead = case
         mean, se = _mean_and_se(scores, dead)
         want_mean, want_se = reference_mean_and_se(scores, dead)
+        assert mean.tobytes() == want_mean.tobytes()
+        assert se.tobytes() == want_se.tobytes()
+
+    def test_fast_path_equals_the_reference_bit_for_bit(self):
+        # No dead row and every fold scored: one reduction of the table.
+        rng = np.random.default_rng(3)
+        for c, n_folds in ((1, 2), (40, 5), (300, 10), (7, 1)):
+            scores = rng.choice([0.0, 0.25, 0.5, 1.0, rng.random()], (c, n_folds))
+            dead = np.zeros(c, dtype=bool)
+            mean, se = _mean_and_se(scores, dead)
+            want_mean, want_se = reference_mean_and_se(scores, dead)
+            assert mean.tobytes() == want_mean.tobytes()
+            assert se.tobytes() == want_se.tobytes()
+
+
+@st.composite
+def candidate_sets(draw):
+    """A positive n x G matrix and C candidates, each two disjoint
+    nonempty sides of 1 to G - 1 features, as G x C 0/1 indicators."""
+    n = draw(st.integers(1, 20))
+    g = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.exp(rng.normal(0.0, draw(st.sampled_from([0.1, 1.0, 5.0])), (n, g)))
+    c = draw(st.integers(1, 40))
+    num, den = np.zeros((2, g, c))
+    for j in range(c):
+        size = draw(st.integers(2, g))
+        picked = rng.permutation(g)[:size]
+        split = draw(st.integers(1, size - 1))
+        num[picked[:split], j] = 1.0
+        den[picked[split:], j] = 1.0
+    return values, num, den
+
+
+class TestSetColumns:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(candidate_sets(), st.sampled_from(["balance", "slr"]))
+    def test_columns_match_the_per_set_scores(self, case, mode):
+        values, num, den = case
+        built = []
+
+        def record(z, outcome, folds):
+            built.append(z)
+            return np.zeros(z.shape[1]), np.zeros(z.shape[1])
+
+        data = np.log(values) if mode == "balance" else values
+        score = balance_from_logs if mode == "balance" else slr_from_values
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scoring, "score_candidates", record)
+            _score_sets(data, mode, num, den, None, None)
+        (z,) = built
+        for j in range(num.shape[1]):
+            want = score(data, np.flatnonzero(num[:, j]), np.flatnonzero(den[:, j]))
+            np.testing.assert_allclose(z[:, j], want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+class TestFoldArrays:
+    """Each learner builds the arrays of its fold split once."""
+
+    @pytest.mark.parametrize(
+        "learner", [forward_stepwise_balance, relaxed_gradient_learner, evolutionary_slr]
+    )
+    def test_one_build_per_split(self, monkeypatch, learner):
+        builds = []
+        init = _FoldArrays.__init__
+
+        def counting(self, outcome, folds):
+            builds.append(outcome)
+            init(self, outcome, folds)
+
+        monkeypatch.setattr(_FoldArrays, "__init__", counting)
+        rng = np.random.default_rng(21)
+        n, g = 40, 6
+        values = np.exp(rng.normal(0.0, 1.0, (n, g)))
+        y = (np.arange(n) % 2).astype(float)
+        values[:, 1] *= np.exp(1.5 * y)
+        matrix = StrictlyPositiveMatrix(
+            values, [f"s{i}" for i in range(n)], [f"f{j}" for j in range(g)]
+        )
+        config = LearnerConfig(seed=21, epochs=50, population=12, generations=5)
+        learner(matrix, Outcome.binary(y), config)
+        assert len(builds) == 1
+
+    def test_a_split_that_is_no_partition_is_fitted(self):
+        # Fold 1 trains on a row that fold 0 tests, and on its own test row.
+        out = Outcome.binary((np.arange(12) % 2).astype(float))
+        folds = [
+            (np.arange(6, 12), np.arange(6)),
+            (np.arange(0, 8), np.arange(7, 12)),
+        ]
+        assert not _FoldArrays(out, folds).batched
+        z_matrix = np.random.default_rng(4).normal(size=(12, 5))
+        mean, se = score_candidates(z_matrix, out, folds)
+        want_mean, want_se = column_by_column(z_matrix, out, folds)
         assert mean.tobytes() == want_mean.tobytes()
         assert se.tobytes() == want_se.tobytes()

@@ -115,8 +115,11 @@ class TestTabInCommaDelimitedCell:
         [
             ("sample_id,x,y\ns1,1.0,2.0\ns\t2,3.0,4.0\n", 3, 1),
             ("sample_id,x,y\ns1,1.0,2.0\ns2,3.0,4.0\t\n", 3, 3),
+            # A tab in the first row does not make the file tab-delimited.
+            ("sample\tid,x,y\ns1,1.0,2.0\n", 1, 1),
+            ("sample_id,x,y\t\ns1,1.0,2.0\ns2,3.0,4.0\n", 1, 3),
         ],
-        ids=["sample-id", "value"],
+        ids=["sample-id", "value", "first-row-corner", "first-row-feature"],
     )
     def test_matrix_reader(self, tmp_path, text, row, column):
         path = tmp_path / "m.csv"
@@ -130,8 +133,10 @@ class TestTabInCommaDelimitedCell:
         [
             ("sample_id,y\ns1,0\ns\t2,1\n", 3, 1),
             ("s1,0.5\ns2,\t0.25\n", 2, 2),
+            ("s\t1,0.5\ns2,0.25\n", 1, 1),
+            ("sample\tid,y\ns1,0\ns2,1\n", 1, 1),
         ],
-        ids=["sample-id", "value"],
+        ids=["sample-id", "value", "first-row", "header"],
     )
     def test_outcome_reader(self, tmp_path, text, row, column):
         path = tmp_path / "y.csv"
