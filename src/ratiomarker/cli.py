@@ -216,7 +216,13 @@ def _coerce(opt: _Option, raw: str, path) -> object:
     )
 
 
-def _resolve_config(command: str, args: argparse.Namespace) -> dict:
+class _Config(dict):
+    """Resolved options by key; `flags`, the keys given on the command line."""
+
+    flags: frozenset = frozenset()
+
+
+def _resolve_config(command: str, args: argparse.Namespace) -> _Config:
     options = {opt.key: opt for opt in _COMMANDS[command][3]}
     resolved = {key: opt.default for key, opt in options.items()}
     config_path = getattr(args, "config", None)
@@ -231,9 +237,8 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
                     f"config key {key!r} is not an option of {command!r}"
                 )
             resolved[key] = _coerce(options[key], raw, config_path)
-    resolved.update(
-        (k, v) for k, v in vars(args).items() if k not in ("command", "config")
-    )
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    resolved.update(flags)
     # Config-file values and flags alike: an out-of-range value is a
     # precondition failure that names its option.
     for key, opt in options.items():
@@ -244,7 +249,9 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
             )
         if opt.domain and value is not None and not opt.domain.holds(value):
             raise ValidationError(f"{key} must be {opt.domain.text}, got {value!r}")
-    return resolved
+    config = _Config(resolved)
+    config.flags = frozenset(flags)
+    return config
 
 
 def _require(config: dict, *keys):
@@ -253,10 +260,11 @@ def _require(config: dict, *keys):
             raise ValidationError(f"--{key.replace('_', '-')} is required")
 
 
-def _reject_set(config: dict, options, reason: str):
-    """Fail on the first of `options` away from its default: nothing reads it."""
+def _reject_set(config: _Config, options, reason: str):
+    """Fail on the first of `options` given as a flag, or off its default in
+    a config file (a manifest names every option): nothing reads it."""
     for opt in options:
-        if config[opt.key] != opt.default:
+        if opt.key in config.flags or config[opt.key] != opt.default:
             raise ValidationError(f"{opt.flag} {reason}")
 
 

@@ -46,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .metrics import _flat
-from .special import expit, ndtr, stdtr
+from .special import expit, ndtr, softplus, stdtr
 
 # The logistic fit's ridge on (beta, intercept at the mean score), its
 # convergence tolerance on the gradient norm, and its Newton iteration cap.
@@ -228,12 +228,7 @@ def _fit_identity_rows(z, y):
 
 
 def _penalized_nll_rows(eta, y, b1, a):
-    # log(1 + exp(eta)) = max(eta, 0) + log1p(exp(-|eta|)), about 3x cheaper
-    # than np.logaddexp(0, eta), in place in two eta-sized arrays.
-    softplus = np.abs(eta)
-    np.log1p(np.exp(np.negative(softplus, out=softplus), out=softplus), out=softplus)
-    softplus += np.maximum(eta, 0.0)
-    nll = softplus.sum(axis=1) - np.einsum("ij,j->i", eta, y)
+    nll = softplus(eta).sum(axis=1) - np.einsum("ij,j->i", eta, y)
     return nll + 0.5 * RIDGE * (b1 * b1 + a * a)
 
 

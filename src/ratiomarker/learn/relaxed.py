@@ -9,6 +9,10 @@ recovers hard index sets; the sweep evaluates every distinct cutoff by
 cross-validation and keeps the sparsest one whose score is within `lam`
 standard errors of the best, then refits the hard sets. Fits on one
 matrix train together, as the rows of one parameter array.
+
+A training step allocates nothing and computes no loss: `_step` writes
+into one `_Workspace` per fit or batch and keeps its linear predictor,
+and one `_losses` call per block of epochs fills the loss curve.
 """
 
 import numpy as np
@@ -16,83 +20,126 @@ import numpy as np
 from ..composition import Outcome, StrictlyPositiveMatrix
 from ..errors import RatiomarkerError, ValidationError
 from ..glm import _rowdot
-from ..special import expit
+from ..special import expit, softplus
 from .biomarker import MODES, LearnedModel, LearnerConfig, RatioBiomarker, orient_and_fit
 from .scoring import _FoldArrays, _learner_setup, _score_sets, make_folds
 
+# Linear predictors kept per block of epochs: the block and its softplus stay
+# under glibc's 128 KiB mmap threshold, as `scoring._RANK_ELEMENTS` chunks do.
+_LOSS_ELEMENTS = 1 << 13
 
-def _dot(x: np.ndarray, y: np.ndarray):
-    """x . y over the last axis: a scalar for vectors, one per row else."""
-    return x.dot(y) if x.ndim == 1 else _rowdot(x, y)
+
+class _Workspace:
+    """Every intermediate of `_step` for `params` (a fit, or fits as rows) on
+    `values`, which it overwrites, and views of the parts of `params`."""
+
+    def __init__(self, params, values, mode, link, logs=None):
+        if mode not in MODES:
+            raise ValidationError(f"unknown mode {mode!r}")
+        if link not in ("logistic", "identity"):
+            raise ValidationError(f"unknown link {link!r}")
+        n, g = values.shape
+        batch = params.shape[:-1]
+        self.mode, self.link, self.values, self.n = mode, link, values, float(n)
+        self.logs = np.log(values) if logs is None else logs
+        self.ones = np.ones((g, 1) if batch else g)  # sums over features, per fit
+        self.s, self.s_other, self.side, self.r = (np.empty(batch + (g,)) for _ in range(4))
+        self.z, self.resid, self.s_pos, self.ratio = (np.empty(batch + (n,)) for _ in range(4))
+        self.grad = np.empty(params.shape)
+        # A fit's beta and beta0 are 0-d views, which numpy applies as
+        # scalars, faster than 1-element views; a batch's are columns.
+        self.a = params[..., :g]
+        if batch:
+            self.beta, self.beta0 = params[:, g : g + 1], params[:, g + 1 :]
+        else:
+            self.beta, self.beta0 = params[..., g], params[..., g + 1]
+
+
+def _step(ws: _Workspace, y, eta) -> np.ndarray:
+    """Write the loss gradient at the workspace's parameters into `ws.grad`,
+    and the linear predictor into `eta`. Opens no errstate, like `expit`."""
+    values, s, s_other, z, resid, r = ws.values, ws.s, ws.s_other, ws.z, ws.resid, ws.r
+    g = values.shape[1]
+    expit(ws.a, out=s)
+    np.subtract(1.0, s, out=s_other)
+    if ws.mode == "slr":
+        np.matmul(s, values.T, out=ws.s_pos)
+        np.matmul(s_other, values.T, out=z)
+        np.divide(ws.s_pos, z, out=ws.ratio)
+        np.log(ws.ratio, out=z)
+    else:
+        # z = m+ - m-, the sides' weighted mean logs, is logs @ u with
+        # u = s (1/w+ + 1/w-) - 1/w-.
+        w_pos = s.dot(ws.ones)
+        inv_pos, inv_neg = 1.0 / w_pos, 1.0 / (g - w_pos)
+        inv_sum = inv_pos + inv_neg
+        np.multiply(s, inv_sum, out=ws.side)
+        ws.side -= inv_neg
+        np.matmul(ws.side, ws.logs.T, out=z)
+
+    np.multiply(z, ws.beta, out=eta)
+    eta += ws.beta0
+    if ws.link == "logistic":
+        expit(eta, out=resid)
+        resid -= y
+    else:
+        np.subtract(eta, y, out=resid)
+    resid /= ws.n
+
+    grad = ws.grad
+    grad[..., g] = resid.dot(z) if resid.ndim == 1 else _rowdot(resid, z)
+    grad[..., g + 1] = np.add.reduce(resid, axis=-1)
+    if ws.mode == "slr":
+        # resid * (1/s_pos + 1/s_neg) = resid * (1 + ratio) / s_pos.
+        ratio = ws.ratio
+        ratio += 1.0
+        ratio /= ws.s_pos
+        ratio *= resid
+        np.dot(ratio, values, out=r)
+    else:
+        # With r = resid @ logs: resid . m+ = r . s / w+ and
+        # resid . m- = (sum(r) - r . s) / w-.
+        np.dot(resid, ws.logs, out=r)
+        rs = np.multiply(r, s, out=ws.side).dot(ws.ones)
+        c_pos = rs * inv_pos
+        c_neg = (r.dot(ws.ones) - rs) * inv_neg
+        r *= inv_sum
+        r -= c_pos * inv_pos + c_neg * inv_neg
+    s_other *= s
+    s_other *= ws.beta
+    np.multiply(s_other, r, out=grad[..., :g])
+    return grad
+
+
+def _losses(etas, y, link) -> np.ndarray:
+    """The loss at each of a block of linear predictors stacked on axis 0:
+    the mean logistic NLL, or half the mean squared error. Overwrites `etas`."""
+    n = y.shape[-1]
+    if link == "logistic":
+        loss = softplus(etas)
+        loss -= np.multiply(etas, y, out=etas)
+        return loss.sum(axis=-1) / n
+    np.subtract(etas, y, out=etas)
+    return 0.5 * (np.square(etas, out=etas).sum(axis=-1) / n)
 
 
 def relaxed_loss_and_grad(
-    params: np.ndarray,
-    values: np.ndarray,
-    y: np.ndarray,
-    mode: str = "balance",
-    link: str = "logistic",
-    logs: np.ndarray | None = None,
+    params: np.ndarray, values: np.ndarray, y: np.ndarray,
+    mode: str = "balance", link: str = "logistic", logs: np.ndarray | None = None,
 ):
     """Loss and analytic gradient of the soft biomarker model.
 
     `params` is the flat vector (a_1..a_G, beta, beta0) of one fit, or a
     B x (G+2) array of B fits on `values`, with `y` then B x n and one loss
     per fit. The loss is the mean squared error for the identity link and
-    the mean logistic negative log-likelihood for the logistic link. Like
-    `special.expit`, this opens no errstate; the training loop opens one
-    around all its calls.
+    the mean logistic negative log-likelihood for the logistic link. This
+    is one training step, `_step`, on a new workspace, then `_losses`.
     """
     params = np.asarray(params, dtype=float)
-    n, g = values.shape
-    ones = np.ones((g, 1) if params.ndim > 1 else g)  # sums over features, per fit
-    beta, beta0 = params[..., g : g + 1], params[..., g + 1 :]
-    s = expit(params[..., :g])
-    s_other = 1.0 - s
-    if mode == "slr":
-        s_pos = s @ values.T
-        s_neg = s_other @ values.T
-        ratio = s_pos / s_neg
-        z = np.log(ratio)
-    elif mode == "balance":
-        logs = np.log(values) if logs is None else logs
-        # z = m+ - m-, the sides' weighted mean logs, is logs @ u with
-        # u = s (1/w+ + 1/w-) - 1/w-.
-        w_pos = s.dot(ones)
-        inv_pos, inv_neg = 1.0 / w_pos, 1.0 / (g - w_pos)
-        z = (s * (inv_pos + inv_neg) - inv_neg) @ logs.T
-    else:
-        raise ValidationError(f"unknown mode {mode!r}")
-
-    eta = beta * z + beta0
-    if link == "logistic":
-        loss = (np.logaddexp(0.0, eta) - y * eta).sum(axis=-1) / n
-        resid = expit(eta) - y
-    elif link == "identity":
-        resid = eta - y
-        loss = 0.5 * (_dot(resid, resid) / n)
-    else:
-        raise ValidationError(f"unknown link {link!r}")
-    resid /= n
-
-    grad = np.empty(params.shape)
-    grad[..., g] = _dot(resid, z)
-    grad[..., g + 1] = resid.sum(axis=-1)
-    if mode == "slr":
-        r = (resid * ((1.0 + ratio) / s_pos)).dot(values)  # 1/s_pos + 1/s_neg
-    else:
-        # With r = resid @ logs: resid . m+ = r . s / w+ and
-        # resid . m- = (sum(r) - r . s) / w-.
-        r = resid.dot(logs)
-        rs = (r * s).dot(ones)
-        c_pos = rs * inv_pos
-        c_neg = (r.dot(ones) - rs) * inv_neg
-        r *= inv_pos + inv_neg
-        r -= c_pos * inv_pos + c_neg * inv_neg
-    s_other *= s
-    s_other *= beta
-    np.multiply(s_other, r, out=grad[..., :g])
-    return loss, grad
+    ws = _Workspace(params, values, mode, link, logs)
+    eta = np.empty((1, *params.shape[:-1], values.shape[0]))
+    grad = _step(ws, y, eta[0])
+    return _losses(eta, y, link)[0], grad
 
 
 def _cutoff_sets(a: np.ndarray) -> list[tuple[float, list[int], list[int]]]:
@@ -121,20 +168,24 @@ def _train(params, values, y, mode, link, config) -> np.ndarray:
     # steps, this keeps |a_j| growth proportional to accumulated gradient,
     # so uninformative features are not dragged toward saturation and the
     # cutoff ranking stays faithful to signal strength.
-    logs = np.log(values)
+    ws = _Workspace(params, values, mode, link)
     velocity = np.zeros_like(params)
     step = np.empty_like(params)
     loss_curve = np.empty((config.epochs, *params.shape[:-1]))
+    block = min(config.epochs, max(1, _LOSS_ELEMENTS // y.size))
+    etas = np.empty((block, *y.shape))
     # A step size too large for the data overflows the parameters; that is
     # reported once per fit, as its error, not as numpy warnings.
     with np.errstate(all="ignore"):
-        for t in range(config.epochs):
-            loss, grad = relaxed_loss_and_grad(params, values, y, mode, link, logs)
-            loss_curve[t] = loss
-            # velocity = 0.9 * velocity + grad; params -= lr * velocity.
-            velocity *= 0.9
-            velocity += grad
-            params -= np.multiply(velocity, config.learning_rate, out=step)
+        for start in range(0, config.epochs, block):
+            stored = etas[: min(block, config.epochs - start)]
+            for eta in stored:
+                grad = _step(ws, y, eta)
+                # velocity = 0.9 * velocity + grad; params -= lr * velocity.
+                velocity *= 0.9
+                velocity += grad
+                params -= np.multiply(velocity, config.learning_rate, out=step)
+            loss_curve[start : start + len(stored)] = _losses(stored, y, link)
     return loss_curve
 
 

@@ -1,5 +1,7 @@
 """Scoring helpers: AUC for binary outcomes, R squared for continuous."""
 
+import math
+
 import numpy as np
 
 
@@ -9,37 +11,6 @@ def _flat(spread, size, scale):
     singular value, in the data's own units) is at most size * eps * scale.
     Elementwise; a NaN spread is not flat."""
     return spread <= size * np.finfo(float).eps * scale
-
-
-def _midranks(a) -> np.ndarray:
-    """1-based ranks along the last axis, each tie group given its mean rank.
-
-    Equals `scipy.stats.rankdata(a, axis=-1)` bit for bit: a slice that
-    holds a NaN is all NaN, and -0.0 ties with 0.0. Midranks are
-    half-integers, so they are exact. Equal values get one midrank
-    whatever order the sort leaves them in, so the sort need not be
-    stable.
-    """
-    a = np.asarray(a, dtype=float)
-    order = np.argsort(a, axis=-1)
-    ordered = np.take_along_axis(a, order, axis=-1)
-    # A tie group starts where the sorted value changes; the start's
-    # 0-based position and the group's size give its midrank.
-    starts = np.ones(a.shape, dtype=bool)
-    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
-    first = np.broadcast_to(np.arange(a.shape[-1]), a.shape)[starts]
-    size = np.diff(np.flatnonzero(starts), append=a.size)
-    ranks = np.empty(a.shape)
-    np.put_along_axis(
-        ranks,
-        order,
-        np.repeat(first + (size + 1) / 2.0, size).reshape(a.shape),
-        axis=-1,
-    )
-    has_nan = np.isnan(a).any(axis=-1, keepdims=True)
-    if has_nan.any():
-        ranks = np.where(has_nan, np.nan, ranks)
-    return ranks
 
 
 def _auc_rows(y, scores):
@@ -52,17 +23,33 @@ def _auc_rows(y, scores):
     `y` may be stacked labels, (folds x width) against scores of
     (C x folds x width), to rank every fold in one pass. A short fold is
     padded with the label -1 and finite scores with +inf, which ranks last
-    and so leaves the real ranks alone; midranks are half-integers, so the
-    rank sums are exact.
+    and so leaves the real ranks alone.
+
+    The positives' midranks are summed in sorted order, which gathers each
+    slice's scores and labels by flat index; a tie group (-0.0 ties with
+    0.0) starts where the sorted value changes. Midranks are half-integers,
+    so the sums are exact in any order.
     """
     y = np.asarray(y, dtype=float)
+    scores = np.asarray(scores, dtype=float)
     positive = y == 1.0
     n_pos = positive.sum(axis=-1)
     n_neg = (y == 0.0).sum(axis=-1)
-    rank_sum = np.where(positive, _midranks(scores), 0.0).sum(axis=-1)
+    *rows, width = scores.shape
+    order = np.argsort(scores, axis=-1)
+    order += width * np.arange(math.prod(rows)).reshape(*rows, 1)
+    ordered = scores.ravel()[order]
+    ranked_positive = np.broadcast_to(positive, scores.shape).ravel()[order]
+    starts = np.ones(scores.shape, dtype=bool)
+    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=starts[..., 1:])
+    first = np.broadcast_to(np.arange(width), scores.shape)[starts]
+    size = np.diff(np.flatnonzero(starts), append=scores.size)
+    midranks = np.repeat(first + (size + 1) / 2.0, size).reshape(scores.shape)
+    rank_sum = np.where(ranked_positive, midranks, 0.0).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    return np.where((n_pos == 0) | (n_neg == 0), np.nan, auc)
+    undefined = (n_pos == 0) | (n_neg == 0) | np.isnan(ordered).any(axis=-1)
+    return np.where(undefined, np.nan, auc)
 
 
 def auc_score(y, scores) -> float:

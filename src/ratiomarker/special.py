@@ -1,19 +1,23 @@
-"""The logistic function and the normal and Student-t CDFs, without scipy.
+"""The logistic and softplus functions and the normal and Student-t CDFs,
+without scipy.
 
-`expit` is 1 / (1 + exp(-x)), the formula of `scipy.special.expit`; `ndtr`
-is the standard normal CDF, cephes' formula on the C library's erf and
-erfc; `stdtr` is the Student-t CDF from continued fractions of the
-incomplete beta function. The Wald tests of `glm` take the lower tails of
-the last two. All three agree with scipy.special to rounding level, not
-bit for bit: the relative difference is at most 1e-12 wherever scipy's
-value is a normal float, and the values at 0, +-inf and NaN are exact.
-numpy's vector `exp` differs from the C library's in the last bit on some
-arguments, so not even `expit` can reproduce scipy's bits.
+`expit` is 1 / (1 + exp(-x)), the formula of `scipy.special.expit`;
+`softplus` is log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), within 2
+ulp of `np.logaddexp(0, x)` and cheaper; `ndtr` is the standard normal
+CDF, cephes' formula on the C library's erf and erfc; `stdtr` is the
+Student-t CDF from continued fractions of the incomplete beta function.
+The Wald tests of `glm` take the lower tails of the last two. The other
+three agree with scipy.special to rounding level, not bit for bit: the
+relative difference is at most 1e-12 wherever scipy's value is a normal
+float, and the values at 0, +-inf and NaN are exact. numpy's vector `exp`
+differs from the C library's in the last bit on some arguments, so not
+even `expit` can reproduce scipy's bits.
 
-`expit` sits in Newton and gradient loops, so it opens no `np.errstate`:
-exp(-x) overflows for x below about -709 and the result is then 0, as in
-scipy, and a caller that loops opens one errstate around its loop. `ndtr`
-and `stdtr` are meant for one call over a whole vector of statistics.
+`expit` and `softplus` sit in Newton and gradient loops, so they open no
+`np.errstate` (and write into `out` if given): exp(-x) overflows for x
+below about -709 and `expit` is then 0, as in scipy, and a caller that
+loops opens one errstate around its loop. `ndtr` and `stdtr` are meant
+for one call over a whole vector of statistics.
 """
 
 import math
@@ -31,11 +35,19 @@ _EPS = np.finfo(float).eps
 _CF_MAX_ITER = 10_000
 
 
-def expit(x):
+def expit(x, out=None):
     """The logistic function 1 / (1 + exp(-x)) of an array."""
-    t = np.exp(np.negative(x))
+    t = np.exp(np.negative(x, out=out), out=out)
     t += 1.0
-    return 1.0 / t
+    return np.divide(1.0, t, out=out)
+
+
+def softplus(x, out=None):
+    """log(1 + exp(x)) of an array; `out` must not be x."""
+    t = np.abs(x, out=out)
+    np.log1p(np.exp(np.negative(t, out=t), out=t), out=t)
+    # In this order a NaN keeps the sign bit it has in the expression.
+    return np.add(np.maximum(x, 0.0), t, out=t)
 
 
 def _ndtr_one(x: float) -> float:

@@ -9,7 +9,8 @@ checked against: `reference_fit` is a scalar two-column GLM fitter written
 with matrix arithmetic, independent of the block kernel in `glm.py`, and
 `cv_score_values` scores one candidate with one `fit_glm` per fold.
 `reference_auc` ranks with `scipy.stats.rankdata`, which the package does
-not import. `reference_score_candidates` is the scorer's sign path one
+not import; `reference_midranks` is numpy's midranks scattered back to the
+input's order, and `reference_auc_rows` the AUC that sums them there. `reference_score_candidates` is the scorer's sign path one
 fold at a time, with no fold arrays. `reference_mean_and_se` groups
 candidates by their scored-fold pattern with `np.unique(axis=0)`, and
 `reference_next_generation` makes a generation's three draws, then breeds
@@ -24,6 +25,10 @@ with the old `_hard_sets` rule, whose empty side raised and was caught.
 `reference_relaxed_loss_and_grad` is the relaxed learner's step for one
 fit, each side's mean log and its gradient term formed on its own, and
 `reference_relaxed_training` runs it in the learner's momentum loop.
+`allocating_relaxed_loss_and_grad` and `allocating_relaxed_training` are
+the learner's batched step and loop with a new array for every
+intermediate and the step's loss from `np.logaddexp`, the reference for
+the in-place step and its loss per block of epochs.
 `two_equal_factor_pair` makes the PLS input whose two leading singular
 values nearly tie. `reference_write_rows` is the old CLI row writer and
 `reference_write_outcome` the old one-f-string outcome writer, the
@@ -200,6 +205,51 @@ def reference_auc(y, scores) -> float:
         return float("nan")
     rank_sum = rankdata(np.asarray(scores, dtype=float))[y == 1.0].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def reference_midranks(a) -> np.ndarray:
+    """The old `metrics._midranks`: 1-based ranks along the last axis, each
+    tie group given its mean rank, scattered back to the input's order.
+
+    Equals `scipy.stats.rankdata(a, axis=-1)` bit for bit: a slice that
+    holds a NaN is all NaN, and -0.0 ties with 0.0. Midranks are
+    half-integers, so they are exact. Equal values get one midrank
+    whatever order the sort leaves them in, so the sort need not be
+    stable.
+    """
+    a = np.asarray(a, dtype=float)
+    order = np.argsort(a, axis=-1)
+    ordered = np.take_along_axis(a, order, axis=-1)
+    # A tie group starts where the sorted value changes; the start's
+    # 0-based position and the group's size give its midrank.
+    starts = np.ones(a.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    first = np.broadcast_to(np.arange(a.shape[-1]), a.shape)[starts]
+    size = np.diff(np.flatnonzero(starts), append=a.size)
+    ranks = np.empty(a.shape)
+    np.put_along_axis(
+        ranks,
+        order,
+        np.repeat(first + (size + 1) / 2.0, size).reshape(a.shape),
+        axis=-1,
+    )
+    has_nan = np.isnan(a).any(axis=-1, keepdims=True)
+    if has_nan.any():
+        ranks = np.where(has_nan, np.nan, ranks)
+    return ranks
+
+
+def reference_auc_rows(y, scores):
+    """The old `metrics._auc_rows`: the positives' midranks, in the input's
+    order, summed."""
+    y = np.asarray(y, dtype=float)
+    positive = y == 1.0
+    n_pos = positive.sum(axis=-1)
+    n_neg = (y == 0.0).sum(axis=-1)
+    rank_sum = np.where(positive, reference_midranks(scores), 0.0).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return np.where((n_pos == 0) | (n_neg == 0), np.nan, auc)
 
 
 def reference_r2(y, predictions) -> float:
@@ -487,6 +537,70 @@ def reference_relaxed_training(params, values, y, mode, link, epochs, learning_r
             velocity = 0.9 * velocity + grad
             params = params - learning_rate * velocity
     return params, loss_curve
+
+
+def allocating_relaxed_loss_and_grad(params, values, y, mode, link, logs=None):
+    """Reference for `learn.relaxed.relaxed_loss_and_grad` on a fit or a
+    batch: the same arithmetic in the same order, each intermediate a new
+    array, and the loss from `np.logaddexp` at every step."""
+    params = np.asarray(params, dtype=float)
+    n, g = values.shape
+    ones = np.ones((g, 1) if params.ndim > 1 else g)
+    dot = glm._rowdot if params.ndim > 1 else np.dot  # over the last axis
+    beta, beta0 = params[..., g : g + 1], params[..., g + 1 :]
+    s = special.expit(params[..., :g])
+    s_other = 1.0 - s
+    if mode == "slr":
+        s_pos = s @ values.T
+        s_neg = s_other @ values.T
+        ratio = s_pos / s_neg
+        z = np.log(ratio)
+    else:
+        logs = np.log(values) if logs is None else logs
+        w_pos = s.dot(ones)
+        inv_pos, inv_neg = 1.0 / w_pos, 1.0 / (g - w_pos)
+        z = (s * (inv_pos + inv_neg) - inv_neg) @ logs.T
+    eta = beta * z + beta0
+    if link == "logistic":
+        loss = (np.logaddexp(0.0, eta) - y * eta).sum(axis=-1) / n
+        resid = special.expit(eta) - y
+    else:
+        resid = eta - y
+        loss = 0.5 * (dot(resid, resid) / n)
+    resid /= n
+    grad = np.empty(params.shape)
+    grad[..., g] = dot(resid, z)
+    grad[..., g + 1] = resid.sum(axis=-1)
+    if mode == "slr":
+        r = (resid * ((1.0 + ratio) / s_pos)).dot(values)
+    else:
+        r = resid.dot(logs)
+        rs = (r * s).dot(ones)
+        c_pos = rs * inv_pos
+        c_neg = (r.dot(ones) - rs) * inv_neg
+        r *= inv_pos + inv_neg
+        r -= c_pos * inv_pos + c_neg * inv_neg
+    s_other *= s
+    s_other *= beta
+    np.multiply(s_other, r, out=grad[..., :g])
+    return loss, grad
+
+
+def allocating_relaxed_training(params, values, y, mode, link, config):
+    """Reference for `learn.relaxed._train`: `params` trained in place by
+    `allocating_relaxed_loss_and_grad`, and the loss at every step."""
+    logs = np.log(values)
+    velocity = np.zeros_like(params)
+    step = np.empty_like(params)
+    loss_curve = np.empty((config.epochs, *params.shape[:-1]))
+    with np.errstate(all="ignore"):
+        for t in range(config.epochs):
+            loss, grad = allocating_relaxed_loss_and_grad(params, values, y, mode, link, logs)
+            loss_curve[t] = loss
+            velocity *= 0.9
+            velocity += grad
+            params -= np.multiply(velocity, config.learning_rate, out=step)
+    return loss_curve
 
 
 def fit_glm_by_column(blocks, outcome, fit=fit_glm):

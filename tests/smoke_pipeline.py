@@ -126,16 +126,21 @@ models = [
 ]
 assert models[0] == models[1]
 # Three folds of 40 samples are unequal, so the stacked test rows of a
-# fold split are padded; two runs of one seed write the same model.
-for learner, extra in (
-    ("stepwise", []),
-    ("evolutionary", ["--mode", "slr", "--population", "8", "--generations", "3"]),
+# fold split are padded; two runs of one seed write the same model. Relaxed
+# training keeps 8,192 / 40 = 204 epochs of linear predictors per loss
+# block, so 450 epochs take two whole blocks and part of a third.
+for name, extra in (
+    ("stepwise", ["--learner", "stepwise"]),
+    ("evolutionary", [
+        "--learner", "evolutionary", "--mode", "slr", "--population", "8", "--generations", "3",
+    ]),
+    ("relaxed", ["--learner", "relaxed", "--epochs", "450"]),
+    ("relaxed-slr", ["--learner", "relaxed", "--mode", "slr", "--epochs", "450"]),
 ):
-    runs = [f"learn-{learner}-3folds", f"learn-{learner}-3folds-again"]
+    runs = [f"learn-{name}-3folds", f"learn-{name}-3folds-again"]
     for run in runs:
         assert main([
             "learn",
-            "--learner", learner,
             *extra,
             "--cv-folds", "3",
             "--matrix", "sim/observed.tsv",

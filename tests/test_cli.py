@@ -700,6 +700,11 @@ class TestSimulate:
             ("--theta-sd", "0"),
             ("--depth-sd", "1"),
             ("--noise-sd", "0.3"),
+            # A flag is rejected at its default too: the preset ignores it.
+            ("--n-samples", "100"),
+            ("--n-features", "20"),
+            ("--effect", "2"),
+            ("--noise-sd", "0.1"),
         ],
     )
     def test_depth_confounded_rejects_planted_options(self, tmp_path, capsys, flag, value):
@@ -714,13 +719,11 @@ class TestSimulate:
         cfg.write_text("preset=depth_confounded\nnoise_sd=0.3\n")
         assert run("simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "d")) == 3
 
-    def test_depth_confounded_accepts_the_planted_defaults(self, tmp_path):
-        rc = run(
-            "simulate", "--preset", "depth_confounded",
-            "--n-samples", "100", "--effect", "2", "--noise-sd", "0.1",
-            "--out-dir", str(tmp_path / "d"),
-        )
-        assert rc == 0
+    def test_depth_confounded_accepts_the_planted_defaults_from_a_config(self, tmp_path):
+        # A manifest records every option, so a replayed one names them all.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("preset=depth_confounded\nn_samples=100\neffect=2\nnoise_sd=0.1\n")
+        assert run("simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "d")) == 0
 
     def test_a_manifest_records_the_zero_defaults_and_replays(self, tmp_path):
         # simulate reads no matrix, but its manifests record the zero
@@ -1173,11 +1176,14 @@ class TestApproxAndBenchmark:
             ["benchmark", "--synthetic", "--zero-replacement", "none"],
             ["simulate", "--max-zero-fraction", "0.1"],
             ["simulate", "--preset", "depth_confounded", "--zero-replacement", "none"],
+            ["simulate", "--max-zero-fraction", "0.5"],
+            ["benchmark", "--matrix", "{m}", "--matrix2", "{m}", "--g-u", "80"],
         ],
         ids=["pca-matrix2", "synthetic-matrix", "synthetic-matrix2",
              "n-samples", "g-t", "g-u", "synthetic-max-zero-fraction",
              "synthetic-zero-replacement", "simulate-max-zero-fraction",
-             "simulate-zero-replacement"],
+             "simulate-zero-replacement", "simulate-max-zero-fraction-default",
+             "g-u-default"],
     )
     def test_an_option_nothing_reads_is_rejected(self, tmp_path, capsys, argv):
         # The last option given is the one no run of this kind reads.

@@ -1,9 +1,11 @@
-"""The midrank kernel and the AUC built on it, against scipy, and the
+"""The AUC rows against scipy and against the old midrank kernel, and the
 R squared rows against the scalar formula.
 
-`metrics._midranks` replaces `scipy.stats.rankdata` in the package; these
-properties require its bytes to equal scipy's on 1-D and 2-D inputs of every
-width, with heavy ties, signed zeros, infinities and NaN.
+`conftest.reference_midranks`, once the package's own midrank kernel, must
+equal `scipy.stats.rankdata` byte for byte on 1-D and 2-D inputs of every
+width, with heavy ties, signed zeros, infinities and NaN. `_auc_rows` sums
+the midranks in sorted order and must equal the AUC that sums them in the
+input's order (`conftest.reference_auc_rows`) byte for byte.
 """
 
 import numpy as np
@@ -12,9 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import rankdata
 
-from conftest import reference_auc, reference_r2
+from conftest import reference_auc, reference_auc_rows, reference_midranks, reference_r2
 
-from ratiomarker.metrics import _auc_rows, _midranks, _r2_rows, auc_score, r2_score
+from ratiomarker.metrics import _auc_rows, _r2_rows, auc_score, r2_score
 
 # Few distinct values make heavy ties; -0.0 and 0.0 must tie.
 TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf])
@@ -37,12 +39,12 @@ class TestMidranks:
     @settings(max_examples=300, deadline=None)
     @given(arrays(1))
     def test_one_dimensional_equals_scipy(self, a):
-        assert same_bytes(_midranks(a), rankdata(a))
+        assert same_bytes(reference_midranks(a), rankdata(a))
 
     @settings(max_examples=300, deadline=None)
     @given(arrays(2))
     def test_each_row_equals_scipy(self, a):
-        assert same_bytes(_midranks(a), rankdata(a, axis=-1))
+        assert same_bytes(reference_midranks(a), rankdata(a, axis=-1))
 
     @settings(max_examples=100, deadline=None)
     @given(arrays(2), st.data())
@@ -50,12 +52,12 @@ class TestMidranks:
         row = data.draw(st.integers(0, a.shape[0] - 1))
         col = data.draw(st.integers(0, a.shape[1] - 1))
         a[row, col] = np.nan
-        got = _midranks(a)
+        got = reference_midranks(a)
         assert np.isnan(got[row]).all()
         assert same_bytes(got, rankdata(a, axis=-1))
 
     def test_ties_get_their_mean_rank(self):
-        got = _midranks(np.array([3.0, -0.0, 1.0, 0.0, 3.0, 3.0, -np.inf]))
+        got = reference_midranks(np.array([3.0, -0.0, 1.0, 0.0, 3.0, 3.0, -np.inf]))
         np.testing.assert_array_equal(got, [6.0, 2.5, 4.0, 2.5, 6.0, 6.0, 1.0])
 
 
@@ -108,6 +110,21 @@ class TestAuc:
             stacked[:, f, : y.size] = scores
         want = np.array([_auc_rows(y, scores) for y, scores in folds]).T
         assert same_bytes(_auc_rows(labels, stacked), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(stacked_folds(), st.sampled_from([0.0, -0.0, np.inf]))
+    def test_sorted_rank_sums_equal_the_scattered_ones(self, folds, tie):
+        # Padded as the scorer stacks folds; some slices tie a score with
+        # `tie` (-0.0 against 0.0, or +inf against the padding).
+        width = max(y.size for y, _ in folds)
+        labels = np.full((len(folds), width), -1.0)
+        stacked = np.full((folds[0][1].shape[0], len(folds), width), np.inf)
+        for f, (y, scores) in enumerate(folds):
+            labels[f, : y.size] = y
+            stacked[:, f, : y.size] = scores
+        stacked[0, :, 0] = tie
+        for y, scores in ((labels, stacked), (labels[0], stacked[:, 0])):
+            assert same_bytes(_auc_rows(y, scores), reference_auc_rows(y, scores))
 
     def test_absent_class_and_nan_scores_give_nan(self):
         assert np.isnan(auc_score(np.zeros(4), np.arange(4.0)))

@@ -2,7 +2,10 @@
 
 The analytic gradient is validated against central finite differences for
 both score modes and both links. The discretization sweep and the sparsity
-selection rule are exercised on planted data.
+selection rule are exercised on planted data. The in-place training loop
+must train the bits of the allocating loop it replaced
+(`conftest.allocating_relaxed_training`), at epoch counts on both sides of
+its loss block.
 """
 
 import warnings
@@ -15,6 +18,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import (
+    allocating_relaxed_loss_and_grad,
+    allocating_relaxed_training,
     column_by_column,
     reference_cutoff_sets,
     reference_relaxed_loss_and_grad,
@@ -114,9 +119,7 @@ class TestGradient:
         def untouched(*args, **kwargs):
             raise AssertionError("training started")
 
-        monkeypatch.setattr(
-            "ratiomarker.learn.relaxed.relaxed_loss_and_grad", untouched
-        )
+        monkeypatch.setattr("ratiomarker.learn.relaxed._step", untouched)
         _, values, y = random_problem(1)
         matrix = StrictlyPositiveMatrix(
             values,
@@ -434,6 +437,46 @@ class TestBatchedTraining:
             np.testing.assert_allclose(
                 model.diagnostics["loss_curve"], solo.diagnostics["loss_curve"], rtol=1e-10
             )
+
+
+def epoch_counts(fits):
+    """Epochs around the loss block of `fits` fits on the 100-sample
+    training problem: 1, one short of a block, a block, one over, and the
+    default 1,000."""
+    block = relaxed._LOSS_ELEMENTS // (100 * fits)
+    return [1, block - 1, block, block + 1, 1000]
+
+
+class TestInPlaceTraining:
+    """The in-place step trains the bits of the allocating one; only the
+    loss curve, reduced once per block of epochs, may move by rounding."""
+
+    @pytest.mark.parametrize("mode, link", MODE_LINKS)
+    @pytest.mark.parametrize("fits", [1, 3])
+    def test_equals_the_allocating_loop(self, mode, link, fits):
+        matrix, starts, ys = training_problem(link, fits=fits)
+        if fits == 1:
+            starts, ys = starts[0], ys[0]
+        for epochs in epoch_counts(fits):
+            config = LearnerConfig(epochs=epochs)
+            got, want = starts.copy(), starts.copy()
+            curve = _train(got, matrix.values, ys, mode, link, config)
+            want_curve = allocating_relaxed_training(want, matrix.values, ys, mode, link, config)
+            assert got.tobytes() == want.tobytes(), epochs
+            assert curve.shape == want_curve.shape == (epochs, *starts.shape[:-1])
+            np.testing.assert_allclose(curve, want_curve, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("mode, link", MODE_LINKS)
+    def test_one_step_equals_the_allocating_step(self, mode, link):
+        matrix, starts, ys = training_problem(link, fits=3)
+        starts = starts + np.random.default_rng(7).normal(0.0, 0.5, starts.shape)
+        for params, y in ((starts[0], ys[0]), (starts, ys)):
+            loss, grad = relaxed_loss_and_grad(params, matrix.values, y, mode, link)
+            want_loss, want = allocating_relaxed_loss_and_grad(
+                params, matrix.values, y, mode, link
+            )
+            assert grad.tobytes() == want.tobytes()
+            np.testing.assert_allclose(loss, want_loss, rtol=1e-12, atol=0.0)
 
 
 class TestBatchErrorIsolation:

@@ -18,7 +18,7 @@ import scipy.special as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratiomarker.special import expit, ndtr, stdtr
+from ratiomarker.special import expit, ndtr, softplus, stdtr
 
 TINY = np.finfo(float).tiny  # the smallest normal float
 RTOL = 1e-12
@@ -76,6 +76,46 @@ class TestExpit:
         x = np.array([-745.2, -1000.0, -1e300])
         with np.errstate(over="ignore"):
             np.testing.assert_array_equal(expit(x), sc.expit(x))
+
+
+def ulps_apart(a, b):
+    """How many doubles lie between a and b, both non-negative; 0 where
+    both are NaN."""
+    steps = np.abs(a.view(np.int64) - b.view(np.int64))
+    return np.where(np.isnan(a) & np.isnan(b), 0, steps)
+
+
+SIGNED = st.booleans()
+# Any double, the special values, and |x| near 709 (where exp(-|x|) nears
+# the smallest normal) and 745 (where it underflows to 0).
+SOFTPLUS_ARGS = (
+    st.floats(allow_nan=True, allow_infinity=True, width=64)
+    | st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+    | st.builds(lambda u, neg: -u if neg else u, st.floats(700.0, 720.0), SIGNED)
+    | st.builds(lambda u, neg: -u if neg else u, st.floats(735.0, 755.0), SIGNED)
+)
+
+
+class TestSoftplus:
+    @SETTINGS
+    @given(values(SOFTPLUS_ARGS))
+    def test_is_the_expression_and_near_logaddexp(self, x):
+        want = np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
+        assert softplus(x).tobytes() == want.tobytes()
+        out = np.empty_like(x)
+        assert softplus(x, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        with np.errstate(invalid="ignore"):
+            assert ulps_apart(softplus(x), np.logaddexp(0.0, x)).max() <= 2
+
+    @SETTINGS
+    @given(values(st.floats(-800.0, 800.0) | st.sampled_from([0.0, -0.0, np.inf, np.nan])))
+    def test_expit_into_out_keeps_the_bits(self, x):
+        out = np.empty_like(x)
+        with np.errstate(over="ignore"):
+            want = expit(x)
+            assert expit(x, out=out) is out
+        assert out.tobytes() == want.tobytes()
 
 
 class TestNdtr:
