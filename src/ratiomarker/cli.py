@@ -8,8 +8,9 @@ file via --config; explicit flags win over the file, which wins over
 defaults. A previously written manifest.json is itself a valid --config,
 so any run can be repeated. Each option is declared once, as a row of the
 option tables below; the parser, the defaults, the coercion of config-file
-values and their choice checks all come from those rows. Exit codes:
-0 success, 2 parse errors, 3 precondition failures.
+values and their choice checks all come from those rows, but the parser
+declares only the invoked subcommand's. Exit codes: 0 success, 2 parse
+errors, 3 precondition failures (an output that cannot be written too).
 """
 
 import argparse
@@ -172,7 +173,8 @@ _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(invoked: str | None) -> argparse.ArgumentParser:
+    """Every subcommand and its help, but only `invoked`'s options."""
     parser = argparse.ArgumentParser(
         prog="ratiomarker",
         description="Ratio-based biomarker analysis for compositional count data.",
@@ -181,6 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, _, _, options) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        if command != invoked:
+            continue
         p.add_argument("--config", help="key=value file or a previous manifest.json")
         for opt in options:
             if opt.type is bool:
@@ -695,8 +699,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # No top-level option takes a value, so the first command name is run.
+    invoked = next((arg for arg in argv if arg in _COMMANDS), None)
+    args = _build_parser(invoked).parse_args(argv)
     command = args.command
     started = time.perf_counter()
     created: list[Path] = []

@@ -25,10 +25,11 @@ def _auc_rows(y, scores):
     padded with the label -1 and finite scores with +inf, which ranks last
     and so leaves the real ranks alone.
 
-    The positives' midranks are summed in sorted order, which gathers each
-    slice's scores and labels by flat index; a tie group (-0.0 ties with
-    0.0) starts where the sorted value changes. Midranks are half-integers,
-    so the sums are exact in any order.
+    Each slice's scores and labels are gathered in sorted order by flat
+    index. Tie-free slices sum their positives' 1-based positions in one
+    product, tied ones (-0.0 ties 0.0, two +inf pads tie) their midranks;
+    once there are as many ties as slices, all sum midranks. The sums are
+    exact in any order. NaN sorts last, so it ends the slice holding it.
     """
     y = np.asarray(y, dtype=float)
     scores = np.asarray(scores, dtype=float)
@@ -42,13 +43,19 @@ def _auc_rows(y, scores):
     ranked_positive = np.broadcast_to(positive, scores.shape).ravel()[order]
     starts = np.ones(scores.shape, dtype=bool)
     np.not_equal(ordered[..., 1:], ordered[..., :-1], out=starts[..., 1:])
-    first = np.broadcast_to(np.arange(width), scores.shape)[starts]
-    size = np.diff(np.flatnonzero(starts), append=scores.size)
-    midranks = np.repeat(first + (size + 1) / 2.0, size).reshape(scores.shape)
-    rank_sum = np.where(ranked_positive, midranks, 0.0).sum(axis=-1)
+    ties = starts.size - np.count_nonzero(starts)
+    few = ties < math.prod(rows)
+    rank_sum = ranked_positive @ np.arange(1.0, width + 1) if few else np.empty(rows)
+    if ties:
+        pick = ~starts.all(axis=-1) if few else ...
+        starts, ranked_positive = starts[pick], ranked_positive[pick]
+        first = np.broadcast_to(np.arange(width), starts.shape)[starts]
+        size = np.diff(np.flatnonzero(starts), append=starts.size)
+        midranks = np.repeat(first + (size + 1) / 2.0, size).reshape(starts.shape)
+        rank_sum[pick] = np.where(ranked_positive, midranks, 0.0).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    undefined = (n_pos == 0) | (n_neg == 0) | np.isnan(ordered).any(axis=-1)
+    undefined = (n_pos == 0) | (n_neg == 0) | np.isnan(ordered[..., -1:]).any(axis=-1)
     return np.where(undefined, np.nan, auc)
 
 

@@ -6,8 +6,8 @@ auto-detected from the first two lines. Parsers reject NaN, infinities and
 ragged rows, a tab in a cell of a comma-delimited file, and the matrix
 parser negative cells too, with 1-based row/column positions in the error
 message. Outcome values may be negative. Writers replace their file
-atomically; a float cell of a table is written as its repr, which reads
-back to the same bits, and any other cell as str.
+atomically or fail with a `ValidationError`; a float cell is written
+as its repr, which reads back to the same bits, and any other as str.
 """
 
 import json
@@ -88,34 +88,32 @@ def _split_rows(path, lines, first_row: int, n_cols: int | None, delim: str):
 
 
 def read_matrix(path) -> CompositionMatrix:
-    """Read an abundance matrix from delimited text."""
+    """Read an abundance matrix from delimited text. Rows are converted one
+    at a time and the whole matrix is tested once; only a failure rescans
+    the rows, in reading order, to name the first ragged row or bad cell."""
     lines = _read_lines(path)
     delim = _detect_delimiter(lines)
     ((_, header),) = _split_rows(path, lines[:1], 1, None, delim)
     n_cols = len(header)
     if n_cols < 3:
-        raise ParseError(
-            "matrix needs a sample-id column and at least two features",
-            path=path,
-            row=1,
-        )
+        message = "matrix needs a sample-id column and at least two features"
+        raise ParseError(message, path=path, row=1)
     feature_ids = [h.strip() for h in header[1:]]
     if len(lines) < 2:
         raise ParseError("matrix has no sample rows", path=path)
     sample_ids = []
     # One row of Python floats at a time, not the whole table.
     values = np.empty((len(lines) - 1, n_cols - 1))
-    for i, fields in _split_rows(path, lines[1:], 2, n_cols, delim):
-        sample_ids.append(fields[0].strip())
-        row = values[i - 2]
-        try:
-            row[:] = list(map(float, fields[1:]))
-            # A NaN makes min and max NaN, which fails both tests.
-            valid = row.min() >= 0.0 and row.max() < np.inf
-        except ValueError:
-            valid = False
-        if not valid:
-            # Raise at the row's first bad cell.
+    try:
+        for i, fields in _split_rows(path, lines[1:], 2, n_cols, delim):
+            sample_ids.append(fields[0].strip())
+            values[i - 2] = list(map(float, fields[1:]))
+        # A NaN makes min and max NaN, which fails both tests.
+        valid = values.min() >= 0.0 and values.max() < np.inf
+    except (ParseError, ValueError):
+        valid = False
+    if not valid:
+        for i, fields in _split_rows(path, lines[1:], 2, n_cols, delim):
             for j, cell in enumerate(fields[1:], start=2):
                 if _parse_cell(cell, path, i, j) < 0.0:
                     raise ParseError(
@@ -299,7 +297,8 @@ def _atomic_writer(path):
     It is written to a temp file beside `path` whose name is unique per
     write, so concurrent writes to one path do not collide, then renamed
     over `path`; on error the temp file is removed. The file is created
-    with the usual umask-derived mode.
+    with the usual umask-derived mode. An `OSError` (opening, writing or
+    renaming) becomes a `ValidationError` that names `path` and the reason.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
@@ -307,5 +306,7 @@ def _atomic_writer(path):
         with open(tmp, "x") as f:
             yield f
         os.replace(tmp, path)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
         tmp.unlink(missing_ok=True)

@@ -86,6 +86,32 @@ class TestParser:
             run("transform", "--transform", "alr")
         assert info.value.code == 2
 
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run("--help")
+        assert info.value.code == 0
+        text = capsys.readouterr().out
+        for command, (help_text, *_) in _COMMANDS.items():
+            assert command in text
+            assert help_text.split()[0] in text
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_command_help_lists_every_option(self, capsys, command):
+        # The parser declares only the invoked command's options; those
+        # must all be there.
+        with pytest.raises(SystemExit) as info:
+            run(command, "--help")
+        assert info.value.code == 0
+        text = capsys.readouterr().out
+        for opt in ("--config", *(o.flag for o in _COMMANDS[command][3])):
+            assert f"{opt} " in text or f"{opt}\n" in text
+
+    def test_an_option_of_another_command_is_a_parse_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run("learn", "--transform", "clr")
+        assert info.value.code == 2
+        assert "unrecognized arguments: --transform clr" in capsys.readouterr().err
+
 
 class TestTransform:
     def test_clr_output_matches_library(self, tmp_path):
@@ -257,6 +283,23 @@ class TestExitCodes:
         assert run("simulate", "--out-dir", str(out_dir)) == 3
         assert f"--out-dir {out_dir}: " in capsys.readouterr().err
         assert taken.read_text() == ""
+
+    def test_output_that_cannot_be_written(self, tmp_path, capsys):
+        # A directory where model.json should go: the rename fails, which
+        # is a precondition failure naming the file, and no temp file stays.
+        sim = simulate_into(tmp_path, n_samples=40, n_features=6, seed=3)
+        out = tmp_path / "out"
+        (out / "model.json").mkdir(parents=True)
+        rc = run(
+            "learn",
+            "--matrix", str(sim / "observed.tsv"),
+            "--outcome", str(sim / "outcome.tsv"),
+            "--out-dir", str(out),
+        )
+        assert rc == 3
+        assert "model.json" in capsys.readouterr().err
+        assert list(out.glob("*.tmp")) == []
+        assert [p.name for p in out.iterdir()] == ["model.json"]
 
     def test_config_file_missing(self, tmp_path):
         rc = run(

@@ -4,11 +4,14 @@ R squared rows against the scalar formula.
 `conftest.reference_midranks`, once the package's own midrank kernel, must
 equal `scipy.stats.rankdata` byte for byte on 1-D and 2-D inputs of every
 width, with heavy ties, signed zeros, infinities and NaN. `_auc_rows` sums
-the midranks in sorted order and must equal the AUC that sums them in the
-input's order (`conftest.reference_auc_rows`) byte for byte.
+positions for tie-free slices and midranks for tied ones, in sorted order,
+and must equal the AUC that sums midranks in the input's order
+(`conftest.reference_auc_rows`) byte for byte, with tie-free and tied
+slices mixed in one call.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -82,6 +85,44 @@ def stacked_folds(draw):
     return folds
 
 
+@st.composite
+def mixed_chunks(draw):
+    """Labels (folds x width) and scores (C x folds x width) as the scorer
+    stacks them, whose slices tie or not within one call. Every slice
+    starts with distinct scores; a drawn set of them, from none to all,
+    then ties -0.0 with 0.0 or repeats a value, so that a call holds fewer
+    or more ties than slices. Fold 0 may be padded with two or more +inf,
+    which ties its every slice, and a NaN may go into a tied and into a
+    tie-free slice."""
+    c = draw(st.integers(1, 6))
+    n_folds = draw(st.integers(1, 4))
+    width = draw(st.integers(5, 12))
+    size = n_folds * width
+    labels = np.array(
+        draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=size, max_size=size))
+    ).reshape(n_folds, width)
+    scores = np.empty((c, n_folds, width))
+    slices = list(np.ndindex(c, n_folds))
+    for index in slices:
+        scores[index] = np.array(draw(st.permutations(range(width)))) - width / 2
+    tied = draw(st.lists(st.sampled_from(slices), unique=True, max_size=len(slices)))
+    for index in tied:
+        if draw(st.booleans()):
+            scores[index][:2] = draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0)]))
+        else:
+            scores[index][1] = scores[index][0]
+    if draw(st.booleans()):
+        pads = draw(st.integers(2, width - 3))
+        labels[0, -pads:] = -1.0
+        scores[:, 0, -pads:] = np.inf
+        tied += [index for index in slices if index[1] == 0]
+    free = [index for index in slices if index not in tied]
+    for group in (tied, free):
+        if group and draw(st.booleans()):
+            scores[group[0]][2] = np.nan
+    return labels, scores
+
+
 class TestAuc:
     @settings(max_examples=200, deadline=None)
     @given(arrays(2), st.data())
@@ -125,6 +166,27 @@ class TestAuc:
         stacked[0, :, 0] = tie
         for y, scores in ((labels, stacked), (labels[0], stacked[:, 0])):
             assert same_bytes(_auc_rows(y, scores), reference_auc_rows(y, scores))
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_chunks())
+    def test_tie_free_and_tied_slices_in_one_call(self, chunk):
+        # Tie-free slices sum positions, tied ones midranks; both must
+        # give the scattered midrank sums' bits, stacked and one by one.
+        labels, scores = chunk
+        want = reference_auc_rows(labels, scores)
+        assert same_bytes(_auc_rows(labels, scores), want)
+        for c, f in np.ndindex(scores.shape[:2]):
+            y, row = labels[f], scores[c, f]
+            assert same_bytes(_auc_rows(y, row), reference_auc_rows(y, row))
+
+    @pytest.mark.parametrize("width", [0, 1])
+    def test_widths_zero_and_one(self, width):
+        y = np.ones((2, width))
+        for scores in (np.zeros((3, 2, width)), np.zeros(width)):
+            labels = y if scores.ndim == 3 else y[0]
+            got = _auc_rows(labels, scores)
+            assert same_bytes(got, reference_auc_rows(labels, scores))
+            assert np.isnan(got).all()
 
     def test_absent_class_and_nan_scores_give_nan(self):
         assert np.isnan(auc_score(np.zeros(4), np.arange(4.0)))

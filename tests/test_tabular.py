@@ -96,6 +96,19 @@ class TestMatrixParseErrors:
         with pytest.raises(ParseError):
             read_matrix(path)
 
+    @pytest.mark.parametrize(
+        "cell, message", [("nan", "cell is NaN"), ("-1.5", "cell '-1.5' is negative")]
+    )
+    def test_bad_cell_before_a_ragged_row_is_named_first(self, tmp_path, cell, message):
+        # The first pass stops at the ragged row 5; the rescan in reading
+        # order must still name row 2's bad cell.
+        path = tmp_path / "m.tsv"
+        rows = [f"s1\t1.0\t{cell}", "s2\t1.0\t2.0", "s3\t3.0\t4.0", "s4\t5.0"]
+        path.write_text("sample_id\tx\ty\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=message) as exc:
+            read_matrix(path)
+        assert (exc.value.row, exc.value.column) == (2, 3)
+
     def test_single_feature_rejected(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("sample_id\tx\ns1\t1.0\n")
