@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllFeaturesRemoved,
-    DimensionMismatch,
-    UnknownFeature,
-    ValidationError,
-    ZeroRemains,
-)
+from .errors import ValidationError
 
 # Largest block (rows x columns) that column-wise work over a wide table
 # builds at once; small blocks keep memory flat at no cost in speed.
@@ -60,11 +54,11 @@ class CompositionMatrix:
         self.sample_ids = [str(s) for s in self.sample_ids]
         self.feature_ids = [str(f) for f in self.feature_ids]
         if len(self.sample_ids) != n:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"{len(self.sample_ids)} sample ids for {n} rows"
             )
         if len(self.feature_ids) != g:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"{len(self.feature_ids)} feature ids for {g} columns"
             )
         _check_unique(self.sample_ids, "sample")
@@ -86,7 +80,7 @@ class CompositionMatrix:
         try:
             return self.feature_ids.index(label)
         except ValueError:
-            raise UnknownFeature(f"feature {label!r} not in matrix") from None
+            raise ValidationError(f"feature {label!r} not in matrix") from None
 
 
 class StrictlyPositiveMatrix(CompositionMatrix):
@@ -182,7 +176,7 @@ def apply_zero_policy(
     zero_frac = np.mean(vals == 0.0, axis=0)
     keep = zero_frac <= policy.max_zero_fraction
     if int(keep.sum()) < 2:
-        raise AllFeaturesRemoved(
+        raise ValidationError(
             "fewer than two features survive the zero-fraction filter"
         )
     removed = [f for f, k in zip(matrix.feature_ids, keep) if not k]
@@ -192,7 +186,7 @@ def apply_zero_policy(
     zero = sub == 0.0
     if np.any(zero):
         if policy.replacement == "none":
-            raise ZeroRemains(
+            raise ValidationError(
                 "zeros remain after feature removal and replacement is disabled"
             )
         # Each sample's detection limit: its smallest positive kept entry.
@@ -200,7 +194,7 @@ def apply_zero_policy(
         empty = np.flatnonzero(np.isinf(limit))
         if empty.size:
             sample = matrix.sample_ids[empty[0]]
-            raise ZeroRemains(f"sample {sample!r} has no positive entry")
+            raise ValidationError(f"sample {sample!r} has no positive entry")
         sub = np.where(zero, 0.5 * limit, sub)
     return (
         StrictlyPositiveMatrix(sub, list(matrix.sample_ids), kept_ids),

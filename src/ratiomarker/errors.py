@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+There is one type per CLI exit code: `ParseError` (exit 2) for malformed
+tabular input and `ValidationError` (exit 3) for every other failed
+precondition, both `RatiomarkerError`s. The message says which precondition
+failed. `DegenerateDesign`, a `ValidationError`, stays only because
+`perfbench/selftest.py` checks that a traced GLM fit re-raises that type.
+"""
 
 
 class RatiomarkerError(Exception):
@@ -27,49 +34,5 @@ class ValidationError(RatiomarkerError):
     """A precondition on inputs or configuration does not hold."""
 
 
-class AllFeaturesRemoved(ValidationError):
-    """Zero handling removed so many features that no analysis is possible."""
-
-
-class ZeroRemains(ValidationError):
-    """Zeros survive zero handling: replacement is disabled, or no entry is
-    positive."""
-
-
-class DimensionMismatch(ValidationError):
-    """Arrays that must agree in length or shape do not."""
-
-
-class UnknownFeature(ValidationError):
-    """A feature label is not present in the matrix."""
-
-
-class InvalidSize(ValidationError):
-    """A requested size parameter is out of range."""
-
-
 class DegenerateDesign(ValidationError):
-    """No variation to fit or decompose (the rule of `metrics._flat`): a
-    constant score or singular design in a GLM fit, a matrix or block pair
-    in PCA or PLS, or the original in variance explained."""
-
-
-class TooManyFeatures(ValidationError):
-    """Feature count exceeds the all-pairs analysis cap."""
-
-
-class IndexOutOfRange(ValidationError):
-    """A feature index does not exist in the matrix."""
-
-
-class OverlappingSets(ValidationError):
-    """Numerator and denominator index sets intersect."""
-
-
-class NoImprovingPair(ValidationError):
-    """No candidate pair produces a fittable, scoreable model."""
-
-
-class FeatureMismatch(ValidationError):
-    """New data does not carry the features the model was trained on."""
-
+    """No variation to fit or decompose (the rule of `metrics._flat`)."""

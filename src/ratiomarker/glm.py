@@ -39,12 +39,7 @@ from .composition import (
     close_to_proportions,
     ratio_pairs,
 )
-from .errors import (
-    DegenerateDesign,
-    DimensionMismatch,
-    TooManyFeatures,
-    ValidationError,
-)
+from .errors import DegenerateDesign, ValidationError
 from .metrics import _flat
 from .special import expit, ndtr, softplus, stdtr
 
@@ -91,7 +86,7 @@ def fit_glm(z, outcome: Outcome) -> FittedGlm:
     """
     z = np.asarray(z, dtype=float).ravel()
     if z.size != outcome.n:
-        raise DimensionMismatch(f"score length {z.size} vs outcome length {outcome.n}")
+        raise ValidationError(f"score length {z.size} vs outcome length {outcome.n}")
     fits = _fit_rows(z[None, :], outcome)
     if fits.errors[0] is not None:
         raise fits.errors[0]
@@ -388,7 +383,7 @@ def daa(
     bounded size.
     """
     if outcome.n != matrix.n_samples:
-        raise DimensionMismatch("outcome length does not match sample count")
+        raise ValidationError("outcome length does not match sample count")
     if transform == "clr":
         columns = clr_transform(matrix)
         notion = "clr"
@@ -452,12 +447,12 @@ def differential_ratio_analysis(
     """
     g = matrix.n_features
     if g > max_features:
-        raise TooManyFeatures(
+        raise ValidationError(
             f"{g} features would give {g * (g - 1) // 2} ratio tests"
             f" (cap {max_features})"
         )
     if outcome.n != matrix.n_samples:
-        raise DimensionMismatch("outcome length does not match sample count")
+        raise ValidationError("outcome length does not match sample count")
     jj, kk = ratio_pairs(g)
     logs = np.log(matrix.values)
     blocks = (z for _, z in _pairwise_logratio_blocks(logs, jj, kk))

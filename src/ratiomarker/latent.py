@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import Outcome, StrictlyPositiveMatrix
-from .errors import DegenerateDesign, DimensionMismatch, ValidationError
+from .errors import DegenerateDesign, ValidationError
 from .learn.biomarker import LearnedModel, LearnerConfig, predict
 from .learn.relaxed import relaxed_gradient_learner
 from .metrics import _flat, r2_score
@@ -41,7 +41,7 @@ class OmicsPair:
 
     def __post_init__(self):
         if self.t.sample_ids != self.u.sample_ids:
-            raise DimensionMismatch(
+            raise ValidationError(
                 "the two matrices must share sample ids in the same order"
             )
 
@@ -106,7 +106,7 @@ def pls_first_component(x, y) -> PlsComponent:
     x = _as_2d(x)
     y = _as_2d(y)
     if x.shape[0] != y.shape[0]:
-        raise DimensionMismatch("x and y must have the same number of rows")
+        raise ValidationError("x and y must have the same number of rows")
     if x.shape[0] < 2:
         raise ValidationError("need at least two samples")
     xc = x - x.mean(axis=0, keepdims=True)
@@ -141,6 +141,8 @@ class EncoderDecoderConfig:
             raise ValidationError("epochs must be at least 1")
         if not self.learning_rate > 0.0:
             raise ValidationError("learning_rate must be positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
 
 
 def _layer_sizes(d_in: int, hidden: int, d_out: int):
@@ -261,7 +263,7 @@ class EncoderDecoderFit:
     def encode(self, x) -> LatentRepresentation:
         x = _as_2d(x)
         if x.shape[1] != self.d_in:
-            raise DimensionMismatch("input width does not match the network")
+            raise ValidationError("input width does not match the network")
         w1, w2, _, _ = _blocks(self.params, self.d_in, self.config.hidden_units, self.d_out)
         act1 = np.maximum((x - self.x_mean) @ w1[:-1] + w1[-1], 0.0)
         return LatentRepresentation((act1 @ w2[:-1] + w2[-1]).ravel(), "nn")
@@ -289,7 +291,7 @@ def encoder_decoder_latent(
     x = _as_2d(x)
     y = _as_2d(y)
     if x.shape[0] != y.shape[0]:
-        raise DimensionMismatch("x and y must have the same number of rows")
+        raise ValidationError("x and y must have the same number of rows")
     rng = np.random.default_rng(config.seed)
     x_mean = x.mean(axis=0, keepdims=True)
     y_mean = y.mean(axis=0, keepdims=True)
@@ -351,7 +353,7 @@ def least_squares_decode(target, scores) -> np.ndarray:
     target = _as_2d(target)
     scores = np.asarray(scores, dtype=float).ravel()
     if scores.size != target.shape[0]:
-        raise DimensionMismatch("score length does not match target rows")
+        raise ValidationError("score length does not match target rows")
     design = np.column_stack([scores, np.ones(scores.size)])
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     return design @ coef
@@ -367,7 +369,7 @@ def variance_explained(original, reconstruction) -> float:
     original = _as_2d(original)
     reconstruction = _as_2d(reconstruction)
     if original.shape != reconstruction.shape:
-        raise DimensionMismatch("original and reconstruction shapes differ")
+        raise ValidationError("original and reconstruction shapes differ")
     centered = original - original.mean(axis=0, keepdims=True)
     ss_tot = float(np.sum(centered * centered))
     if _flat(np.sqrt(ss_tot), original.size, np.abs(original).max()):
@@ -405,7 +407,7 @@ def approximate_latent_with_rbb(
     per-sample rescaling of the matrix.
     """
     if latent.scores.size != matrix.n_samples:
-        raise DimensionMismatch("latent length does not match sample count")
+        raise ValidationError("latent length does not match sample count")
     outcome = Outcome.continuous(latent.scores)
     model = relaxed_gradient_learner(matrix, outcome, config=config, mode=mode)
     approx = predict(model, matrix)

@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..composition import Outcome, StrictlyPositiveMatrix
-from ..errors import (
-    FeatureMismatch,
-    IndexOutOfRange,
-    OverlappingSets,
-    ValidationError,
-)
+from ..errors import ValidationError
 from ..glm import FittedGlm, fit_glm
 from ..tabular import json_text
 
@@ -46,7 +41,7 @@ class RatioBiomarker:
             raise ValidationError("index sets must not repeat features")
         overlap = set(num) & set(den)
         if overlap:
-            raise OverlappingSets(f"features {sorted(overlap)} appear on both sides")
+            raise ValidationError(f"features {sorted(overlap)} appear on both sides")
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
 
@@ -58,7 +53,7 @@ class RatioBiomarker:
         lo = min(self.numerator[0], self.denominator[0])
         hi = max(self.numerator[-1], self.denominator[-1])
         if lo < 0 or hi >= n_features:
-            raise IndexOutOfRange(
+            raise ValidationError(
                 f"indices must lie in [0, {n_features - 1}]"
             )
 
@@ -125,6 +120,8 @@ class LearnerConfig:
             raise ValidationError("learning_rate must be positive")
         if self.cv_folds < 2:
             raise ValidationError("cv_folds must be at least 2")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
         if self.population < 1:
             raise ValidationError("population must be at least 1")
         if self.generations < 0:
@@ -156,7 +153,7 @@ def predict(model: LearnedModel, matrix: StrictlyPositiveMatrix) -> np.ndarray:
     on, in the same order.
     """
     if list(matrix.feature_ids) != list(model.feature_ids):
-        raise FeatureMismatch(
+        raise ValidationError(
             "matrix features do not match the model's training features"
         )
     z = evaluate_biomarker(model.biomarker, matrix)
@@ -231,36 +228,52 @@ def serialize_model(model: LearnedModel) -> str:
 
 
 def load_model(text: str) -> LearnedModel:
-    """Read a model written by `serialize_model`; a null statistic is NaN."""
-    data = json.loads(text)
+    """Read a model written by `serialize_model`; a null statistic is NaN.
+
+    Text that is not such a model raises ValidationError naming the problem.
+    """
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise ValidationError(f"model is not valid JSON: {exc}") from None
+    if not isinstance(data, dict) or data.get("format") != "ratiomarker-model":
+        raise ValidationError("not a serialized biomarker model")
+
+    def field(key, kind, item=object):
+        value = data.get(key)
+        if key not in data or not isinstance(value, kind) or (
+            isinstance(value, list) and not all(isinstance(v, item) for v in value)
+        ):
+            raise ValidationError(f"model field {key!r} is missing or ill-typed")
+        return value
 
     def float_or_nan(key):
-        value = data[key]
+        value = field(key, (int, float, type(None)))
         return float("nan") if value is None else float(value)
 
-    if data.get("format") != "ratiomarker-model":
-        raise ValidationError("not a serialized biomarker model")
     biomarker = RatioBiomarker(
-        tuple(data["numerator_indices"]),
-        tuple(data["denominator_indices"]),
-        data["mode"],
+        tuple(field("numerator_indices", list, int)),
+        tuple(field("denominator_indices", list, int)),
+        field("mode", str),
     )
     glm = FittedGlm(
-        beta=float(data["beta"]),
-        beta0=float(data["beta0"]),
+        beta=float(field("beta", (int, float))),
+        beta0=float(field("beta0", (int, float))),
         se=float_or_nan("se"),
         p_value=float_or_nan("p_value"),
-        converged=bool(data["converged"]),
+        converged=field("converged", bool),
         n_iter=0,
-        link=data["link"],
+        link=field("link", str),
     )
+    if glm.link not in ("logistic", "identity"):
+        raise ValidationError("model field 'link' is missing or ill-typed")
     return LearnedModel(
         biomarker=biomarker,
         glm=glm,
-        feature_ids=list(data["feature_ids"]),
+        feature_ids=list(field("feature_ids", list, str)),
         cv_score=float_or_nan("cv_score"),
         cv_se=float_or_nan("cv_se"),
         training_scores=np.array([]),
-        seed=int(data["seed"]),
+        seed=field("seed", int),
         diagnostics={},
     )

@@ -52,7 +52,7 @@ import math
 import numpy as np
 
 from ..composition import Outcome, StrictlyPositiveMatrix
-from ..errors import DimensionMismatch, ValidationError
+from ..errors import ValidationError
 from ..glm import TOL, _fit_rows
 from ..metrics import _auc_rows, _flat, _r2_rows
 from .biomarker import LearnerConfig
@@ -106,7 +106,7 @@ def _learner_setup(
     dimension check, then `check_learnable`."""
     config = config or LearnerConfig()
     if outcome.n != matrix.n_samples:
-        raise DimensionMismatch("outcome length does not match sample count")
+        raise ValidationError("outcome length does not match sample count")
     check_learnable(outcome)
     return config
 
@@ -183,7 +183,7 @@ def score_candidates(
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] != outcome.n:
-        raise DimensionMismatch(
+        raise ValidationError(
             f"candidate matrix of shape {Z.shape} for {outcome.n} samples"
         )
     if not (isinstance(folds, _FoldArrays) and folds.outcome is outcome):

@@ -17,7 +17,7 @@ from ..composition import (
     _pairwise_logratio_blocks,
     ratio_pairs,
 )
-from ..errors import NoImprovingPair
+from ..errors import ValidationError
 from .biomarker import LearnedModel, LearnerConfig, RatioBiomarker, orient_and_fit
 from .scoring import (
     _FoldArrays,
@@ -48,7 +48,7 @@ def forward_stepwise_balance(
     for pairs, z in _pairwise_logratio_blocks(logs, jj, kk):
         means[pairs], ses[pairs] = score_candidates(z, outcome, folds)
     if not np.any(means > float("-inf")):
-        raise NoImprovingPair("no feature pair yields a fittable model")
+        raise ValidationError("no feature pair yields a fittable model")
     best = int(np.argmax(means))
     numerator = [int(jj[best])]
     denominator = [int(kk[best])]

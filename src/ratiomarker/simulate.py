@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .composition import CompositionMatrix, Outcome, StrictlyPositiveMatrix
-from .errors import DimensionMismatch, InvalidSize, ValidationError
+from .errors import ValidationError
 from .learn.biomarker import RatioBiomarker
 
 
@@ -32,7 +32,7 @@ class BiasModel:
         self.depth = np.asarray(self.depth, dtype=float).ravel()
         if np.any(self.feature_bias <= 0.0) or np.any(self.depth <= 0.0):
             raise ValidationError("bias factors must be strictly positive")
-        if self.noise_sd < 0.0:
+        if not self.noise_sd >= 0.0:
             raise ValidationError("noise_sd must be nonnegative")
 
     @classmethod
@@ -77,7 +77,7 @@ class GroundTruthScenario:
         n, g = self.true_abundances.shape
         self.group = np.asarray(self.group, dtype=int).ravel()
         if self.group.size != n:
-            raise DimensionMismatch("group labels do not match sample count")
+            raise ValidationError("group labels do not match sample count")
         if not set(np.unique(self.group)) <= {0, 1}:
             raise ValidationError("group labels must be 0 or 1")
         if len(set(self.group.tolist())) != 2:
@@ -116,9 +116,9 @@ def observe(
     those of the truth up to log rounding.
     """
     if bias.feature_bias.size != scenario.n_features:
-        raise DimensionMismatch("feature bias length does not match scenario")
+        raise ValidationError("feature bias length does not match scenario")
     if bias.depth.size != scenario.n_samples:
-        raise DimensionMismatch("depth length does not match scenario")
+        raise ValidationError("depth length does not match scenario")
     observed = scenario.true_abundances * bias.feature_bias[None, :]
     observed = observed * bias.depth[:, None]
     if bias.noise_sd > 0.0:
@@ -157,7 +157,7 @@ def da_notion_report(
     presential: sign of the group difference in observed presence rate.
     """
     if observed.values.shape != scenario.true_abundances.shape:
-        raise DimensionMismatch("observed matrix does not match scenario shape")
+        raise ValidationError("observed matrix does not match scenario shape")
     j = observed.feature_index(feature)
     g0 = scenario.group == 0
     g1 = scenario.group == 1
@@ -190,9 +190,9 @@ def planted_signal_scenario(
     log-ratio separates the groups by `effect`.
     """
     if n_samples < 4:
-        raise InvalidSize("need at least 4 samples")
+        raise ValidationError("need at least 4 samples")
     if n_features < 4:
-        raise InvalidSize("need at least 4 features")
+        raise ValidationError("need at least 4 features")
     if not np.isfinite(effect):
         raise ValidationError("effect must be finite")
     rng = np.random.default_rng(seed)
@@ -224,7 +224,7 @@ def depth_confounded_scenario(n_per_group: int = 2) -> GroundTruthScenario:
     everywhere. The first feature is the designated one for reporting.
     """
     if n_per_group < 1:
-        raise InvalidSize("need at least 1 sample per group")
+        raise ValidationError("need at least 1 sample per group")
     row0 = np.array([100.0, 450.0, 450.0])
     row1 = np.array([200.0, 1900.0, 1900.0])
     true = np.vstack([np.tile(row0, (n_per_group, 1)), np.tile(row1, (n_per_group, 1))])

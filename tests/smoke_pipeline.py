@@ -3,8 +3,9 @@
 Run it from an empty directory with the package importable, for example
 `python /path/to/tests/smoke_pipeline.py`; it writes its outputs into the
 current directory. Each check is an assertion, so the first one that fails
-ends the run with a traceback and a non-zero exit code. The last check is
-that no scipy module was loaded: the package needs numpy only.
+ends the run with a traceback and a non-zero exit code. Two runs check the
+error exit codes 2 and 3. The last check is that no scipy module was
+loaded: the package needs numpy only.
 
 The file name does not start with `test_`, so pytest does not collect it;
 `tests/test_smoke_pipeline.py` runs it in a subprocess.
@@ -217,5 +218,20 @@ assert main([
 rows = Path("ratios-tripled", "ratios.tsv").read_text().splitlines()[1:]
 notes = {row.split("\t")[0]: row.split("\t")[6] for row in rows}
 assert notes["g1/g1x3"] == "score is constant; nothing to fit", notes["g1/g1x3"]
+# The exit codes: a non-numeric cell is a parse error (2), and more folds
+# than samples is a failed precondition (3).
+Path("not-numeric.tsv").write_text("sample_id\tg1\tg2\ns1\t1.0\tx\ns2\t2.0\t3.0\n")
+assert main([
+    "transform",
+    "--matrix", "not-numeric.tsv",
+    "--out-dir", "transform-not-numeric",
+]) == 2
+assert main([
+    "learn",
+    "--cv-folds", "41",
+    "--matrix", "sim/observed.tsv",
+    "--outcome", "sim/outcome.tsv",
+    "--out-dir", "learn-too-many-folds",
+]) == 3
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 assert not loaded, loaded

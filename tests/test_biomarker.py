@@ -1,6 +1,7 @@
 """Ratio biomarker scores, their invariances, and model serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,14 +11,10 @@ from ratiomarker.composition import (
     StrictlyPositiveMatrix,
     pairwise_logratios,
 )
-from ratiomarker.errors import (
-    FeatureMismatch,
-    IndexOutOfRange,
-    OverlappingSets,
-    ValidationError,
-)
+from ratiomarker.errors import ValidationError
 from ratiomarker.glm import fit_glm
 from ratiomarker.learn.biomarker import (
+    LearnerConfig,
     RatioBiomarker,
     balance_from_logs,
     evaluate_biomarker,
@@ -45,7 +42,7 @@ class TestRatioBiomarkerValidation:
         assert b.denominator == (2,)
 
     def test_overlap_rejected(self):
-        with pytest.raises(OverlappingSets):
+        with pytest.raises(ValidationError, match=re.escape("features [2] appear on both")):
             RatioBiomarker((1, 2), (2, 3), "balance")
 
     def test_empty_side_rejected(self):
@@ -62,7 +59,7 @@ class TestRatioBiomarkerValidation:
 
     def test_out_of_range_caught_by_validate_for(self):
         b = RatioBiomarker((0,), (6,), "balance")
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ValidationError, match=re.escape("indices must lie in [0, 4]")):
             b.validate_for(5)
 
     def test_size_and_swap(self):
@@ -72,6 +69,12 @@ class TestRatioBiomarkerValidation:
         assert s.numerator == (1,)
         assert s.denominator == (0, 2)
         assert s.mode == "slr"
+
+
+class TestLearnerConfig:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be nonnegative"):
+            LearnerConfig(seed=-1)
 
 
 class TestBalanceScores:
@@ -256,6 +259,40 @@ class TestModelSerialization:
         assert back.glm.beta == model.glm.beta
         assert serialize_model(back) == text
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("not json", "model is not valid JSON"),
+            ("[]", "not a serialized biomarker model"),
+            ('{"format": "other"}', "not a serialized biomarker model"),
+        ],
+    )
+    def test_load_rejects_text_that_is_not_a_model(self, text, message):
+        with pytest.raises(ValidationError, match=message):
+            load_model(text)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("beta", None),
+            ("feature_ids", None),
+            ("feature_ids", 5),
+            ("numerator_indices", ["a"]),
+            ("beta0", "0.5"),
+            ("se", [1.0]),
+            ("seed", 1.5),
+            ("link", "probit"),
+        ],
+    )
+    def test_load_names_a_missing_or_ill_typed_field(self, key, value):
+        data = json.loads(serialize_model(self.fitted_model()[0]))
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+        with pytest.raises(ValidationError, match=f"'{key}' is missing or ill-typed"):
+            load_model(json.dumps(data))
+
     def test_serialization_is_deterministic(self):
         model, _ = self.fitted_model()
         assert serialize_model(model) == serialize_model(model)
@@ -272,7 +309,7 @@ class TestModelSerialization:
         renamed = StrictlyPositiveMatrix(
             m.values, list(m.sample_ids), [f"x{j}" for j in range(m.n_features)]
         )
-        with pytest.raises(FeatureMismatch):
+        with pytest.raises(ValidationError, match="matrix features do not match"):
             predict(model, renamed)
 
 

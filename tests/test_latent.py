@@ -21,7 +21,7 @@ from conftest import (
 
 from ratiomarker import latent
 from ratiomarker.composition import StrictlyPositiveMatrix, clr_transform
-from ratiomarker.errors import DegenerateDesign, DimensionMismatch, ValidationError
+from ratiomarker.errors import DegenerateDesign, ValidationError
 from ratiomarker.latent import (
     EncoderDecoderConfig,
     OmicsPair,
@@ -172,7 +172,7 @@ class TestPls:
             pls_first_component(x, y)
 
     def test_row_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="must have the same number of rows"):
             pls_first_component(np.ones((5, 3)), np.ones((6, 2)))
 
     def test_uncorrelated_y_column_does_not_break(self):
@@ -322,6 +322,10 @@ class TestEncoderDecoder:
         assert latent.scores.shape == (x.shape[0],)
         assert latent.method == "nn"
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be nonnegative"):
+            EncoderDecoderConfig(seed=-1)
+
     def test_deterministic_given_seed(self):
         x, y, _ = shared_factor_pair(43)
         cfg = EncoderDecoderConfig(epochs=100, seed=43)
@@ -405,7 +409,7 @@ class TestRbbApproximation:
         small = StrictlyPositiveMatrix(
             mat.values[:10], mat.sample_ids[:10], mat.feature_ids
         )
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="latent length does not match"):
             approximate_latent_with_rbb(latent, small)
 
     def test_pair_requires_matching_sample_ids(self):
@@ -416,5 +420,5 @@ class TestRbbApproximation:
         shuffled = StrictlyPositiveMatrix(
             b.values[::-1], b.sample_ids[::-1], b.feature_ids
         )
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="must share sample ids"):
             OmicsPair(a, shuffled)

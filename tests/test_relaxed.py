@@ -511,12 +511,13 @@ class TestBatchErrorIsolation:
         assert isinstance(results[1], ValidationError)
         assert "does not vary" in str(results[1])
         assert isinstance(results[2], DegenerateDesign)
+        assert "constant" in str(results[2])
         for i in (0, 3):
             solo = relaxed_gradient_learner(
                 obs, outcomes[i], replace(config, seed=seeds[i])
             )
             assert serialize_model(results[i]) == serialize_model(solo)
-        with pytest.raises(DegenerateDesign):
+        with pytest.raises(DegenerateDesign, match="constant"):
             relaxed_gradient_learner(obs, doomed, config)
 
     def test_diverged_fit_fails_alone(self, monkeypatch):

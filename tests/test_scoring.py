@@ -1,5 +1,7 @@
 """Fold construction and out-of-fold candidate scoring."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from conftest import (
 )
 
 from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
-from ratiomarker.errors import DimensionMismatch, ValidationError
+from ratiomarker.errors import ValidationError
 from ratiomarker.glm import TOL
 from ratiomarker.learn import (
     LearnerConfig,
@@ -98,7 +100,7 @@ class TestLearnerPreconditions:
         # Nine samples with a one-sample class: the dimension check wins.
         y = np.zeros(9)
         y[0] = 1.0
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="outcome length does not match"):
             learner(self.matrix, Outcome.binary(y))
 
     def test_one_sample_class(self, learner):
@@ -336,7 +338,8 @@ class TestScoreCandidates:
     def test_row_count_must_match_the_outcome(self):
         out = Outcome.binary((np.arange(20) % 2).astype(float))
         folds = make_folds(out, 4, np.random.default_rng(0))
-        with pytest.raises(DimensionMismatch):
+        shape = re.escape("candidate matrix of shape (19, 2) for 20 samples")
+        with pytest.raises(ValidationError, match=shape):
             score_candidates(np.zeros((19, 2)), out, folds)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ratiomarker.errors import DimensionMismatch, InvalidSize, ValidationError
+from ratiomarker.errors import ValidationError
 from ratiomarker.simulate import (
     BiasModel,
     GroundTruthScenario,
@@ -33,6 +33,11 @@ class TestBiasModel:
             BiasModel(np.array([1.0, 0.0]), np.array([1.0]))
         with pytest.raises(ValidationError):
             BiasModel(np.array([1.0]), np.array([-1.0, 1.0]))
+
+    @pytest.mark.parametrize("noise_sd", [-0.1, float("nan")])
+    def test_rejects_negative_or_nan_noise(self, noise_sd):
+        with pytest.raises(ValidationError, match="noise_sd must be nonnegative"):
+            BiasModel(np.ones(2), np.ones(3), noise_sd)
 
 
 class TestObserve:
@@ -71,9 +76,9 @@ class TestObserve:
 
     def test_shape_mismatch_rejected(self):
         sc = planted_signal_scenario(6, 5, seed=1)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="feature bias length does not match"):
             observe(sc, BiasModel.identity(6, 4))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="depth length does not match"):
             observe(sc, BiasModel.identity(5, 5))
 
 
@@ -111,9 +116,9 @@ class TestPlantedScenario:
         )
 
     def test_size_floor(self):
-        with pytest.raises(InvalidSize):
+        with pytest.raises(ValidationError, match="need at least 4 samples"):
             planted_signal_scenario(3, 5)
-        with pytest.raises(InvalidSize):
+        with pytest.raises(ValidationError, match="need at least 4 features"):
             planted_signal_scenario(8, 3)
 
     def test_auto_ids(self):

@@ -11,7 +11,7 @@ import pytest
 from conftest import column_by_column, cv_score_values
 from ratiomarker.benchmark import synthetic_omics_pair
 from ratiomarker.composition import Outcome, StrictlyPositiveMatrix, clr_transform
-from ratiomarker.errors import NoImprovingPair
+from ratiomarker.errors import ValidationError
 from ratiomarker.latent import pca_first_component
 from ratiomarker.learn import scoring, stepwise
 from ratiomarker.learn.biomarker import LearnerConfig
@@ -165,7 +165,7 @@ class TestDegenerateInputs:
         )
         y = np.zeros(n)
         y[n // 2:] = 1.0
-        with pytest.raises(NoImprovingPair):
+        with pytest.raises(ValidationError, match="no feature pair yields"):
             forward_stepwise_balance(
                 mat, Outcome.binary(y), LearnerConfig(seed=0)
             )
