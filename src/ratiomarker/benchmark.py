@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import Outcome, StrictlyPositiveMatrix, clr_transform
-from .errors import RatiomarkerError
+from .errors import RatiomarkerError, ValidationError
 from .latent import (
     EncoderDecoderConfig,
     OmicsPair,
@@ -63,6 +63,8 @@ def synthetic_omics_pair(
     gives rank-1 cross-covariance, so PLS and cross-matrix networks have a
     real target.
     """
+    if not (min(n_samples, g_t, g_u, seed) >= 0 and noise_sd >= 0.0):
+        raise ValidationError("sizes, seed and noise_sd must be nonnegative")
     rng = np.random.default_rng(seed)
     shared = rng.normal(0.0, 1.0, n_samples)
 

@@ -126,9 +126,11 @@ _ZEROS = (
         ("half_detection_limit", "none"),
     ),
 )
+# `transform`, `daa` and `ratios` draw no random numbers and reject it.
+_SEED = _Option("--seed", int, 0, domain=_NON_NEGATIVE)
 _COMMON = (
     _Option("--out-dir", str, "ratiomarker-out"),
-    _Option("--seed", int, 0, domain=_NON_NEGATIVE),
+    _SEED,
     *_ZEROS,
 )
 # The learner group; every key but "mode" names a LearnerConfig field.
@@ -317,6 +319,7 @@ def _from_config(cls, config: dict, prefix: str = ""):
 
 
 def _cmd_transform(config: dict, out: Callable[[str], Path]):
+    _reject_set(config, (_SEED,), "is not read by transform")
     positive, removed = _load_positive_matrix(config)
     atomic_write_text(
         out("removed_features.txt"), "\n".join(removed) + ("\n" if removed else "")
@@ -345,6 +348,7 @@ def _cmd_transform(config: dict, out: Callable[[str], Path]):
 
 
 def _cmd_daa(config: dict, out: Callable[[str], Path]):
+    _reject_set(config, (_SEED,), "is not read by daa")
     positive, removed = _load_positive_matrix(config)
     outcome = _load_outcome(config, positive)
     result = daa(positive, outcome, transform=config["transform"])
@@ -374,6 +378,7 @@ def _cmd_daa(config: dict, out: Callable[[str], Path]):
 
 
 def _cmd_ratios(config: dict, out: Callable[[str], Path]):
+    _reject_set(config, (_SEED,), "is not read by ratios")
     positive, removed = _load_positive_matrix(config)
     outcome = _load_outcome(config, positive)
     result = differential_ratio_analysis(

@@ -176,11 +176,10 @@ def _init_params(rng, d_in: int, hidden: int, d_out: int) -> np.ndarray:
 
 
 class _MlpWorkspace:
-    """The layer inputs and gradients of `mlp_loss_and_grad` on one x,
-    written in place on every call. Each layer's input ends in a column of
-    ones, so a layer is one matmul with its block, and the matmul giving
-    the block's gradient also sums the bias's. A workspace belongs to the
-    x it was built from: a call with it reads that copy, not its x.
+    """The input x, layer sizes, layer inputs and gradients of
+    `mlp_loss_and_grad`, written in place on every call. Each layer's input
+    ends in a column of ones, so a layer is one matmul with its block, and
+    the matmul giving the block's gradient also sums the bias's.
 
     Keeping them for a whole fit makes a training step allocate nothing.
     An n x d temporary can fall just under the allocator's mmap threshold
@@ -191,6 +190,7 @@ class _MlpWorkspace:
 
     def __init__(self, x: np.ndarray, hidden: int, d_out: int):
         n, d_in = x.shape
+        self.sizes = (d_in, hidden, d_out)
         self.x = np.column_stack([x, np.ones(n)])
         self.act1 = np.ones((n, hidden + 1))
         self.bottleneck = np.ones((n, 2))
@@ -204,24 +204,18 @@ class _MlpWorkspace:
 
 
 def mlp_loss_and_grad(
-    params: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    hidden: int,
-    workspace: _MlpWorkspace | None = None,
+    params: np.ndarray, y: np.ndarray, ws: _MlpWorkspace
 ) -> tuple[float, np.ndarray]:
-    """Mean squared reconstruction error and its analytic gradient.
+    """Mean squared error of the network on the workspace's x against y, and
+    its analytic gradient, which is `ws.grad`, overwritten by the next call.
 
     The network is input -> hidden relu -> 1 (linear bottleneck) -> hidden
     relu -> output; each layer's weights and then its bias are flattened
-    into one vector in layer order. With a workspace, built from this x,
-    the gradient returned is its `grad`, overwritten by the next call;
-    without one, a fresh workspace is made.
+    into one vector in layer order.
     """
-    d_in, d_out = x.shape[1], y.shape[1]
-    ws = _MlpWorkspace(x, hidden, d_out) if workspace is None else workspace
-    w1, w2, w3, w4 = _blocks(params, d_in, hidden, d_out)
-    g1, g2, g3, g4 = _blocks(ws.grad, d_in, hidden, d_out)
+    hidden = ws.sizes[1]
+    w1, w2, w3, w4 = _blocks(params, *ws.sizes)
+    g1, g2, g3, g4 = _blocks(ws.grad, *ws.sizes)
     # The elementwise passes run on whole contiguous arrays, ones columns
     # included: a ReLU keeps a 1, and d_hidden's last column is never read.
     np.matmul(ws.x, w1, out=ws.act1[:, :hidden])
@@ -313,9 +307,7 @@ def encoder_decoder_latent(
         # params -= lr * m_hat / (sqrt(v_hat) + eps), so the bits are those of
         # the expressions.
         for t in range(1, config.epochs + 1):
-            loss, grad = mlp_loss_and_grad(
-                params, xc, yc, config.hidden_units, workspace
-            )
+            loss, grad = mlp_loss_and_grad(params, yc, workspace)
             loss_curve[t - 1] = loss
             m *= b1
             m += np.multiply(grad, 1.0 - b1, out=m_hat)
@@ -329,9 +321,7 @@ def encoder_decoder_latent(
             v_hat += eps
             m_hat /= v_hat
             params -= m_hat
-        final_loss, _ = mlp_loss_and_grad(
-            params, xc, yc, config.hidden_units, workspace
-        )
+        final_loss, _ = mlp_loss_and_grad(params, yc, workspace)
     if not (np.all(np.isfinite(params)) and np.isfinite(final_loss)):
         raise ValidationError(
             "network training diverged; lower the network learning rate"

@@ -10,7 +10,7 @@ from .biomarker import (
     serialize_model,
 )
 from .evolutionary import evolutionary_slr
-from .relaxed import relaxed_gradient_learner, relaxed_loss_and_grad
+from .relaxed import relaxed_gradient_learner
 from .stepwise import forward_stepwise_balance
 
 # Every public name imported above; submodules are left out.

@@ -58,7 +58,7 @@ def evolutionary_slr(
             means, ses = np.full(len(genes), float("-inf")), np.zeros(len(genes))
             if usable.any():
                 means[usable], ses[usable] = _score_sets(
-                    values, "slr", num[usable].T, den[usable].T, outcome, folds
+                    values, "slr", num[usable].T, den[usable].T, folds
                 )
             sizes = np.count_nonzero(genes, axis=1).tolist()
             for key, mean, se, size in zip(todo, means.tolist(), ses.tolist(), sizes):

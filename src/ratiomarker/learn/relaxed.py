@@ -31,17 +31,14 @@ _LOSS_ELEMENTS = 1 << 13
 
 class _Workspace:
     """Every intermediate of `_step` for `params` (a fit, or fits as rows) on
-    `values`, which it overwrites, and views of the parts of `params`."""
+    `values`, which it overwrites, and views of the parts of `params`. The
+    mode is one `_relaxed_fits` checked, and the link an `Outcome`'s."""
 
-    def __init__(self, params, values, mode, link, logs=None):
-        if mode not in MODES:
-            raise ValidationError(f"unknown mode {mode!r}")
-        if link not in ("logistic", "identity"):
-            raise ValidationError(f"unknown link {link!r}")
+    def __init__(self, params, values, mode, link):
         n, g = values.shape
         batch = params.shape[:-1]
         self.mode, self.link, self.values, self.n = mode, link, values, float(n)
-        self.logs = np.log(values) if logs is None else logs
+        self.logs = np.log(values)
         self.ones = np.ones((g, 1) if batch else g)  # sums over features, per fit
         self.s, self.s_other, self.side, self.r = (np.empty(batch + (g,)) for _ in range(4))
         self.z, self.resid, self.s_pos, self.ratio = (np.empty(batch + (n,)) for _ in range(4))
@@ -123,25 +120,6 @@ def _losses(etas, y, link) -> np.ndarray:
     return 0.5 * (np.square(etas, out=etas).sum(axis=-1) / n)
 
 
-def relaxed_loss_and_grad(
-    params: np.ndarray, values: np.ndarray, y: np.ndarray,
-    mode: str = "balance", link: str = "logistic", logs: np.ndarray | None = None,
-):
-    """Loss and analytic gradient of the soft biomarker model.
-
-    `params` is the flat vector (a_1..a_G, beta, beta0) of one fit, or a
-    B x (G+2) array of B fits on `values`, with `y` then B x n and one loss
-    per fit. The loss is the mean squared error for the identity link and
-    the mean logistic negative log-likelihood for the logistic link. This
-    is one training step, `_step`, on a new workspace, then `_losses`.
-    """
-    params = np.asarray(params, dtype=float)
-    ws = _Workspace(params, values, mode, link, logs)
-    eta = np.empty((1, *params.shape[:-1], values.shape[0]))
-    grad = _step(ws, y, eta[0])
-    return _losses(eta, y, link)[0], grad
-
-
 def _cutoff_sets(a: np.ndarray) -> list[tuple[float, list[int], list[int]]]:
     """(cutoff, numerator, denominator) at each distinct cutoff on
     |sigmoid(a_j) - 0.5|, sparsest first, where both sides are nonempty and
@@ -189,8 +167,9 @@ def _train(params, values, y, mode, link, config) -> np.ndarray:
     return loss_curve
 
 
-def _select(a, loss_curve, data, matrix, outcome, folds, seed, config, mode):
-    """The model of trained `a`: the cutoff sweep on `data`, then `orient_and_fit`."""
+def _select(a, loss_curve, data, matrix, folds, seed, config, mode):
+    """The model of trained `a`: the cutoff sweep on `data`, then
+    `orient_and_fit` against the outcome of the split `folds`."""
 
     def scored(sets: list) -> list[dict]:
         """The sweep's table rows for (cutoff, numerator, denominator) sets,
@@ -198,7 +177,7 @@ def _select(a, loss_curve, data, matrix, outcome, folds, seed, config, mode):
         sides = np.zeros((2, len(a), len(sets)))
         for c, (_, num, den) in enumerate(sets):
             sides[0, num, c] = sides[1, den, c] = 1.0
-        means, ses = _score_sets(data, mode, *sides, outcome, folds)
+        means, ses = _score_sets(data, mode, *sides, folds)
         return [
             dict(cutoff=cutoff, numerator=num, denominator=den, size=len(num) + len(den),
                  cv_score=float(mean), cv_se=float(se))
@@ -224,7 +203,7 @@ def _select(a, loss_curve, data, matrix, outcome, folds, seed, config, mode):
     diagnostics = dict(learner="relaxed", mode=mode, loss_curve=loss_curve.tolist(),
                        cutoffs=candidates, selected_cutoff=chosen["cutoff"])
     return orient_and_fit(
-        biomarker, matrix, outcome, chosen["cv_score"], chosen["cv_se"], seed, diagnostics
+        biomarker, matrix, folds.outcome, chosen["cv_score"], chosen["cv_se"], seed, diagnostics
     )
 
 
@@ -275,9 +254,7 @@ def _relaxed_fits(matrix, outcomes, config, seeds, mode) -> list:
         try:
             if not (np.isfinite(p).all() and np.isfinite(curve).all()):
                 raise ValidationError("relaxed training diverged; lower the learning rate")
-            results[i] = _select(
-                p[:g], curve, data, matrix, outcomes[i], fit_folds, seeds[i], config, mode
-            )
+            results[i] = _select(p[:g], curve, data, matrix, fit_folds, seeds[i], config, mode)
         except RatiomarkerError as exc:
             results[i] = exc
     return results

@@ -112,7 +112,7 @@ def _learner_setup(
 
 
 class _FoldArrays:
-    """A fold split, iterated as its (train, test) pairs, and what every
+    """A fold split of `outcome`, its (train, test) `pairs`, and what every
     scoring of it shares: each fold's training outcome and whether the sign
     path applies (a binary outcome with both classes in every training
     fold, and nonempty test folds that partition the rows, each fold
@@ -149,14 +149,8 @@ class _FoldArrays:
             self.labels[f, : test.size] = outcome.values[test]
         self.pad = self.labels == -1.0
 
-    def __iter__(self):
-        return iter(self.pairs)
 
-    def __len__(self):
-        return len(self.pairs)
-
-
-def _score_sets(data, mode, num, den, outcome, folds):
+def _score_sets(data, mode, num, den, folds):
     """`score_candidates` of the biomarker of each of C candidates, whose
     sides are the columns of the G x C 0/1 indicators `num` and `den`:
     `data` is the log matrix in "balance" mode, the values in "slr"."""
@@ -166,28 +160,19 @@ def _score_sets(data, mode, num, den, outcome, folds):
         z = data @ num / num.sum(axis=0) - data @ den / den.sum(axis=0)
     else:
         z = np.log(data @ num) - np.log(data @ den)
-    return score_candidates(z, outcome, folds)
+    return score_candidates(z, folds)
 
 
-def score_candidates(
-    Z: np.ndarray,
-    outcome: Outcome,
-    folds,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Out-of-fold (mean, standard error) of every column of Z (n x C).
-
-    `folds` is a list of (train, test) pairs, or the `_FoldArrays` of
-    `outcome` built from them. A column that cannot be fitted in some fold
-    scores -inf with SE 0. See the module docstring for which columns are
-    fitted.
+def score_candidates(Z: np.ndarray, folds: _FoldArrays) -> tuple[np.ndarray, np.ndarray]:
+    """Out-of-fold (mean, standard error) of every column of Z (n x C) on
+    the split `folds`, against its outcome. A column that cannot be fitted
+    in some fold scores -inf with SE 0. See the module docstring for which
+    columns are fitted.
     """
     Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2 or Z.shape[0] != outcome.n:
-        raise ValidationError(
-            f"candidate matrix of shape {Z.shape} for {outcome.n} samples"
-        )
-    if not (isinstance(folds, _FoldArrays) and folds.outcome is outcome):
-        folds = _FoldArrays(outcome, folds)
+    n = folds.outcome.n
+    if Z.ndim != 2 or Z.shape[0] != n:
+        raise ValidationError(f"candidate matrix of shape {Z.shape} for {n} samples")
     if not folds.batched:
         return _fitted_scores(Z, folds)
 
@@ -241,7 +226,7 @@ def _fitted_scores(Z, folds):
     y = folds.outcome.values
     binary = folds.outcome.kind == "binary"
     dead = np.zeros(len(zt), dtype=bool)
-    scores = np.full((len(zt), len(folds)), np.nan)
+    scores = np.full((len(zt), len(folds.pairs)), np.nan)
     for f, ((train, test), subset) in enumerate(zip(folds.pairs, folds.subsets)):
         live = np.flatnonzero(~dead)
         if not live.size:

@@ -46,7 +46,7 @@ def forward_stepwise_balance(
     means = np.full(jj.size, float("-inf"))
     ses = np.zeros(jj.size)
     for pairs, z in _pairwise_logratio_blocks(logs, jj, kk):
-        means[pairs], ses[pairs] = score_candidates(z, outcome, folds)
+        means[pairs], ses[pairs] = score_candidates(z, folds)
     if not np.any(means > float("-inf")):
         raise ValidationError("no feature pair yields a fittable model")
     best = int(np.argmax(means))
@@ -72,7 +72,7 @@ def forward_stepwise_balance(
         num[numerator] = 1.0
         den[denominator] = 1.0
         num[free, 0::2] = den[free, 1::2] = np.eye(free.size)
-        means, ses = _score_sets(logs, "balance", num, den, outcome, folds)
+        means, ses = _score_sets(logs, "balance", num, den, folds)
         best = int(np.argmax(means))
         # The addition must beat the current score by more than lam times
         # the current model's fold-level SE (lam = 1: the one-SE rule). An

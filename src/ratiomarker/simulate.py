@@ -30,7 +30,7 @@ class BiasModel:
     def __post_init__(self):
         self.feature_bias = np.asarray(self.feature_bias, dtype=float).ravel()
         self.depth = np.asarray(self.depth, dtype=float).ravel()
-        if np.any(self.feature_bias <= 0.0) or np.any(self.depth <= 0.0):
+        if not (np.all(self.feature_bias > 0.0) and np.all(self.depth > 0.0)):
             raise ValidationError("bias factors must be strictly positive")
         if not self.noise_sd >= 0.0:
             raise ValidationError("noise_sd must be nonnegative")
@@ -49,6 +49,8 @@ class BiasModel:
         depth_sd: float = 0.5,
         noise_sd: float = 0.1,
     ) -> "BiasModel":
+        if not (min(n_samples, n_features, seed) >= 0 and theta_sd >= 0.0 and depth_sd >= 0.0):
+            raise ValidationError("sizes, seed, theta_sd and depth_sd must be nonnegative")
         rng = np.random.default_rng(seed)
         return cls(
             rng.lognormal(0.0, theta_sd, n_features),
@@ -72,7 +74,7 @@ class GroundTruthScenario:
         self.true_abundances = np.asarray(self.true_abundances, dtype=float)
         if self.true_abundances.ndim != 2:
             raise ValidationError("true abundances must be a 2-d matrix")
-        if np.any(self.true_abundances <= 0.0):
+        if not np.all(self.true_abundances > 0.0):
             raise ValidationError("true abundances must be strictly positive")
         n, g = self.true_abundances.shape
         self.group = np.asarray(self.group, dtype=int).ravel()
@@ -119,6 +121,8 @@ def observe(
         raise ValidationError("feature bias length does not match scenario")
     if bias.depth.size != scenario.n_samples:
         raise ValidationError("depth length does not match scenario")
+    if not seed >= 0:
+        raise ValidationError("seed must be nonnegative")
     observed = scenario.true_abundances * bias.feature_bias[None, :]
     observed = observed * bias.depth[:, None]
     if bias.noise_sd > 0.0:
@@ -195,6 +199,8 @@ def planted_signal_scenario(
         raise ValidationError("need at least 4 features")
     if not np.isfinite(effect):
         raise ValidationError("effect must be finite")
+    if not (seed >= 0 and log_sd >= 0.0):
+        raise ValidationError("seed and log_sd must be nonnegative")
     rng = np.random.default_rng(seed)
     num, den = rng.choice(n_features, size=2, replace=False)
     log_abund = rng.normal(0.0, log_sd, (n_samples, n_features))

@@ -7,7 +7,9 @@ captures stdout of passing tests.
 The helpers below are the slow references the package's batched code is
 checked against: `reference_fit` is a scalar two-column GLM fitter written
 with matrix arithmetic, independent of the block kernel in `glm.py`, and
-`cv_score_values` scores one candidate with one `fit_glm` per fold.
+`cv_score_values` scores one candidate with one `fit_glm` per fold, and
+`column_by_column` every column so; `scorer_by_column` calls it as
+`score_candidates` is called, on a split's `_FoldArrays`.
 `reference_auc` ranks with `scipy.stats.rankdata`, which the package does
 not import; `reference_midranks` is numpy's midranks scattered back to the
 input's order, and `reference_auc_rows` the AUC that sums them there. `reference_score_candidates` is the scorer's sign path one
@@ -22,7 +24,9 @@ added and summed on its own, not folded into its weight block;
 `reference_read_matrix` parses a matrix one `_parse_cell` call per cell,
 and `reference_cutoff_sets` is the relaxed learner's cutoff sweep written
 with the old `_hard_sets` rule, whose empty side raised and was caught.
-`reference_relaxed_loss_and_grad` is the relaxed learner's step for one
+`relaxed_loss_and_grad` is the package's relaxed training step, `_step`
+on a new `_Workspace`, with its loss from `_losses`.
+`reference_relaxed_loss_and_grad` is that step for one
 fit, each side's mean log and its gradient term formed on its own, and
 `reference_relaxed_training` runs it in the learner's momentum loop.
 `allocating_relaxed_loss_and_grad` and `allocating_relaxed_training` are
@@ -53,7 +57,7 @@ from ratiomarker.composition import CompositionMatrix
 from ratiomarker.errors import DegenerateDesign, ParseError, ValidationError
 from ratiomarker.glm import RIDGE, TOL, FittedGlm, fit_glm
 from ratiomarker.latent import _blocks, _init_params
-from ratiomarker.learn import scoring
+from ratiomarker.learn import relaxed, scoring
 from ratiomarker.metrics import _auc_rows, _flat
 from ratiomarker.tabular import _detect_delimiter, _parse_cell, _read_lines
 
@@ -308,6 +312,12 @@ def column_by_column(z_matrix, outcome, folds):
     )
 
 
+def scorer_by_column(Z, folds):
+    """`column_by_column` on the outcome and (train, test) pairs of the
+    split `folds`, a `_FoldArrays`: a stand-in for `score_candidates`."""
+    return column_by_column(Z, folds.outcome, folds.pairs)
+
+
 def reference_score_candidates(Z, outcome, folds):
     """Reference for `learn.scoring.score_candidates`: its sign path written
     one fold at a time, each fold's statistic and training range from its
@@ -475,8 +485,25 @@ def reference_cutoff_sets(a):
     return sets
 
 
+def relaxed_loss_and_grad(params, values, y, mode, link):
+    """Loss and analytic gradient of the soft biomarker model: one training
+    step of the package, `relaxed._step`, on a new workspace, then its loss
+    from `relaxed._losses`.
+
+    `params` is the flat vector (a_1..a_G, beta, beta0) of one fit, or a
+    B x (G+2) array of B fits on `values`, with `y` then B x n and one loss
+    per fit. The loss is the mean squared error for the identity link and
+    the mean logistic negative log-likelihood for the logistic link.
+    """
+    params = np.asarray(params, dtype=float)
+    ws = relaxed._Workspace(params, values, mode, link)
+    eta = np.empty((1, *params.shape[:-1], values.shape[0]))
+    grad = relaxed._step(ws, y, eta[0])
+    return relaxed._losses(eta, y, link)[0], grad
+
+
 def reference_relaxed_loss_and_grad(params, values, y, mode, link, logs=None):
-    """Reference for `learn.relaxed.relaxed_loss_and_grad` on one fit: the
+    """Reference for `relaxed_loss_and_grad` on one fit: the
     loss and gradient of (a, beta, beta0), with both sides' weighted means
     (or sums) and their gradient terms formed one by one."""
     g = values.shape[1]
@@ -540,7 +567,7 @@ def reference_relaxed_training(params, values, y, mode, link, epochs, learning_r
 
 
 def allocating_relaxed_loss_and_grad(params, values, y, mode, link, logs=None):
-    """Reference for `learn.relaxed.relaxed_loss_and_grad` on a fit or a
+    """Reference for `relaxed_loss_and_grad` on a fit or a
     batch: the same arithmetic in the same order, each intermediate a new
     array, and the loss from `np.logaddexp` at every step."""
     params = np.asarray(params, dtype=float)
@@ -676,10 +703,10 @@ def separate_bias_mlp_loss_and_grad(params, x, y, hidden):
     return loss, grad
 
 
-def reference_mlp_loss_and_grad(params, x, y, hidden, workspace=None):
-    """Reference for `latent.mlp_loss_and_grad`: the same arithmetic in the
-    same order, each intermediate a new array. Each layer's input gets its
-    column of ones by `np.hstack`. `workspace` is ignored."""
+def reference_mlp_loss_and_grad(params, x, y, hidden):
+    """Reference for `latent.mlp_loss_and_grad` on a workspace built from x
+    and `hidden`: the same arithmetic in the same order, each intermediate
+    a new array. Each layer's input gets its column of ones by `np.hstack`."""
     n, d_in = x.shape
     d_out = y.shape[1]
     w1, w2, w3, w4 = _blocks(params, d_in, hidden, d_out)

@@ -11,6 +11,7 @@ from ratiomarker.benchmark import (
     synthetic_omics_pair,
 )
 from ratiomarker.composition import StrictlyPositiveMatrix
+from ratiomarker.errors import ValidationError
 from ratiomarker.latent import EncoderDecoderConfig, OmicsPair
 from ratiomarker.learn.biomarker import LearnerConfig
 
@@ -51,6 +52,15 @@ class TestSyntheticPair:
         assert pair.u.feature_ids[-1] == "u14"
         assert np.all(pair.t.values > 0)
         assert np.all(pair.u.values > 0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(g_t=-1), dict(g_u=-1), dict(n_samples=-1), dict(noise_sd=-1.0),
+         dict(noise_sd=float("nan")), dict(seed=-1)],
+    )
+    def test_rejects_negative_or_nan_arguments(self, kwargs):
+        with pytest.raises(ValidationError, match="sizes, seed and noise_sd must be nonnegative"):
+            synthetic_omics_pair(**{"n_samples": 20, **kwargs})
 
     def test_seed_reproducibility(self):
         a = synthetic_omics_pair(n_samples=25, g_t=8, g_u=9, seed=5)

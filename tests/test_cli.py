@@ -358,7 +358,7 @@ class TestExitCodes:
             "outcome": sim / "outcome.tsv",
             "config": tmp_path / "c.cfg",
         }
-        paths["config"].write_text("seed=1\n")
+        paths["config"].write_text("alpha=0.1\n")
         bad = paths[name]
         bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
         capsys.readouterr()
@@ -385,6 +385,19 @@ class TestExitCodes:
     def test_negative_standard_deviation(self, tmp_path, capsys):
         assert run("simulate", "--log-sd", "-1", "--out-dir", str(tmp_path)) == 3
         assert "log_sd must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["transform", "daa", "ratios"])
+    def test_seed_of_a_command_that_draws_no_random_numbers(self, tmp_path, capsys, command):
+        sim = simulate_into(tmp_path, n_samples=24, n_features=6)
+        inputs = ["--matrix", str(sim / "observed.tsv")]
+        if command != "transform":
+            inputs += ["--outcome", str(sim / "outcome.tsv")]
+        assert run(command, *inputs, "--seed", "5", "--out-dir", str(tmp_path / "o")) == 3
+        self.assert_one_line_error(capsys, f"--seed is not read by {command}")
+        # Its manifest records the default seed, and replays.
+        assert run(command, *inputs, "--out-dir", str(tmp_path / "a")) == 0
+        manifest = str(tmp_path / "a" / "manifest.json")
+        assert run(command, "--config", manifest, "--out-dir", str(tmp_path / "b")) == 0
 
     def test_negative_seed(self, tmp_path, capsys):
         assert self.run_on_simulated(tmp_path, "learn", "--seed", "-5") == 3

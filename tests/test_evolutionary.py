@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import column_by_column, reference_next_generation
+from conftest import reference_next_generation, scorer_by_column
 from ratiomarker.composition import Outcome, StrictlyPositiveMatrix
 from ratiomarker.learn import scoring
 from ratiomarker.learn.biomarker import LearnerConfig
@@ -118,7 +118,7 @@ class TestBatchedScoring:
         assert_same_model(
             monkeypatch,
             "ratiomarker.learn.scoring.score_candidates",
-            column_by_column,
+            scorer_by_column,
             matrix,
             outcome,
             config,
@@ -129,9 +129,9 @@ class TestBatchedScoring:
         self.assert_same_model(monkeypatch, obs, out, small_config(14))
 
     def test_each_distinct_chromosome_is_scored_once(self, monkeypatch):
-        def recording(z_matrix, outcome, folds):
+        def recording(z_matrix, folds):
             columns.extend(col.tobytes() for col in z_matrix.T)
-            return column_by_column(z_matrix, outcome, folds)
+            return scorer_by_column(z_matrix, folds)
 
         columns = []
         monkeypatch.setattr(scoring, "score_candidates", recording)

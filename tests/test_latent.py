@@ -194,7 +194,8 @@ class TestMlpGradient:
             x = rng.normal(0.0, 1.0, (n, d_in))
             y = rng.normal(0.0, 1.0, (n, d_out))
             params = rng.normal(0.0, 0.7, _param_count(d_in, hidden, d_out))
-            _, grad = mlp_loss_and_grad(params, x, y, hidden)
+            ws = _MlpWorkspace(x, hidden, d_out)
+            grad = mlp_loss_and_grad(params, y, ws)[1].copy()
             num = np.zeros_like(params)
             h = 1e-6
             for i in range(len(params)):
@@ -202,8 +203,8 @@ class TestMlpGradient:
                 plus[i] += h
                 minus = params.copy()
                 minus[i] -= h
-                lp, _ = mlp_loss_and_grad(plus, x, y, hidden)
-                lm, _ = mlp_loss_and_grad(minus, x, y, hidden)
+                lp, _ = mlp_loss_and_grad(plus, y, ws)
+                lm, _ = mlp_loss_and_grad(minus, y, ws)
                 num[i] = (lp - lm) / (2.0 * h)
             scale = np.maximum(np.abs(num), 1e-8)
             worst = max(worst, float(np.max(np.abs(grad - num) / scale)))
@@ -232,11 +233,11 @@ class TestInPlaceMlp:
         for _ in range(3):
             params = rng.normal(0.0, 0.7, _param_count(d_in, hidden, d_out))
             want_loss, want_grad = reference_mlp_loss_and_grad(params, x, y, hidden)
-            loss, grad = mlp_loss_and_grad(params, x, y, hidden)
+            loss, grad = mlp_loss_and_grad(params, y, _MlpWorkspace(x, hidden, d_out))
             assert loss == want_loss
             assert grad.tobytes() == want_grad.tobytes()
             # Reusing one workspace leaves nothing of the previous call.
-            loss, grad = mlp_loss_and_grad(params, x, y, hidden, workspace)
+            loss, grad = mlp_loss_and_grad(params, y, workspace)
             assert loss == want_loss
             assert grad.tobytes() == want_grad.tobytes()
             assert grad is workspace.grad
@@ -251,20 +252,9 @@ class TestInPlaceMlp:
         for _ in range(3):
             params = rng.normal(0.0, 0.7, _param_count(d_in, hidden, d_out))
             want_loss, want_grad = separate_bias_mlp_loss_and_grad(params, x, y, hidden)
-            loss, grad = mlp_loss_and_grad(params, x, y, hidden)
+            loss, grad = mlp_loss_and_grad(params, y, _MlpWorkspace(x, hidden, d_out))
             assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
             assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
-
-    def test_call_without_workspace_returns_a_fresh_gradient(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(0.0, 1.0, (6, 3))
-        y = rng.normal(0.0, 1.0, (6, 2))
-        params = rng.normal(0.0, 0.7, _param_count(3, 2, 2))
-        _, first = mlp_loss_and_grad(params, x, y, 2)
-        kept = first.copy()
-        _, second = mlp_loss_and_grad(params * 2.0, x, y, 2)
-        assert first is not second
-        np.testing.assert_array_equal(first, kept)
 
     @pytest.mark.parametrize("shape", MLP_SHAPES)
     def test_fit_equals_the_reference_bytes(self, shape):
@@ -286,14 +276,15 @@ class TestInPlaceMlp:
     def test_training_calls_the_module_level_gradient(self, monkeypatch):
         calls = []
 
-        def counted(*args):
-            calls.append(len(args))
-            return reference_mlp_loss_and_grad(*args)
+        def counted(params, y, ws):
+            calls.append(ws)
+            return mlp_loss_and_grad(params, y, ws)
 
         monkeypatch.setattr(latent, "mlp_loss_and_grad", counted)
         x, y, _ = shared_factor_pair(44, n=20)
         encoder_decoder_latent(x, y, EncoderDecoderConfig(epochs=7, seed=44))
-        assert len(calls) == 8
+        # One workspace serves every step of the fit and its final loss.
+        assert len(calls) == 8 and all(ws is calls[0] for ws in calls)
 
 
 class TestEncoderDecoder:

@@ -20,10 +20,11 @@ from hypothesis.extra import numpy as hnp
 from conftest import (
     allocating_relaxed_loss_and_grad,
     allocating_relaxed_training,
-    column_by_column,
     reference_cutoff_sets,
     reference_relaxed_loss_and_grad,
     reference_relaxed_training,
+    relaxed_loss_and_grad,
+    scorer_by_column,
 )
 from ratiomarker.benchmark import synthetic_omics_pair
 from ratiomarker.composition import Outcome, StrictlyPositiveMatrix, clr_transform
@@ -36,7 +37,6 @@ from ratiomarker.learn.relaxed import (
     _relaxed_fits,
     _train,
     relaxed_gradient_learner,
-    relaxed_loss_and_grad,
 )
 from ratiomarker.simulate import (
     BiasModel,
@@ -108,12 +108,21 @@ class TestGradient:
         assert np.all(np.isfinite(grad))
 
     @pytest.mark.parametrize(
-        "mode, link", [("alr", "logistic"), ("balance", "probit")]
+        "mode, kind, message",
+        [("alr", "binary", "unknown mode 'alr'"),
+         ("balance", "probit", "unknown outcome kind 'probit'")],
     )
-    def test_unknown_mode_or_link_is_a_validation_error(self, mode, link):
-        params, values, y = random_problem(0)
-        with pytest.raises(ValidationError):
-            relaxed_loss_and_grad(params, values, y, mode, link)
+    def test_unknown_mode_or_link_is_a_validation_error(self, mode, kind, message):
+        # The outcome's kind decides the link, so an unknown kind is the
+        # unknown link.
+        _, values, y = random_problem(0)
+        matrix = StrictlyPositiveMatrix(
+            values,
+            [f"s{i}" for i in range(len(y))],
+            [f"g{j}" for j in range(values.shape[1])],
+        )
+        with pytest.raises(ValidationError, match=message):
+            relaxed_gradient_learner(matrix, Outcome(kind, y), mode=mode)
 
     def test_learner_rejects_unknown_mode_before_training(self, monkeypatch):
         def untouched(*args, **kwargs):
@@ -302,7 +311,7 @@ class TestBatchedScoring:
 
     def assert_same_model(self, monkeypatch, matrix, outcome, config):
         fast = relaxed_gradient_learner(matrix, outcome, config)
-        monkeypatch.setattr(scoring, "score_candidates", column_by_column)
+        monkeypatch.setattr(scoring, "score_candidates", scorer_by_column)
         slow = relaxed_gradient_learner(matrix, outcome, config)
         assert len(fast.diagnostics["cutoffs"]) > 1
         assert fast.biomarker == slow.biomarker

@@ -291,7 +291,7 @@ class TestScoreCandidates:
     @given(sign_path_cases())
     def test_equals_the_per_fold_sign_path_bit_for_bit(self, case):
         out, folds, z_matrix = case
-        mean, se = score_candidates(z_matrix, out, folds)
+        mean, se = score_candidates(z_matrix, _FoldArrays(out, folds))
         want_mean, want_se = reference_score_candidates(z_matrix, out, folds)
         assert mean.tobytes() == want_mean.tobytes()
         assert se.tobytes() == want_se.tobytes()
@@ -300,7 +300,7 @@ class TestScoreCandidates:
     @given(scoring_cases())
     def test_equals_the_column_by_column_oracle_bit_for_bit(self, case):
         out, folds, z_matrix = case
-        mean, se = score_candidates(z_matrix, out, folds)
+        mean, se = score_candidates(z_matrix, _FoldArrays(out, folds))
         want_mean, want_se = column_by_column(z_matrix, out, folds)
         assert mean.tobytes() == want_mean.tobytes()
         assert se.tobytes() == want_se.tobytes()
@@ -320,7 +320,7 @@ class TestScoreCandidates:
         folds = make_folds(out, 5, np.random.default_rng(12))
         jj, kk = np.triu_indices(g, 1)
         z_matrix = logs[:, jj] - logs[:, kk]
-        mean, se = score_candidates(z_matrix, out, folds)
+        mean, se = score_candidates(z_matrix, _FoldArrays(out, folds))
         want_mean, want_se = column_by_column(z_matrix, out, folds)
         np.testing.assert_array_equal(mean, want_mean)
         np.testing.assert_array_equal(se, want_se)
@@ -331,7 +331,7 @@ class TestScoreCandidates:
         folds = make_folds(out, 4, np.random.default_rng(0))
         z_matrix = np.column_stack([np.arange(20.0), np.arange(20.0)])
         z_matrix[5, 1] = np.inf
-        mean, se = score_candidates(z_matrix, out, folds)
+        mean, se = score_candidates(z_matrix, _FoldArrays(out, folds))
         assert np.isfinite(mean[0])
         assert mean[1] == float("-inf") and se[1] == 0.0
 
@@ -340,7 +340,7 @@ class TestScoreCandidates:
         folds = make_folds(out, 4, np.random.default_rng(0))
         shape = re.escape("candidate matrix of shape (19, 2) for 20 samples")
         with pytest.raises(ValidationError, match=shape):
-            score_candidates(np.zeros((19, 2)), out, folds)
+            score_candidates(np.zeros((19, 2)), _FoldArrays(out, folds))
 
 
 @st.composite
@@ -413,7 +413,7 @@ class TestSetColumns:
         values, num, den = case
         built = []
 
-        def record(z, outcome, folds):
+        def record(z, folds):
             built.append(z)
             return np.zeros(z.shape[1]), np.zeros(z.shape[1])
 
@@ -421,7 +421,7 @@ class TestSetColumns:
         score = balance_from_logs if mode == "balance" else slr_from_values
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(scoring, "score_candidates", record)
-            _score_sets(data, mode, num, den, None, None)
+            _score_sets(data, mode, num, den, None)
         (z,) = built
         for j in range(num.shape[1]):
             want = score(data, np.flatnonzero(num[:, j]), np.flatnonzero(den[:, j]))
@@ -462,9 +462,10 @@ class TestFoldArrays:
             (np.arange(6, 12), np.arange(6)),
             (np.arange(0, 8), np.arange(7, 12)),
         ]
-        assert not _FoldArrays(out, folds).batched
+        split = _FoldArrays(out, folds)
+        assert not split.batched
         z_matrix = np.random.default_rng(4).normal(size=(12, 5))
-        mean, se = score_candidates(z_matrix, out, folds)
+        mean, se = score_candidates(z_matrix, split)
         want_mean, want_se = column_by_column(z_matrix, out, folds)
         assert mean.tobytes() == want_mean.tobytes()
         assert se.tobytes() == want_se.tobytes()

@@ -34,13 +34,34 @@ class TestBiasModel:
         with pytest.raises(ValidationError):
             BiasModel(np.array([1.0]), np.array([-1.0, 1.0]))
 
+    def test_rejects_nan_factors(self):
+        with pytest.raises(ValidationError, match="strictly positive"):
+            BiasModel(np.array([1.0, np.nan]), np.array([1.0]))
+        with pytest.raises(ValidationError, match="strictly positive"):
+            BiasModel(np.array([1.0]), np.array([np.nan, 1.0]))
+
     @pytest.mark.parametrize("noise_sd", [-0.1, float("nan")])
     def test_rejects_negative_or_nan_noise(self, noise_sd):
         with pytest.raises(ValidationError, match="noise_sd must be nonnegative"):
             BiasModel(np.ones(2), np.ones(3), noise_sd)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(theta_sd=-1.0), dict(depth_sd=-1.0), dict(theta_sd=float("nan")),
+         dict(depth_sd=float("nan")), dict(seed=-1), dict(n_samples=-1)],
+    )
+    def test_random_rejects_negative_or_nan_arguments(self, kwargs):
+        with pytest.raises(ValidationError, match="must be nonnegative"):
+            BiasModel.random(**{"n_samples": 4, "n_features": 6, **kwargs})
+
 
 class TestObserve:
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.1])
+    def test_negative_seed_rejected(self, noise_sd):
+        sc = planted_signal_scenario(6, 5, seed=1)
+        with pytest.raises(ValidationError, match="seed must be nonnegative"):
+            observe(sc, BiasModel.random(6, 5, noise_sd=noise_sd), seed=-1)
+
     def test_noise_free_product_is_exact(self):
         sc = planted_signal_scenario(6, 5, seed=1)
         bias = BiasModel.random(6, 5, seed=2, noise_sd=0.0)
@@ -120,6 +141,19 @@ class TestPlantedScenario:
             planted_signal_scenario(3, 5)
         with pytest.raises(ValidationError, match="need at least 4 features"):
             planted_signal_scenario(8, 3)
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(log_sd=-1.0), dict(log_sd=float("nan")), dict(seed=-1)]
+    )
+    def test_rejects_negative_or_nan_log_sd_and_seed(self, kwargs):
+        with pytest.raises(ValidationError, match="seed and log_sd must be nonnegative"):
+            planted_signal_scenario(8, 5, **kwargs)
+
+    def test_nan_abundance_rejected(self):
+        true = np.ones((4, 3))
+        true[0, 0] = np.nan
+        with pytest.raises(ValidationError, match="strictly positive"):
+            GroundTruthScenario(true, [0, 0, 1, 1])
 
     def test_auto_ids(self):
         sc = planted_signal_scenario(4, 4, seed=0)

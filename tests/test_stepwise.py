@@ -8,7 +8,7 @@ folds, take the best. Recovery is checked on planted two-feature signals.
 import numpy as np
 import pytest
 
-from conftest import column_by_column, cv_score_values
+from conftest import cv_score_values, scorer_by_column
 from ratiomarker.benchmark import synthetic_omics_pair
 from ratiomarker.composition import Outcome, StrictlyPositiveMatrix, clr_transform
 from ratiomarker.errors import ValidationError
@@ -190,7 +190,7 @@ class TestBatchedScoring:
 
     def assert_same_model(self, monkeypatch, matrix, outcome, config):
         fast = forward_stepwise_balance(matrix, outcome, config)
-        patch_scorer(monkeypatch, column_by_column)
+        patch_scorer(monkeypatch, scorer_by_column)
         slow = forward_stepwise_balance(matrix, outcome, config)
         assert fast.biomarker == slow.biomarker
         assert fast.cv_score == slow.cv_score
@@ -205,7 +205,7 @@ class TestBatchedScoring:
         # Every candidate of a scan ties, and each scan beats the last, so
         # the search must take the smallest pair, then grow the numerator
         # with the smallest free feature.
-        def all_tied(z_matrix, outcome, folds):
+        def all_tied(z_matrix, folds):
             scans.append(z_matrix.shape[1])
             level = 0.5 + 0.01 * len(scans)
             return np.full(z_matrix.shape[1], level), np.zeros(z_matrix.shape[1])
