@@ -481,7 +481,7 @@ def _cmd_learn(config: dict, out: Callable[[str], Path]):
 def _cmd_simulate(config: dict, out: Callable[[str], Path]):
     _reject_set(config, _ZEROS, "is not read by simulate")
     if config["preset"] == "depth_confounded":
-        _reject_set(config, _PLANTED, "applies to the planted preset only")
+        _reject_set(config, (*_PLANTED, _SEED), "applies to the planted preset only")
         scenario = depth_confounded_scenario()
         bias = BiasModel.identity(scenario.n_samples, scenario.n_features)
         report_feature = "a"

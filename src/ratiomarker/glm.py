@@ -361,9 +361,15 @@ class DaaResult:
         return _significant(self.p_adjusted, alpha)
 
 
+def _check_alpha(alpha: float):
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError("alpha must be a probability in (0, 1)")
+
+
 def _significant(p_adjusted: np.ndarray, alpha: float) -> np.ndarray:
     """The tests whose BH-adjusted p-value falls below alpha; a flagged
     (NaN) test compares false and is never significant."""
+    _check_alpha(alpha)
     return p_adjusted < alpha
 
 
@@ -445,6 +451,7 @@ def differential_ratio_analysis(
     are built and fitted in blocks of bounded size, and no Python object
     is kept per ratio but its note.
     """
+    _check_alpha(alpha)
     g = matrix.n_features
     if g > max_features:
         raise ValidationError(

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..composition import Outcome, StrictlyPositiveMatrix
 from .biomarker import LearnedModel, LearnerConfig, RatioBiomarker, orient_and_fit
-from .scoring import _FoldArrays, _learner_setup, _score_sets, make_folds
+from .scoring import _FoldArrays, _learner_setup, _score_sets
 
 _GENES = np.array([0, 1, -1], dtype=np.int8)
 
@@ -34,7 +34,7 @@ def evolutionary_slr(
     g = matrix.n_features
     values = matrix.values
     rng = np.random.default_rng(config.seed)
-    folds = _FoldArrays(outcome, make_folds(outcome, config.cv_folds, rng))
+    folds = _FoldArrays(outcome, config.cv_folds, rng)
     rate = 1.0 / g if config.mutation_rate is None else config.mutation_rate
 
     # Chromosome bytes -> (penalized fitness, CV mean, CV SE).

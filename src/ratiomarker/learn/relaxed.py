@@ -22,7 +22,7 @@ from ..errors import RatiomarkerError, ValidationError
 from ..glm import _rowdot
 from ..special import expit, softplus
 from .biomarker import MODES, LearnedModel, LearnerConfig, RatioBiomarker, orient_and_fit
-from .scoring import _FoldArrays, _learner_setup, _score_sets, make_folds
+from .scoring import _FoldArrays, _learner_setup, _score_sets
 
 # Linear predictors kept per block of epochs: the block and its softplus stay
 # under glibc's 128 KiB mmap threshold, as `scoring._RANK_ELEMENTS` chunks do.
@@ -215,7 +215,6 @@ def _relaxed_fits(matrix, outcomes, config, seeds, mode) -> list:
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}")
-    config = config or LearnerConfig()
     g = matrix.n_features
     results, live, starts, targets, folds = [None] * len(outcomes), [], [], [], []
     for i, (outcome, seed) in enumerate(zip(outcomes, seeds)):
@@ -226,7 +225,7 @@ def _relaxed_fits(matrix, outcomes, config, seeds, mode) -> list:
             # through consistent gradient signal, which keeps the cutoff
             # ranking clean.
             a = rng.normal(0.0, 0.01, g)
-            folds.append(_FoldArrays(outcome, make_folds(outcome, config.cv_folds, rng)))
+            folds.append(_FoldArrays(outcome, config.cv_folds, rng))
         except RatiomarkerError as exc:
             results[i] = exc
             continue

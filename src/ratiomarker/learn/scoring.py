@@ -24,12 +24,11 @@ whose statistic is too close to zero to fix the sign against the fitter's
 tolerance, those with non-finite values, every column when a training fold
 lacks a class, and every column of a continuous outcome.
 
-A learner builds the `_FoldArrays` of its fold split once, and every
-scoring of the split reuses them. One product of Z.T with the n x K
+A learner draws its fold split once, as a `_FoldArrays`, and every
+scoring of the split reuses its arrays. One product of Z.T with the n x K
 centred training labels gives every fold's score statistic. The folds
 partition the rows, so a fold's training range is read off the other
-folds' test ranges, which the ranking gathers anyway; a split that is no
-partition is fitted.
+folds' test ranges, which the ranking gathers anyway.
 
 The reference, `cv_score_values` in `tests/conftest.py`, fits one GLM per
 fold and column. The scorer equals it bit for bit except in one case: two
@@ -66,28 +65,8 @@ _SIGN_MARGIN = 1e3
 _RANK_ELEMENTS = 1 << 13
 
 
-def make_folds(outcome: Outcome, n_folds: int, rng) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(train, test) index arrays for each fold, stratified when binary."""
-    n = outcome.n
-    if n_folds > n:
-        raise ValidationError(f"cannot make {n_folds} folds from {n} samples")
-    fold_of = np.empty(n, dtype=int)
-    if outcome.kind == "binary":
-        for cls in (0.0, 1.0):
-            idx = np.flatnonzero(outcome.values == cls)
-            idx = idx[rng.permutation(idx.size)]
-            fold_of[idx] = np.arange(idx.size) % n_folds
-    else:
-        perm = rng.permutation(n)
-        fold_of[perm] = np.arange(n) % n_folds
-    return [
-        (np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f))
-        for f in range(n_folds)
-    ]
-
-
 def check_learnable(outcome: Outcome):
-    """Preconditions every learner shares; `make_folds` bounds the folds.
+    """Preconditions every learner shares; `_FoldArrays` bounds the folds.
     A continuous outcome must vary, so its standard deviation is positive."""
     y = outcome.values
     if outcome.kind == "binary":
@@ -112,28 +91,35 @@ def _learner_setup(
 
 
 class _FoldArrays:
-    """A fold split of `outcome`, its (train, test) `pairs`, and what every
-    scoring of it shares: each fold's training outcome and whether the sign
-    path applies (a binary outcome with both classes in every training
-    fold, and nonempty test folds that partition the rows, each fold
-    training on the rest). For the sign path: the n x K centred training
-    labels, zero on each fold's test rows, and the K x (largest test fold)
-    test rows and labels, a short fold padded with its own rows and the
-    label -1."""
+    """A fold split of `outcome` drawn from `rng`, stratified when binary:
+    the fold of each sample, each fold's (train, test) `pairs`, and what
+    every scoring of the split shares: each fold's training outcome and
+    whether the sign path applies (a binary outcome, no empty test fold,
+    and both classes in every training fold). For the sign path: the n x K
+    centred training labels, zero on each fold's test rows, and the
+    K x (largest test fold) test rows and labels, a short fold padded with
+    its own rows and the label -1."""
 
-    def __init__(self, outcome: Outcome, folds):
+    def __init__(self, outcome: Outcome, n_folds: int, rng):
+        n = outcome.n
+        if n_folds > n:
+            raise ValidationError(f"cannot make {n_folds} folds from {n} samples")
         self.outcome = outcome
-        self.pairs = [(train, test) for train, test in folds]
+        self.fold_of = np.empty(n, dtype=int)
+        if outcome.kind == "binary":
+            for cls in (0.0, 1.0):
+                idx = np.flatnonzero(outcome.values == cls)
+                self.fold_of[idx[rng.permutation(idx.size)]] = np.arange(idx.size) % n_folds
+        else:
+            self.fold_of[rng.permutation(n)] = np.arange(n) % n_folds
+        self.pairs = [
+            (np.flatnonzero(self.fold_of != f), np.flatnonzero(self.fold_of == f))
+            for f in range(n_folds)
+        ]
         self.subsets = [outcome.subset(train) for train, _ in self.pairs]
-        fold_of = np.full(outcome.n, -1)
-        for f, (_, test) in enumerate(self.pairs):
-            fold_of[test] = f
-        self.batched = outcome.kind == "binary" and (fold_of >= 0).all() and all(
-            subset.both_classes_present()
-            and test.size
-            and (fold_of[test] == f).all()
-            and np.array_equal(np.sort(train), np.flatnonzero(fold_of != f))
-            for f, ((train, test), subset) in enumerate(zip(self.pairs, self.subsets))
+        self.batched = outcome.kind == "binary" and all(
+            test.size and subset.both_classes_present()
+            for (_, test), subset in zip(self.pairs, self.subsets)
         )
         if not self.batched:
             return

@@ -19,13 +19,7 @@ from ..composition import (
 )
 from ..errors import ValidationError
 from .biomarker import LearnedModel, LearnerConfig, RatioBiomarker, orient_and_fit
-from .scoring import (
-    _FoldArrays,
-    _learner_setup,
-    _score_sets,
-    make_folds,
-    score_candidates,
-)
+from .scoring import _FoldArrays, _learner_setup, _score_sets, score_candidates
 
 
 def forward_stepwise_balance(
@@ -36,7 +30,7 @@ def forward_stepwise_balance(
     config = _learner_setup(matrix, outcome, config)
     g = matrix.n_features
     rng = np.random.default_rng(config.seed)
-    folds = _FoldArrays(outcome, make_folds(outcome, config.cv_folds, rng))
+    folds = _FoldArrays(outcome, config.cv_folds, rng)
     logs = np.log(matrix.values)
 
     # Exhaustive 1-vs-1 initialization over pairs in lexicographic order,

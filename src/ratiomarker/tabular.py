@@ -36,11 +36,14 @@ def _detect_delimiter(lines: list[str]) -> str:
 
 def _read_text(path) -> str:
     """The text of a UTF-8 file. A missing file is a `ValidationError`, and
+    so is any other `OSError` (a directory, say), named with its reason;
     bytes that do not decode are a `ParseError` naming the file."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ValidationError(f"input file does not exist: {path}") from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"not UTF-8 text (byte {exc.start + 1})", path=path

@@ -3,10 +3,10 @@
 Run it from an empty directory with the package importable, for example
 `python /path/to/tests/smoke_pipeline.py`; it writes its outputs into the
 current directory. Each check is an assertion, so the first one that fails
-ends the run with a traceback and a non-zero exit code. Three runs check
-the error exit codes 2 and 3, and a generator call the `ValidationError`
-behind exit 3. The last check is that no scipy module was loaded: the
-package needs numpy only.
+ends the run with a traceback and a non-zero exit code. Four runs check
+the error exit codes 2 and 3, and a reader call and a generator call the
+`ValidationError` behind exit 3. The last check is that no scipy module
+was loaded: the package needs numpy only.
 
 The file name does not start with `test_`, so pytest does not collect it;
 `tests/test_smoke_pipeline.py` runs it in a subprocess.
@@ -222,8 +222,8 @@ rows = Path("ratios-tripled", "ratios.tsv").read_text().splitlines()[1:]
 notes = {row.split("\t")[0]: row.split("\t")[6] for row in rows}
 assert notes["g1/g1x3"] == "score is constant; nothing to fit", notes["g1/g1x3"]
 # The exit codes: a non-numeric cell is a parse error (2); more folds than
-# samples, and a seed given to a command that draws no random numbers, are
-# failed preconditions (3).
+# samples, and a seed given to a command or preset that draws no random
+# numbers, are failed preconditions (3).
 Path("not-numeric.tsv").write_text("sample_id\tg1\tg2\ns1\t1.0\tx\ns2\t2.0\t3.0\n")
 assert main([
     "transform",
@@ -243,6 +243,19 @@ assert main([
     "--matrix", "sim/observed.tsv",
     "--out-dir", "transform-seed",
 ]) == 3
+assert main([
+    "simulate",
+    "--preset", "depth_confounded",
+    "--seed", "3",
+    "--out-dir", "simulate-depth-confounded-seed",
+]) == 3
+# A reader turns an OSError into a ValidationError naming the path.
+try:
+    read_matrix("sim")
+except ValidationError:
+    pass
+else:
+    raise AssertionError("a directory was read as a matrix")
 # A generator rejects a negative spread itself, not through numpy.
 try:
     planted_signal_scenario(8, 5, log_sd=-1.0)

@@ -38,7 +38,7 @@ from ratiomarker.learn.biomarker import (
     RatioBiomarker,
     evaluate_biomarker,
 )
-from ratiomarker.learn.scoring import make_folds
+from ratiomarker.learn.scoring import _FoldArrays
 from ratiomarker.learn.stepwise import forward_stepwise_balance
 from ratiomarker.simulate import (
     BiasModel,
@@ -171,7 +171,7 @@ class TestAcceptance:
             y[n // 2 :] = 1.0
             outcome = Outcome.binary(y)
             config = LearnerConfig(seed=seed)
-            folds = make_folds(outcome, config.cv_folds, np.random.default_rng(seed))
+            folds = _FoldArrays(outcome, config.cv_folds, np.random.default_rng(seed)).pairs
             logs = np.log(matrix.values)
             best, best_mean = None, float("-inf")
             for j in range(g - 1):

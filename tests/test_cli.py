@@ -761,6 +761,9 @@ class TestSimulate:
             ("--n-features", "20"),
             ("--effect", "2"),
             ("--noise-sd", "0.1"),
+            # The preset draws nothing, so a seed would be recorded unread.
+            ("--seed", "7"),
+            ("--seed", "0"),
         ],
     )
     def test_depth_confounded_rejects_planted_options(self, tmp_path, capsys, flag, value):

@@ -497,6 +497,9 @@ class TestBenjaminiHochberg:
         assert np.all(np.diff(adj[order]) >= -1e-15)
 
 
+ALPHA_MESSAGE = "alpha must be a probability in (0, 1)"
+
+
 def planted_matrix(seed, n=60, g=10, effect=1.5):
     rng = np.random.default_rng(seed)
     logs = rng.normal(0.0, 0.5, (n, g))
@@ -544,6 +547,12 @@ class TestDaa:
         mat, out = planted_matrix(83)
         with pytest.raises(ValidationError):
             daa(mat, out, transform="alr")
+
+    @pytest.mark.parametrize("alpha", [5.0, 1.0, 0.0, -1.0, float("nan")])
+    def test_significant_needs_a_probability(self, alpha):
+        res = daa(*planted_matrix(84))
+        with pytest.raises(ValidationError, match=re.escape(ALPHA_MESSAGE)):
+            res.significant(alpha)
 
 
 class TestCancellationConstantColumns:
@@ -649,6 +658,13 @@ class TestDifferentialRatioAnalysis:
         b = differential_ratio_analysis(scaled, out)
         np.testing.assert_allclose(a.beta, b.beta, atol=1e-10)
         np.testing.assert_allclose(a.p_value, b.p_value, atol=1e-10)
+
+    @pytest.mark.parametrize("alpha", [2.0, 1.0, 0.0, -1.0, float("nan")])
+    def test_alpha_is_checked_before_any_fit(self, monkeypatch, alpha):
+        mat, out = planted_matrix(95, g=6)
+        monkeypatch.setattr(glm, "_fit_columns", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ValidationError, match=re.escape(ALPHA_MESSAGE)):
+            differential_ratio_analysis(mat, out, alpha=alpha)
 
     def test_feature_cap(self):
         rng = np.random.default_rng(94)

@@ -1,5 +1,7 @@
 """Fold construction and out-of-fold candidate scoring."""
 
+import hashlib
+
 import re
 
 import numpy as np
@@ -31,16 +33,49 @@ from ratiomarker.learn.scoring import (
     _mean_and_se,
     _score_sets,
     check_learnable,
-    make_folds,
     score_candidates,
 )
+
+
+# Digests of the test folds of each split and of the generator's next
+# draw, for K = 2, 5 and 11 and seeds 0 and 7 in turn, with the number of
+# empty test folds at K = 11. They pin the stratified draw: a change to
+# its order would move every learner's output. Every binary outcome has
+# a class of odd size.
+_SPLIT_DIGESTS = {
+    ("binary", 23, 11): (
+        0,
+        ["94760824423bf9ad", "d3f1c627bd65f7f8", "365b76948b7bcd02",
+         "f489cdec464a4544", "b017a074838c55ee", "fc8fe114fdfc50e1"],
+    ),
+    ("binary", 13, 3): (
+        1,
+        ["ae6f045a9c7eba07", "4ca24d8df8b4bf6c", "ea2e15203f88269f",
+         "3a808e6ce5ef740a", "0c6c006f8c8daed1", "00992ae6b0fe8ade"],
+    ),
+    ("binary", 11, 4): (
+        4,
+        ["10a23b123a0cf479", "caeec8d206544c5d", "ad3aba9cb2db846c",
+         "248f97708769c98d", "4a3dc53134f24647", "6604aef99156080d"],
+    ),
+    ("continuous", 23, 0): (
+        0,
+        ["dc2471f532708ca3", "1f49d9f2c86b2da2", "0bf5391a27b30bc7",
+         "bf8dc9c5f30935c7", "d6df372865843eee", "d3846455c644e04e"],
+    ),
+    ("continuous", 11, 0): (
+        0,
+        ["25e448804917a546", "520a2757b7d0a57c", "167955203560cee5",
+         "f8cad6dfa3dbffe0", "e29c5852b0f7200f", "14ee86c9212a890d"],
+    ),
+}
 
 
 class TestMakeFolds:
     def test_folds_partition_samples(self):
         rng = np.random.default_rng(0)
         out = Outcome.binary((np.arange(23) % 2).astype(float))
-        folds = make_folds(out, 5, rng)
+        folds = _FoldArrays(out, 5, rng).pairs
         assert len(folds) == 5
         all_test = np.concatenate([test for _, test in folds])
         assert sorted(all_test.tolist()) == list(range(23))
@@ -53,15 +88,15 @@ class TestMakeFolds:
         y = np.zeros(40)
         y[:10] = 1.0  # 25% positives
         out = Outcome.binary(y)
-        folds = make_folds(out, 5, rng)
+        folds = _FoldArrays(out, 5, rng).pairs
         for _, test in folds:
             n_pos = int(out.values[test].sum())
             assert n_pos == 2  # 10 positives dealt evenly into 5 folds
 
     def test_deterministic_given_rng_state(self):
         out = Outcome.binary((np.arange(20) % 2).astype(float))
-        a = make_folds(out, 4, np.random.default_rng(7))
-        b = make_folds(out, 4, np.random.default_rng(7))
+        a = _FoldArrays(out, 4, np.random.default_rng(7)).pairs
+        b = _FoldArrays(out, 4, np.random.default_rng(7)).pairs
         for (tr_a, te_a), (tr_b, te_b) in zip(a, b):
             np.testing.assert_array_equal(tr_a, tr_b)
             np.testing.assert_array_equal(te_a, te_b)
@@ -69,14 +104,36 @@ class TestMakeFolds:
     def test_continuous_folds_are_balanced_in_size(self):
         rng = np.random.default_rng(2)
         out = Outcome.continuous(np.linspace(0, 1, 21))
-        folds = make_folds(out, 4, rng)
+        folds = _FoldArrays(out, 4, rng).pairs
         sizes = sorted(test.size for _, test in folds)
         assert sizes == [5, 5, 5, 6]
 
     def test_too_many_folds_rejected(self):
         out = Outcome.binary(np.array([0.0, 1.0, 0.0]))
         with pytest.raises(ValidationError):
-            make_folds(out, 4, np.random.default_rng(0))
+            _FoldArrays(out, 4, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("case", list(_SPLIT_DIGESTS), ids=lambda c: "-".join(map(str, c)))
+    def test_the_draws_are_pinned(self, case):
+        kind, n, ones = case
+        if kind == "binary":
+            y = np.zeros(n)
+            y[np.linspace(0, n - 1, ones).astype(int)] = 1.0
+            out = Outcome.binary(y)
+        else:
+            out = Outcome.continuous(np.linspace(-1.0, 2.0, n) ** 3)
+        digests, empty = [], 0
+        for n_folds in (2, 5, 11):
+            for seed in (0, 7):
+                rng = np.random.default_rng(seed)
+                pairs = _FoldArrays(out, n_folds, rng).pairs
+                digest = hashlib.sha256()
+                for _, test in pairs:
+                    digest.update(test.astype("<i8").tobytes() + b"|")
+                digest.update(str(rng.integers(2**62)).encode())
+                digests.append(digest.hexdigest()[:16])
+                empty = sum(test.size == 0 for _, test in pairs)
+        assert (empty, digests) == _SPLIT_DIGESTS[case]
 
 
 class TestCheckLearnable:
@@ -110,7 +167,7 @@ class TestLearnerPreconditions:
             learner(self.matrix, Outcome.binary(y))
 
     def test_more_folds_than_samples(self, learner):
-        # `make_folds` is the one check of the fold count.
+        # `_FoldArrays` is the one check of the fold count.
         out = Outcome.continuous(np.arange(10.0))
         with pytest.raises(ValidationError, match="cannot make 11 folds from 10"):
             learner(self.matrix, out, LearnerConfig(cv_folds=11))
@@ -134,7 +191,7 @@ class TestCvScore:
     def test_informative_score_beats_noise(self):
         z, out = self.separable_data()
         rng = np.random.default_rng(4)
-        folds = make_folds(out, 5, np.random.default_rng(5))
+        folds = _FoldArrays(out, 5, np.random.default_rng(5)).pairs
         good, _, _ = cv_score_values(z, out, folds)
         noise, _, _ = cv_score_values(rng.normal(0.0, 1.0, out.n), out, folds)
         assert good > 0.85
@@ -142,7 +199,7 @@ class TestCvScore:
 
     def test_returns_per_fold_scores(self):
         z, out = self.separable_data()
-        folds = make_folds(out, 5, np.random.default_rng(6))
+        folds = _FoldArrays(out, 5, np.random.default_rng(6)).pairs
         mean, se, per_fold = cv_score_values(z, out, folds)
         assert len(per_fold) == 5
         arr = np.asarray(per_fold)
@@ -153,7 +210,7 @@ class TestCvScore:
 
     def test_unfittable_candidate_scores_neg_inf(self):
         _, out = self.separable_data()
-        folds = make_folds(out, 5, np.random.default_rng(7))
+        folds = _FoldArrays(out, 5, np.random.default_rng(7)).pairs
         mean, se, per_fold = cv_score_values(np.zeros(out.n), out, folds)
         assert mean == float("-inf")
         assert per_fold == []
@@ -163,14 +220,16 @@ class TestCvScore:
         z = rng.normal(0.0, 1.0, 50)
         y = 2.0 * z + rng.normal(0.0, 0.1, 50)
         out = Outcome.continuous(y)
-        folds = make_folds(out, 5, np.random.default_rng(9))
+        folds = _FoldArrays(out, 5, np.random.default_rng(9)).pairs
         mean, _, _ = cv_score_values(z, out, folds)
         assert mean > 0.95
 
 
 @st.composite
 def scoring_cases(draw, binary=st.booleans()):
-    """Outcome, folds and a candidate matrix with the awkward columns.
+    """Outcome, its stratified fold split and a candidate matrix with the
+    awkward columns. A class may have one sample, and a split with more
+    folds than a class has samples has empty test folds.
 
     Values lie on a grid of step 1/32 at the finest, so ties are common.
     The grid also keeps apart what the oracle's rounding of
@@ -194,16 +253,7 @@ def scoring_cases(draw, binary=st.booleans()):
         y = draw_vector(st.integers(-20, 20)) / 4.0
         out = Outcome.continuous(y)
     n_folds = draw(st.integers(2, min(n, 10)))
-    if draw(st.booleans()):
-        rng = np.random.default_rng(draw(st.integers(0, 99)))
-        folds = make_folds(out, n_folds, rng)
-    else:
-        fold_of = draw_vector(st.integers(0, n_folds - 1))
-        fold_of[:n_folds] = np.arange(n_folds)  # no fold is empty
-        folds = [
-            (np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f))
-            for f in range(n_folds)
-        ]
+    split = _FoldArrays(out, n_folds, np.random.default_rng(draw(st.integers(0, 99))))
     grid = st.integers(-64, 64)
 
     def free():
@@ -240,7 +290,7 @@ def scoring_cases(draw, binary=st.booleans()):
         elif kind == "tenth":
             z = np.full(n, 0.1)
         else:
-            train, _ = folds[draw(st.integers(0, n_folds - 1))]
+            train, _ = split.pairs[draw(st.integers(0, n_folds - 1))]
             z = free()
             if kind == "constant_in_one_fold":
                 z[train] = draw(grid) / 8.0
@@ -253,7 +303,7 @@ def scoring_cases(draw, binary=st.booleans()):
                     z[rows[0 : rows.size - rows.size % 2 : 2]] = 2.0
                     z[rows[1 : rows.size - rows.size % 2 : 2]] = 0.0
         columns.append(z)
-    return out, folds, np.column_stack(columns)
+    return out, split, np.column_stack(columns)
 
 
 @st.composite
@@ -264,13 +314,13 @@ def sign_path_cases(draw):
     order so that they fall anywhere in the ranking's chunks. A split with
     a single-class training fold is fitted column by column, so it gets
     few grid columns."""
-    out, folds, z_matrix = draw(scoring_cases(binary=st.just(True)))
+    out, split, z_matrix = draw(scoring_cases(binary=st.just(True)))
     y = out.values
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = out.n
     columns = list(z_matrix.T)
     for factor in draw(st.lists(st.sampled_from([0.5, 0.99, 1.01, 2.0, -0.99, -1.01]))):
-        train, _ = folds[draw(st.integers(0, len(folds) - 1))]
+        train, _ = split.pairs[draw(st.integers(0, len(split.pairs) - 1))]
         centred = y[train] - y[train].mean()
         z = rng.integers(-64, 65, n) / 8.0
         if not centred.any():
@@ -279,29 +329,29 @@ def sign_path_cases(draw):
         margin = scoring._SIGN_MARGIN * TOL * (1.0 + np.abs(z[train]).max())
         z[train] += (factor * margin - centred @ z[train]) / (centred @ centred) * centred
         columns.append(z)
-    batched = all(0.0 < y[train].mean() < 1.0 for train, _ in folds)
+    batched = all(0.0 < y[train].mean() < 1.0 for train, _ in split.pairs)
     n_grid = draw(st.integers(0, 2000 - len(columns) if batched else 20))
     columns.extend(rng.integers(-64, 65, (n_grid, n)) / 8.0)
     z_matrix = np.column_stack(columns)
-    return out, folds, z_matrix[:, rng.permutation(z_matrix.shape[1])]
+    return out, split, z_matrix[:, rng.permutation(z_matrix.shape[1])]
 
 
 class TestScoreCandidates:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(sign_path_cases())
     def test_equals_the_per_fold_sign_path_bit_for_bit(self, case):
-        out, folds, z_matrix = case
-        mean, se = score_candidates(z_matrix, _FoldArrays(out, folds))
-        want_mean, want_se = reference_score_candidates(z_matrix, out, folds)
+        out, split, z_matrix = case
+        mean, se = score_candidates(z_matrix, split)
+        want_mean, want_se = reference_score_candidates(z_matrix, out, split.pairs)
         assert mean.tobytes() == want_mean.tobytes()
         assert se.tobytes() == want_se.tobytes()
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(scoring_cases())
     def test_equals_the_column_by_column_oracle_bit_for_bit(self, case):
-        out, folds, z_matrix = case
-        mean, se = score_candidates(z_matrix, _FoldArrays(out, folds))
-        want_mean, want_se = column_by_column(z_matrix, out, folds)
+        out, split, z_matrix = case
+        mean, se = score_candidates(z_matrix, split)
+        want_mean, want_se = column_by_column(z_matrix, out, split.pairs)
         assert mean.tobytes() == want_mean.tobytes()
         assert se.tobytes() == want_se.tobytes()
 
@@ -317,30 +367,30 @@ class TestScoreCandidates:
         y = (np.arange(n) % 2).astype(float)
         logs[:, 3] += 1.5 * y
         out = Outcome.binary(y)
-        folds = make_folds(out, 5, np.random.default_rng(12))
+        split = _FoldArrays(out, 5, np.random.default_rng(12))
         jj, kk = np.triu_indices(g, 1)
         z_matrix = logs[:, jj] - logs[:, kk]
-        mean, se = score_candidates(z_matrix, _FoldArrays(out, folds))
-        want_mean, want_se = column_by_column(z_matrix, out, folds)
+        mean, se = score_candidates(z_matrix, split)
+        want_mean, want_se = column_by_column(z_matrix, out, split.pairs)
         np.testing.assert_array_equal(mean, want_mean)
         np.testing.assert_array_equal(se, want_se)
         assert 3 in (jj[np.argmax(mean)], kk[np.argmax(mean)])
 
     def test_non_finite_column_scores_neg_inf(self):
         out = Outcome.binary((np.arange(20) % 2).astype(float))
-        folds = make_folds(out, 4, np.random.default_rng(0))
+        split = _FoldArrays(out, 4, np.random.default_rng(0))
         z_matrix = np.column_stack([np.arange(20.0), np.arange(20.0)])
         z_matrix[5, 1] = np.inf
-        mean, se = score_candidates(z_matrix, _FoldArrays(out, folds))
+        mean, se = score_candidates(z_matrix, split)
         assert np.isfinite(mean[0])
         assert mean[1] == float("-inf") and se[1] == 0.0
 
     def test_row_count_must_match_the_outcome(self):
         out = Outcome.binary((np.arange(20) % 2).astype(float))
-        folds = make_folds(out, 4, np.random.default_rng(0))
+        split = _FoldArrays(out, 4, np.random.default_rng(0))
         shape = re.escape("candidate matrix of shape (19, 2) for 20 samples")
         with pytest.raises(ValidationError, match=shape):
-            score_candidates(np.zeros((19, 2)), _FoldArrays(out, folds))
+            score_candidates(np.zeros((19, 2)), split)
 
 
 @st.composite
@@ -429,7 +479,7 @@ class TestSetColumns:
 
 
 class TestFoldArrays:
-    """Each learner builds the arrays of its fold split once."""
+    """Each learner draws its fold split once."""
 
     @pytest.mark.parametrize(
         "learner", [forward_stepwise_balance, relaxed_gradient_learner, evolutionary_slr]
@@ -438,9 +488,9 @@ class TestFoldArrays:
         builds = []
         init = _FoldArrays.__init__
 
-        def counting(self, outcome, folds):
+        def counting(self, outcome, n_folds, rng):
             builds.append(outcome)
-            init(self, outcome, folds)
+            init(self, outcome, n_folds, rng)
 
         monkeypatch.setattr(_FoldArrays, "__init__", counting)
         rng = np.random.default_rng(21)
@@ -454,18 +504,3 @@ class TestFoldArrays:
         config = LearnerConfig(seed=21, epochs=50, population=12, generations=5)
         learner(matrix, Outcome.binary(y), config)
         assert len(builds) == 1
-
-    def test_a_split_that_is_no_partition_is_fitted(self):
-        # Fold 1 trains on a row that fold 0 tests, and on its own test row.
-        out = Outcome.binary((np.arange(12) % 2).astype(float))
-        folds = [
-            (np.arange(6, 12), np.arange(6)),
-            (np.arange(0, 8), np.arange(7, 12)),
-        ]
-        split = _FoldArrays(out, folds)
-        assert not split.batched
-        z_matrix = np.random.default_rng(4).normal(size=(12, 5))
-        mean, se = score_candidates(z_matrix, split)
-        want_mean, want_se = column_by_column(z_matrix, out, folds)
-        assert mean.tobytes() == want_mean.tobytes()
-        assert se.tobytes() == want_se.tobytes()

@@ -15,7 +15,7 @@ from ratiomarker.errors import ValidationError
 from ratiomarker.latent import pca_first_component
 from ratiomarker.learn import scoring, stepwise
 from ratiomarker.learn.biomarker import LearnerConfig
-from ratiomarker.learn.scoring import make_folds
+from ratiomarker.learn.scoring import _FoldArrays
 from ratiomarker.learn.stepwise import forward_stepwise_balance
 from ratiomarker.simulate import (
     BiasModel,
@@ -28,7 +28,7 @@ from ratiomarker.simulate import (
 def brute_force_best_pair(matrix, outcome, config):
     """Independent exhaustive search over ordered pairs (j, k), j < k."""
     rng = np.random.default_rng(config.seed)
-    folds = make_folds(outcome, config.cv_folds, rng)
+    folds = _FoldArrays(outcome, config.cv_folds, rng).pairs
     logs = np.log(matrix.values)
     best, best_mean = None, float("-inf")
     g = matrix.n_features

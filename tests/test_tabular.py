@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import re
 import threading
 
 import numpy as np
@@ -118,6 +119,20 @@ class TestMatrixParseErrors:
     def test_missing_file_is_validation_error(self, tmp_path):
         with pytest.raises(ValidationError):
             read_matrix(tmp_path / "nope.tsv")
+
+
+@pytest.mark.parametrize("reader", [read_matrix, read_outcome_pairs, read_config])
+@pytest.mark.parametrize(
+    "under_a_file, reason", [(False, "Is a directory"), (True, "Not a directory")]
+)
+def test_an_unreadable_path_is_a_validation_error(tmp_path, reader, under_a_file, reason):
+    # Any OSError of a read names the path and its reason, as a write does.
+    path = tmp_path
+    if under_a_file:
+        (tmp_path / "file").write_text("sample_id\tg1\tg2\ns1\t1\t2\n")
+        path = tmp_path / "file" / "m.tsv"
+    with pytest.raises(ValidationError, match=re.escape(f"cannot read {path}: {reason}")):
+        reader(path)
 
 
 class TestTabInCommaDelimitedCell:
